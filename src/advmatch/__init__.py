@@ -20,7 +20,7 @@ from .diagnostics import (SweepRow, frequency_prior_probe, lambda_sweep,
 from .matcher import (DistractorSet, MatchConfig, MatchingError, MCQItem,
                       effective_similarity, export_mcq, parse_items, run_rounds,
                       weight_matrix, write_items)
-from .pipeline import PipelineError, RunResult, run_match
+from .pipeline import PipelineError, RunResult, plan_buckets, run_match
 from .remap import (CandidateTable, RemapError, ResponseTemplate, fill_slots,
                     remap_tags, templatize)
 from .scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
@@ -43,7 +43,7 @@ __all__ = [
     "DistractorSet", "MatchConfig", "MatchingError", "MCQItem",
     "effective_similarity", "export_mcq", "parse_items", "run_rounds",
     "weight_matrix", "write_items",
-    "PipelineError", "RunResult", "run_match",
+    "PipelineError", "RunResult", "plan_buckets", "run_match",
     "CandidateTable", "RemapError", "ResponseTemplate", "fill_slots",
     "remap_tags", "templatize",
     "ScoreMatrix", "ScorerSpec", "ScoringError", "clamp_prob",

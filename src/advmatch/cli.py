@@ -14,15 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-from .bucketing import BucketingError, build_buckets
+from .bucketing import BucketingError
 from .corpus import (CorpusError, parse_records, record_from_obj, record_to_json,
                      split_folds, validate_record)
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
 from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items, write_items
 from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
-                       resolve_mode, run_match)
-from .remap import CandidateTable, RemapError
+                       plan_buckets, resolve_mode, run_match)
+from .remap import RemapError
 from .scoring import ScorerSpec, ScoringError, score_bucket, write_score_matrix
 
 EXIT_OK = 0
@@ -162,19 +162,11 @@ def cmd_split(args) -> int:
 def cmd_buckets(args) -> int:
     config, _, _ = _load_config(args)
     records = _read_corpus(args.input)
-    mode = resolve_mode(records, config)
-    plan = split_folds(records, config.n_folds, config.seed)
-    by_fold: dict[int, list] = {}
-    for r in records:
-        by_fold.setdefault(plan.fold_of(r), []).append(r)
-    lines = []
-    for fold in sorted(by_fold):
-        for b in build_buckets(by_fold[fold], mode, config.target_size,
-                               config.seed, n_distractors=config.rounds, fold=fold):
-            lines.append(json.dumps(
-                {"fold": b.fold, "bucket": b.bucket_id, "key": b.key.label,
-                 "members": [r.id for r in b.members]},
-                ensure_ascii=False, separators=(",", ":")))
+    _, buckets = plan_buckets(records, config, resolve_mode(records, config))
+    lines = [json.dumps({"fold": b.fold, "bucket": b.bucket_id, "key": b.key.label,
+                         "members": [r.id for r in b.members]},
+                        ensure_ascii=False, separators=(",", ":"))
+             for b in buckets]
     _write_out(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -182,25 +174,18 @@ def cmd_buckets(args) -> int:
 def cmd_score(args) -> int:
     config, rel_spec, sim_spec = _load_config(args)
     records = _read_corpus(args.input)
-    mode = resolve_mode(records, config)
-    plan = split_folds(records, config.n_folds, config.seed)
-    by_fold: dict[int, list] = {}
-    for r in records:
-        by_fold.setdefault(plan.fold_of(r), []).append(r)
+    _, buckets = plan_buckets(records, config, resolve_mode(records, config))
     outdir = Path(args.out or "scores")
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for fold in sorted(by_fold):
-        for b in build_buckets(by_fold[fold], mode, config.target_size,
-                               config.seed, n_distractors=config.rounds, fold=fold):
-            candidates = CandidateTable(b.members, config.p_reuse, config.seed)
-            rel, sim = score_bucket(b.members, rel_spec, sim_spec, candidates)
-            ids = [r.id for r in b.members]
-            safe = b.bucket_id.replace(":", "_").replace("/", "-")
-            for role, matrix in (("relevance", rel), ("similarity", sim)):
-                path = outdir / f"{safe}.{role}.scm"
-                write_score_matrix(path, role, matrix, ids)
-                written.append(str(path))
+    for b in buckets:
+        rel, sim = score_bucket(b.members, rel_spec, sim_spec)
+        ids = [r.id for r in b.members]
+        safe = b.bucket_id.replace(":", "_").replace("/", "-")
+        for role, matrix in (("relevance", rel), ("similarity", sim)):
+            path = outdir / f"{safe}.{role}.scm"
+            write_score_matrix(path, role, matrix, ids)
+            written.append(str(path))
     print("\n".join(written))
     return EXIT_OK
 

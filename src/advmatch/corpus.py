@@ -146,6 +146,9 @@ def validate_record(record: Record) -> ValidationReport:
     for pos, label in enumerate(record.objects, start=1):
         if not label or _LABEL_BAD_RE.search(label):
             v.append(f"objects[{pos}]: malformed class label {label!r}")
+        elif label != label.lower():
+            # remapping spells a missing class out as a (lowercased) word
+            v.append(f"objects[{pos}]: class label not lowercase {label!r}")
     _check_tokens("query", record.query, record.objects, v)
     _check_tokens("gold", record.gold, record.objects, v)
     if record.embedding is not None:
@@ -264,11 +267,6 @@ class FoldPlan:
 
     def fold_of(self, record: Record) -> int:
         return self.assignment[record.source_key]
-
-    def holdout_folds(self, n: int = 2) -> tuple[int, ...]:
-        """Fold indices reserved for validation/testing (highest indices)."""
-        n = min(n, self.n_folds)
-        return tuple(range(self.n_folds - n, self.n_folds))
 
 
 def split_folds(records: Sequence[Record], n_folds: int, seed: int) -> FoldPlan:

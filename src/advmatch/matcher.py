@@ -144,8 +144,8 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
                candidates=None) -> list[DistractorSet]:
     """K matching rounds over one bucket; returns one DistractorSet per record.
 
-    ``candidates`` follows the candidate-table surface from the scoring
-    module and supplies the distractor text for an assigned (query,
+    ``candidates`` is a ``remap.CandidateTable`` or anything with
+    ``get(i, j)``, and supplies the distractor text for an assigned (query,
     response) pair; without it the raw gold responses are used.
     """
     n = len(bucket)

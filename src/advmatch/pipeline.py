@@ -63,12 +63,27 @@ def resolve_mode(records: Sequence[Record], config: MatchConfig) -> str:
     return modes.pop()
 
 
+def plan_buckets(records: Sequence[Record], config: MatchConfig,
+                 mode: str) -> tuple[FoldPlan, list[Bucket]]:
+    """Split records into folds, then each fold into buckets, in fold order."""
+    plan = split_folds(records, config.n_folds, config.seed)
+    by_fold: dict[int, list[Record]] = {}
+    for r in records:
+        by_fold.setdefault(plan.fold_of(r), []).append(r)
+    buckets: list[Bucket] = []
+    for fold in sorted(by_fold):
+        buckets.extend(build_buckets(
+            by_fold[fold], mode, config.target_size, config.seed,
+            n_distractors=config.rounds, fold=fold))
+    return plan, buckets
+
+
 def _process_bucket(args) -> BucketResult:
     bucket, config, rel_spec, sim_spec, store_paths = args
     store = ExternalMatrixStore(store_paths) if store_paths else None
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
-    rel, sim = score_bucket(members, rel_spec, sim_spec, candidates, store)
+    rel, sim = score_bucket(members, rel_spec, sim_spec, store)
     dsets = run_rounds(members, rel, sim, config, candidates)
     items = export_mcq(dsets, members, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
@@ -91,17 +106,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     sim_spec = sim_spec or ScorerSpec("overlap", eps=config.eps)
     mode = resolve_mode(records, config)
 
-    plan = split_folds(records, config.n_folds, config.seed)
-    by_fold: dict[int, list[Record]] = {}
-    for r in records:
-        by_fold.setdefault(plan.fold_of(r), []).append(r)
-
-    buckets: list[Bucket] = []
-    for fold in sorted(by_fold):
-        buckets.extend(build_buckets(
-            by_fold[fold], mode, config.target_size, config.seed,
-            n_distractors=config.rounds, fold=fold))
-
+    plan, buckets = plan_buckets(records, config, mode)
     store_paths = [s.path for s in (rel_spec, sim_spec)
                    if s.kind == "external_matrix" and s.path]
     tasks = [(b, config, rel_spec, sim_spec, store_paths) for b in buckets]

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Record, Token
-from .scoring import STOPWORDS, content
 from .seeding import derive_rng
 
 
@@ -141,11 +140,7 @@ class CandidateTable:
     """Lazy n x n table of responses remapped per target query.
 
     ``get(i, j)`` materializes response j remapped for query i from its
-    keyed substream; nothing is cached, so memory stays O(n).  The content
-    signature of a remapped response is independent of the random draws
-    (every draw preserves the slot class except the deterministic person /
-    spell-out fallbacks), which lets ``content(i, j)`` and the vectorized
-    scoring path skip the RNG entirely.
+    keyed substream; nothing is cached, so memory stays O(n).
     """
 
     def __init__(self, records: Sequence[Record], p_reuse: float, seed: int):
@@ -156,15 +151,6 @@ class CandidateTable:
         self._seed = seed
         self._templates = [templatize(r.gold) for r in self._records]
         self._pools = [_TagPools.for_record(r) for r in self._records]
-        self._word_content = [
-            frozenset(t.text for t in r.gold
-                      if t.kind == "word" and t.text not in STOPWORDS)
-            for r in self._records
-        ]
-        self._slot_classes = [frozenset(tp.slot_classes) for tp in self._templates]
-        self._obj_classes = [frozenset(r.objects) for r in self._records]
-        self._has_person = ["person" in c for c in self._obj_classes]
-        self._base = [content(r.gold) for r in self._records]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -176,42 +162,3 @@ class CandidateTable:
                          self._records[j].id)
         return _remap_with_pools(self._templates[j], self._records[i],
                                  self._pools[i], self._p_reuse, rng)
-
-    def _translate(self, i: int, cls: str) -> str | None:
-        """Content contribution of a class-``cls`` slot remapped onto record i."""
-        if cls in self._obj_classes[i]:
-            return cls
-        if self._has_person[i]:
-            return "person"
-        return cls if cls not in STOPWORDS else None
-
-    def content(self, i: int, j: int) -> frozenset[str]:
-        if i == j:
-            return self._base[j]
-        translated = {self._translate(i, c) for c in self._slot_classes[j]}
-        translated.discard(None)
-        return self._word_content[j] | translated
-
-    def base_contents(self) -> list[frozenset[str]]:
-        return self._base
-
-    def translated_pairs(self) -> list[tuple[int, int]]:
-        """(i, j) pairs whose remapped content differs from response j's base."""
-        # Content can only change where a slot class is absent from the
-        # target's objects, so prefilter rows by class availability.
-        rows_missing: dict[str, frozenset[int]] = {}
-        all_classes = set().union(*self._slot_classes) if self._slot_classes else set()
-        for cls in all_classes:
-            rows_missing[cls] = frozenset(
-                i for i, avail in enumerate(self._obj_classes) if cls not in avail)
-        out = []
-        for j, classes in enumerate(self._slot_classes):
-            if not classes:
-                continue
-            suspects: set[int] = set()
-            for cls in classes:
-                suspects |= rows_missing[cls]
-            for i in sorted(suspects):
-                if i != j and self.content(i, j) != self._base[j]:
-                    out.append((i, j))
-        return out

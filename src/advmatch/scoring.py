@@ -23,8 +23,9 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -177,86 +178,118 @@ def symmetrize_entailment(directed: np.ndarray | Sequence[Sequence[float]],
     return ScoreMatrix(ROLE_SIMILARITY, out)
 
 
-# -- candidate tables ------------------------------------------------------
-#
-# score_bucket consumes candidate responses through a small duck-typed
-# surface so remapped text never has to be materialized n*n times:
-#   get(i, j)        -> token sequence of response j prepared for query i
-#   content(i, j)    -> content() of get(i, j), computable without RNG
-#   base_contents()  -> per-response content assuming no class translation
-#   translated_pairs() -> (i, j) pairs whose content differs from base
-# remap.CandidateTable implements it for remapped candidates.
+def _intersections(row_contents: Sequence[AbstractSet[str]],
+                   col_contents: Sequence[AbstractSet[str]]) -> np.ndarray:
+    """``len(row & col)`` for every pair.
+
+    Sparse row incidence times dense column incidence, both over the words
+    the two sides share (no other word can be counted).
+    """
+    from scipy.sparse import csr_matrix
+
+    shared = set().union(*row_contents) & set().union(*col_contents)
+    vocab = {w: k for k, w in enumerate(shared)}
+    hits = [c & shared for c in row_contents]
+    indptr = np.cumsum([0, *map(len, hits)])
+    indices = np.fromiter(map(vocab.__getitem__, chain.from_iterable(hits)),
+                          dtype=np.int32, count=indptr[-1])
+    rows = csr_matrix((np.ones(len(indices)), indices, indptr),
+                      shape=(len(row_contents), len(vocab)))
+    n = len(col_contents)
+    cols = np.zeros((len(vocab), n))
+    cols.reshape(-1)[[vocab[w] * n + j for j, c in enumerate(col_contents)
+                      for w in c & shared]] = 1.0
+    return rows @ cols
 
 
-class IdentityCandidates:
-    """Candidate table that serves every query the raw gold responses."""
+def _cosine(inter: np.ndarray, row_sizes: np.ndarray,
+            col_sizes: np.ndarray) -> np.ndarray:
+    """``inter / sqrt(row_size * col_size)`` computed in place of ``inter``,
+    bit-identical to the per-pair formula; 0 where a side is empty.
+    ``col_sizes`` holds one size per column or one per entry.
+    """
+    denom = row_sizes[:, None] * col_sizes
+    np.sqrt(denom, out=denom)
+    denom[denom == 0.0] = 1.0
+    return np.divide(inter, denom, out=inter)
 
-    def __init__(self, records: Sequence[Record]):
-        self._records = list(records)
-        self._contents = [content(r.gold) for r in self._records]
 
-    def get(self, i: int, j: int) -> tuple[Token, ...]:
-        return self._records[j].gold
-
-    def content(self, i: int, j: int) -> frozenset[str]:
-        return self._contents[j]
-
-    def base_contents(self) -> list[frozenset[str]]:
-        return self._contents
-
-    def translated_pairs(self) -> list[tuple[int, int]]:
-        return []
+def _sizes(contents: Sequence[AbstractSet[str]]) -> np.ndarray:
+    return np.array([len(c) for c in contents], dtype=np.float64)
 
 
 def _overlap_matrix(row_contents: Sequence[frozenset[str]],
                     col_contents: Sequence[frozenset[str]]) -> np.ndarray:
     """All-pairs overlap scores, bit-identical to the per-pair formula."""
-    vocab: dict[str, int] = {}
-    for c in row_contents:
-        for w in c:
-            vocab.setdefault(w, len(vocab))
-    for c in col_contents:
-        for w in c:
-            vocab.setdefault(w, len(vocab))
-    nr, nc = len(row_contents), len(col_contents)
-    if not vocab:
-        return np.zeros((nr, nc))
-    from scipy.sparse import csr_matrix
-
-    def incidence(contents: Sequence[frozenset[str]]) -> csr_matrix:
-        indptr = [0]
-        indices: list[int] = []
-        for c in contents:
-            indices.extend(sorted(vocab[w] for w in c))
-            indptr.append(len(indices))
-        data = np.ones(len(indices), dtype=np.int64)
-        return csr_matrix((data, indices, indptr), shape=(len(contents), len(vocab)))
-
-    rows = incidence(row_contents)
-    cols = incidence(col_contents)
-    inter = (rows @ cols.T).toarray().astype(np.float64)
-    rsize = np.array([len(c) for c in row_contents], dtype=np.float64)
-    csize = np.array([len(c) for c in col_contents], dtype=np.float64)
-    denom = np.sqrt(np.outer(rsize, csize))
-    with np.errstate(invalid="ignore"):
-        out = np.where(denom == 0.0, 0.0, inter / np.where(denom == 0.0, 1.0, denom))
-    return out
+    return _cosine(_intersections(row_contents, col_contents),
+                   _sizes(row_contents), _sizes(col_contents))
 
 
-def _relevance_values(bucket: Sequence[Record], spec: ScorerSpec, candidates,
+def _words_and_slots(tokens: Sequence[Token]) -> tuple[set[str], set[str]]:
+    """Non-stopword words and tag classes of a token stream, apart."""
+    words, slots = set(), set()
+    for t in tokens:
+        if t.kind == "tag":
+            slots.add(t.tag_class)
+        elif t.text not in STOPWORDS:
+            words.add(t.text)
+    return words, slots
+
+
+def _remapped_overlap(bucket: Sequence[Record]) -> np.ndarray:
+    """Overlap of query i with gold j remapped onto record i, for all pairs.
+
+    A class-c slot of gold j remapped onto record i contributes c when i has
+    a c object, else ``person`` when i has a person, else the spelled-out
+    word c (nothing when c is a stopword).  That depends on i's object
+    classes alone, never on the random draw, so the counts are the word
+    overlap plus products of record x slot-class indicator matrices.
+    """
+    queries = [content(r.query) for r in bucket]
+    words, slots = zip(*(_words_and_slots(r.gold) for r in bucket))
+    classes = sorted(set().union(*slots))
+    column = {c: k for k, c in enumerate(classes)}
+    m = len(classes)
+
+    def indicator(sets: Iterable[Iterable[str]]) -> np.ndarray:
+        out = np.zeros((len(bucket), m))
+        out.reshape(-1)[[row * m + column[c] for row, labels in enumerate(sets)
+                         for c in labels if c in column]] = 1.0
+        return out
+
+    has = indicator(r.objects for r in bucket)
+    slot = indicator(slots)
+    person = np.array(["person" in r.objects for r in bucket])
+    # class c kept as itself on target i: i has a c, or i has no person and
+    # the spelled-out c is not a stopword
+    kept = np.maximum(has, np.outer(~person, [c not in STOPWORDS for c in classes]))
+    # slot classes of j that are not already words of j
+    fresh = indicator(s - w for s, w in zip(slots, words))
+    asked = indicator(queries)
+    # one "person" where i has a person, some slot class of j is missing on
+    # i, and "person" is neither a word nor a slot class of j
+    # np.dot, not @: numpy's matmul leaves BLAS when there is one class
+    lone = np.dot(has, slot.T) < slot.sum(axis=1)
+    lone &= person[:, None]
+    lone &= np.array(["person" not in (w | s) for w, s in zip(words, slots)])
+
+    inter = _intersections(queries, words)
+    inter += np.dot(asked * kept, fresh.T)
+    inter += lone & np.array(["person" in q for q in queries])[:, None]
+    size = np.dot(kept, fresh.T)
+    size += lone
+    size += _sizes(words)
+    return _cosine(inter, _sizes(queries), size)
+
+
+def _relevance_values(bucket: Sequence[Record], spec: ScorerSpec,
                       store: "ExternalMatrixStore | None") -> np.ndarray:
-    n = len(bucket)
     if spec.kind == "overlap":
-        queries = [content(r.query) for r in bucket]
-        vals = _overlap_matrix(queries, candidates.base_contents())
-        for i, j in candidates.translated_pairs():
-            vals[i, j] = _overlap_score(queries[i], candidates.content(i, j))
-        return np.clip(vals, spec.eps, 1.0 - spec.eps)
-    if spec.kind == "embedding_cosine":
-        emb = _embedding_matrix(bucket)
-        vals = _cosine_matrix(emb)
-        return np.clip(vals, spec.eps, 1.0 - spec.eps)
-    vals = _external_values(ROLE_RELEVANCE, bucket, spec, store)
+        vals = _remapped_overlap(bucket)
+    elif spec.kind == "embedding_cosine":
+        vals = _cosine_matrix(_embedding_matrix(bucket))
+    else:
+        vals = _external_values(ROLE_RELEVANCE, bucket, spec, store)
     return np.clip(vals, spec.eps, 1.0 - spec.eps)
 
 
@@ -304,21 +337,21 @@ def _external_values(role: str, bucket: Sequence[Record], spec: ScorerSpec,
 
 
 def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
-                 sim_spec: ScorerSpec, candidates=None,
+                 sim_spec: ScorerSpec,
                  matrix_store: "ExternalMatrixStore | None" = None,
                  ) -> tuple[ScoreMatrix, ScoreMatrix]:
     """All-pairs relevance and similarity matrices for one bucket.
 
-    ``rel[i][j]`` scores query i against response j as served by the
-    candidate table (i.e. after any tag remapping); similarity always
+    ``rel[i][j]`` scores query i against response j with its tags remapped
+    onto record i's objects, as ``remap.CandidateTable.get(i, j)`` serves
+    it; the overlap scorer's value does not depend on the remapping's
+    random draws, so no candidate table is needed.  Similarity always
     compares the original gold responses.  Pure and deterministic: repeated
     calls on the same inputs are bit-identical.
     """
     if not bucket:
         raise ScoringError("bucket is empty")
-    if candidates is None:
-        candidates = IdentityCandidates(bucket)
-    rel = _relevance_values(bucket, rel_spec, candidates, matrix_store)
+    rel = _relevance_values(bucket, rel_spec, matrix_store)
     sim = _similarity_values(bucket, sim_spec, matrix_store)
     return ScoreMatrix(ROLE_RELEVANCE, rel), ScoreMatrix(ROLE_SIMILARITY, sim)
 

@@ -63,7 +63,7 @@ def test_criterion_2_recycling_and_prior():
     from advmatch.scoring import score_bucket
 
     candidates = CandidateTable(bucket, p_reuse=0.5, seed=5)
-    rel, sim = score_bucket(bucket, rel_spec, sim_spec, candidates)
+    rel, sim = score_bucket(bucket, rel_spec, sim_spec)
     config = MatchConfig(seed=5, rounds=3, n_folds=1)
     dsets = run_rounds(bucket, rel, sim, config, candidates)
 

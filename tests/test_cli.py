@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from advmatch.cli import main
 from advmatch.corpus import parse_records, serialize_records
-from advmatch.matcher import parse_items
-from advmatch.pipeline import digest_bytes
+from advmatch.matcher import MatchConfig, parse_items
+from advmatch.pipeline import digest_bytes, run_match
+from advmatch.scoring import read_score_matrix
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
 
@@ -169,6 +171,29 @@ class TestSplitAndBuckets:
         assert len(rows) == 1
         assert rows[0]["key"] == "neutral/explanation"
         assert len(rows[0]["members"]) == 8
+
+    def test_buckets_and_score_follow_the_match_plan(self, tmp_path):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        result = run_match(records, MatchConfig(seed=5, n_folds=3))
+        out = tmp_path / "buckets.jsonl"
+        assert main(["buckets", str(corpus), "--config", str(config),
+                     "--out", str(out)]) == 0
+        rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert [(r["fold"], r["bucket"], r["members"]) for r in rows] == [
+            (br.bucket.fold, br.bucket.bucket_id, [m.id for m in br.bucket.members])
+            for br in result.buckets]
+        scores = tmp_path / "scores"
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        for br in result.buckets:
+            safe = br.bucket.bucket_id.replace(":", "_").replace("/", "-")
+            _, rel, _ = read_score_matrix(scores / f"{safe}.relevance.scm")
+            expected = br.relevance.values.astype(np.float32).astype(np.float64)
+            assert np.array_equal(rel, expected)
 
 
 class TestScoreAndExternalMatrices:

@@ -87,6 +87,18 @@ class TestValidate:
         report = validate_record(r)
         assert any("class mismatch" in v for v in report.violations)
 
+    def test_uppercase_class_label(self):
+        # remapping spells a class out as a lowercased word, so labels must
+        # already be lowercase for scores to match the served text
+        r = make_record(0, "m", "why is [Dog:1] loud ?", "[Dog:1] barks .",
+                        objects=("Dog",))
+        report = validate_record(r)
+        assert report.violations == ["objects[1]: class label not lowercase 'Dog'"]
+        line = _line(query="why is [Dog:1] loud ?", gold="[Dog:1] barks .",
+                     objects=["Dog"])
+        with pytest.raises(CorpusError, match="line 1.*not lowercase 'Dog'"):
+            parse_records([line])
+
     def test_conforming_record_is_ok(self):
         r = make_record(0, "m", "why is [person:1] running ?", "[person:2] waves .")
         assert validate_record(r).ok
@@ -191,8 +203,3 @@ class TestSplitFolds:
         records = [make_record(i, "only", "why go ?", "home .") for i in range(5)]
         with pytest.raises(CorpusError, match="distinct source keys"):
             split_folds(records, 2, seed=0)
-
-    def test_holdout_defaults_to_highest_folds(self):
-        records = [make_record(i, f"k{i}", "why go ?", "home .") for i in range(11)]
-        plan = split_folds(records, 11, seed=1)
-        assert plan.holdout_folds() == (9, 10)

@@ -175,7 +175,7 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(5, seed=11)
         candidates = CandidateTable(bucket, p_reuse=0.5, seed=3)
         rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
-                                ScorerSpec("overlap", eps=EPS), candidates)
+                                ScorerSpec("overlap", eps=EPS))
         sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
                           candidates)
         index = {r.id: k for k, r in enumerate(bucket)}

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from advmatch.corpus import parse_token_stream as pts
+from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.remap import CandidateTable
 from advmatch.scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
                               content, read_score_matrix, relevance_overlap,
@@ -122,6 +123,47 @@ def _specs(rel="overlap", sim="overlap"):
     return ScorerSpec(rel, eps=EPS), ScorerSpec(sim, eps=EPS)
 
 
+def _mixed_class_corpus(n, seed=9):
+    """Records over person/car/dog and the stopword class "own", some
+    without a person, so remapped slots take every fallback."""
+    rng = np.random.default_rng(seed)
+    classes = ["person", "car", "dog", "own"]
+    records = []
+    for i in range(n):
+        objs = tuple(classes[int(rng.integers(4))]
+                     for _ in range(int(rng.integers(1, 4))))
+        records.append(Record(
+            id=f"r{i:02d}", source_key="m",
+            query=pts(f"why is [{objs[0]}:1] busy b{i} ?"),
+            gold=(Token.tag(objs[-1], len(objs)), *pts(f"acts a{i} .")),
+            objects=objs))
+    return records
+
+
+# "own" is a stopword; "dog" also appears as a plain word
+_CLASSES = ("person", "dog", "car", "own")
+_WORDS = ("dog", "person", "runs", "own", "the", "car", "fast")
+
+
+@st.composite
+def _scored_record(draw, i):
+    objects = tuple(draw(st.lists(st.sampled_from(_CLASSES), min_size=0,
+                                  max_size=3)))
+
+    def stream(min_size):
+        toks = []
+        for _ in range(draw(st.integers(min_size, 4))):
+            if objects and draw(st.booleans()):
+                idx = draw(st.integers(1, len(objects)))
+                toks.append(Token.tag(objects[idx - 1], idx))
+            else:
+                toks.append(Token.word(draw(st.sampled_from(_WORDS))))
+        return tuple(toks)
+
+    return Record(id=f"r{i}", source_key="m", query=stream(1), gold=stream(1),
+                  objects=objects)
+
+
 class TestScoreBucket:
     def test_bucket_of_one(self):
         bucket = [make_record(0, "m", "why run ?", "away .")]
@@ -140,21 +182,40 @@ class TestScoreBucket:
         assert (np.diag(sim.values) == 1.0).all()
 
     def test_entrywise_recomputation_overlap(self):
-        bucket = simple_bucket_corpus(10, seed=12)
-        candidates = CandidateTable(bucket, p_reuse=0.5, seed=99)
-        rel, sim = score_bucket(bucket, *_specs(), candidates=candidates)
-        for i in range(10):
-            for j in range(10):
+        for bucket in (simple_bucket_corpus(10, seed=12), _mixed_class_corpus(12)):
+            n = len(bucket)
+            candidates = CandidateTable(bucket, p_reuse=0.5, seed=99)
+            rel, sim = score_bucket(bucket, *_specs())
+            for i in range(n):
+                for j in range(n):
+                    expected = relevance_overlap(bucket[i].query,
+                                                 candidates.get(i, j), EPS)
+                    assert rel.values[i, j] == expected
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        assert sim.values[i, j] == 1.0
+                    else:
+                        expected = relevance_overlap(bucket[i].gold,
+                                                     bucket[j].gold, EPS)
+                        assert sim.values[i, j] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_relevance_scores_remapped_text(self, data):
+        # every remapping branch: class kept, replaced by a person, spelled
+        # out as a word, spelled out as a stopword that drops out, and a
+        # class that is also a word of the gold
+        n = data.draw(st.integers(1, 7))
+        bucket = [data.draw(_scored_record(i)) for i in range(n)]
+        candidates = CandidateTable(bucket, p_reuse=data.draw(st.floats(0, 1)),
+                                    seed=data.draw(st.integers(0, 2 ** 16)))
+        rel, _ = score_bucket(bucket, *_specs())
+        for i in range(n):
+            for j in range(n):
                 expected = relevance_overlap(bucket[i].query,
                                              candidates.get(i, j), EPS)
                 assert rel.values[i, j] == expected
-        for i in range(10):
-            for j in range(10):
-                if i == j:
-                    assert sim.values[i, j] == 1.0
-                else:
-                    expected = relevance_overlap(bucket[i].gold, bucket[j].gold, EPS)
-                    assert sim.values[i, j] == expected
 
     def test_entrywise_recomputation_cosine(self):
         bucket = simple_bucket_corpus(10, seed=13)
@@ -185,9 +246,8 @@ class TestScoreBucket:
 
     def test_repeated_calls_bit_identical(self):
         bucket = simple_bucket_corpus(9, seed=15)
-        candidates = CandidateTable(bucket, p_reuse=0.5, seed=1)
-        rel1, sim1 = score_bucket(bucket, *_specs(), candidates=candidates)
-        rel2, sim2 = score_bucket(bucket, *_specs(), candidates=candidates)
+        rel1, sim1 = score_bucket(bucket, *_specs())
+        rel2, sim2 = score_bucket(bucket, *_specs())
         assert np.array_equal(rel1.values, rel2.values)
         assert np.array_equal(sim1.values, sim2.values)
 

@@ -36,6 +36,8 @@ QUESTION_TYPE_PATTERNS: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...] = (
 )
 
 QUESTION_TYPES = tuple(name for name, _ in QUESTION_TYPE_PATTERNS) + ("other",)
+_PATTERN_LENGTHS = sorted({len(pat) for _, pats in QUESTION_TYPE_PATTERNS
+                           for pat in pats})
 
 KMEANS_MAX_ITER = 100
 
@@ -60,12 +62,11 @@ def question_type(question: Sequence[Token]) -> str:
     """First question-type group whose pattern occurs in the question."""
     # Tags break word adjacency, so multi-word patterns cannot span them.
     words = [t.text if t.kind == "word" else None for t in question]
+    grams = {tuple(words[start:start + k]) for k in _PATTERN_LENGTHS
+             for start in range(len(words) - k + 1)}
     for name, patterns in QUESTION_TYPE_PATTERNS:
-        for pat in patterns:
-            k = len(pat)
-            for start in range(len(words) - k + 1):
-                if tuple(words[start:start + k]) == pat:
-                    return name
+        if not grams.isdisjoint(patterns):
+            return name
     return "other"
 
 

@@ -48,6 +48,8 @@ _CONFIG_KEYS = frozenset({"seed", "lambda", "rounds", "eps", "p_reuse", "n_folds
 
 
 def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:

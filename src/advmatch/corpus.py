@@ -38,6 +38,11 @@ class Token:
     Exactly one side is populated: words carry ``text``; tags carry
     ``tag_class`` and a 1-based ``tag_index`` into the owning record's
     object list.
+
+    ``Token.word`` and ``Token.tag`` return one shared instance per
+    distinct value, and unpickling does the same, so a corpus holds as many
+    token objects as it has distinct tokens and a pickled bucket carries
+    each of them once.
     """
 
     kind: str  # "word" | "tag"
@@ -47,11 +52,14 @@ class Token:
 
     @staticmethod
     def word(text: str) -> "Token":
-        return Token(kind="word", text=text.lower())
+        return _interned("word", text.lower(), "", 0)
 
     @staticmethod
     def tag(tag_class: str, tag_index: int) -> "Token":
-        return Token(kind="tag", tag_class=tag_class, tag_index=tag_index)
+        return _interned("tag", "", tag_class, tag_index)
+
+    def __reduce__(self):
+        return _interned, (self.kind, self.text, self.tag_class, self.tag_index)
 
     @property
     def is_tag(self) -> bool:
@@ -61,6 +69,19 @@ class Token:
         if self.kind == "tag":
             return f"[{self.tag_class}:{self.tag_index}]"
         return self.text
+
+
+# Every token value seen by this process; bounded by the vocabulary plus
+# the (class, index) pairs of the corpus.
+_TOKENS: dict[tuple[str, str, str, int], Token] = {}
+
+
+def _interned(kind: str, text: str, tag_class: str, tag_index: int) -> Token:
+    key = (kind, text, tag_class, tag_index)
+    token = _TOKENS.get(key)
+    if token is None:
+        token = _TOKENS[key] = Token(kind, text, tag_class, tag_index)
+    return token
 
 
 def parse_token_stream(text: str) -> tuple[Token, ...]:

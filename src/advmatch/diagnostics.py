@@ -100,14 +100,10 @@ def _matched_means(result: RunResult) -> tuple[float, float]:
     sim_sum = rel_sum = 0.0
     count = 0
     for br in result.buckets:
-        index = {r.id: pos for pos, r in enumerate(br.bucket.members)}
-        for dset in br.distractor_sets:
-            i = index[dset.query_id]
-            for d in dset.distractors:
-                j = index[d.source_id]
-                sim_sum += float(br.similarity.values[i, j])
-                rel_sum += float(br.relevance.values[i, j])
-                count += 1
+        for rel, sim in br.matched:
+            sim_sum += sim
+            rel_sum += rel
+            count += 1
     return sim_sum / count, rel_sum / count
 
 

@@ -5,6 +5,10 @@ scoring, matching rounds, and choice export.  Buckets are independent, so
 they can be processed by a worker pool; results are keyed by bucket id and
 assembled in sorted order, which makes the output byte-identical for any
 degree of parallelism.
+
+The pool receives the planned buckets once, when each worker starts, and
+then each bucket by its index.  A worker sends back only the bucket's items
+and the scores of its matched pairs; the score matrices stay in the worker.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from typing import Sequence
 
 from .bucketing import Bucket, build_buckets
 from .corpus import FoldPlan, Record, split_folds
-from .matcher import DistractorSet, MatchConfig, MCQItem, export_mcq, run_rounds
+from .matcher import MatchConfig, MCQItem, export_mcq, run_rounds
 from .remap import CandidateTable
-from .scoring import ExternalMatrixStore, ScoreMatrix, ScorerSpec, score_bucket
+from .scoring import ExternalMatrixStore, ScorerSpec, score_bucket
 
 
 class PipelineError(ValueError):
@@ -29,13 +33,17 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class BucketResult:
-    """Everything one bucket produced; matrices kept for diagnostics."""
+    """One bucket's items and the scores of its matched pairs.
+
+    ``matched`` holds ``(relevance, similarity)`` for every (query,
+    distractor) pair, queries in member order and each query's distractors
+    in round order.  The score matrices are not kept: ``score_bucket`` on
+    ``bucket.members`` (or ``advmatch score``) recomputes them.
+    """
 
     bucket: Bucket
-    relevance: ScoreMatrix
-    similarity: ScoreMatrix
-    distractor_sets: tuple[DistractorSet, ...]
     items: tuple[MCQItem, ...]
+    matched: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
     return plan, buckets
 
 
-def _process_bucket(args) -> BucketResult:
+def _process_bucket(args) -> tuple[tuple[MCQItem, ...], tuple[tuple[float, float], ...]]:
+    """Match one bucket; return its items and ``BucketResult.matched``."""
     bucket, config, rel_spec, sim_spec, store_paths = args
     store = ExternalMatrixStore(store_paths) if store_paths else None
     members = bucket.members
@@ -87,7 +96,27 @@ def _process_bucket(args) -> BucketResult:
     dsets = run_rounds(members, rel, sim, config, candidates)
     items = export_mcq(dsets, members, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
-    return BucketResult(bucket, rel, sim, tuple(dsets), tuple(items))
+    index = {r.id: pos for pos, r in enumerate(members)}
+    matched = []
+    for dset in dsets:
+        i = index[dset.query_id]
+        for d in dset.distractors:
+            j = index[d.source_id]
+            matched.append((float(rel.values[i, j]), float(sim.values[i, j])))
+    return tuple(items), tuple(matched)
+
+
+# The planned tasks of the run a pool worker serves, set once per worker.
+_worker_tasks: list = []
+
+
+def _init_worker(tasks: list) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_task(index: int):
+    return _process_bucket(_worker_tasks[index])
 
 
 def run_match(records: Sequence[Record], config: MatchConfig,
@@ -102,6 +131,8 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     """
     if not records:
         raise PipelineError("corpus is empty")
+    if jobs < 1:
+        raise PipelineError(f"jobs must be >= 1, got {jobs}")
     rel_spec = rel_spec or ScorerSpec("overlap", eps=config.eps)
     sim_spec = sim_spec or ScorerSpec("overlap", eps=config.eps)
     mode = resolve_mode(records, config)
@@ -111,11 +142,17 @@ def run_match(records: Sequence[Record], config: MatchConfig,
                    if s.kind == "external_matrix" and s.path]
     tasks = [(b, config, rel_spec, sim_spec, store_paths) for b in buckets]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_process_bucket, tasks))
+        # fork inherits the tasks; spawn and forkserver pickle them once
+        # per worker, not once per bucket
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_init_worker,
+                                 initargs=(tasks,)) as pool:
+            outputs = list(pool.map(_run_task, range(len(tasks))))
     else:
-        results = [_process_bucket(t) for t in tasks]
+        outputs = [_process_bucket(t) for t in tasks]
 
+    results = [BucketResult(b, items, matched)
+               for b, (items, matched) in zip(buckets, outputs)]
     results.sort(key=lambda br: (br.bucket.fold, br.bucket.bucket_id))
     return RunResult(mode=mode, config=config, fold_plan=plan,
                      buckets=tuple(results))

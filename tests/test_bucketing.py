@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from advmatch.bucketing import (BucketingError, build_buckets, cluster_embeddings,
+from advmatch.bucketing import (QUESTION_TYPE_PATTERNS, BucketingError,
+                                build_buckets, cluster_embeddings,
                                 pronoun_class, question_type)
 from advmatch.corpus import parse_token_stream as pts
 
@@ -51,6 +53,27 @@ class TestQuestionType:
 
     def test_no_match_is_other(self):
         assert question_type(pts("name the object on this table .")) == "other"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["why", "how", "come", "does", "doing", "before", "feeling", "where",
+         "married", "if", "may", "the", "is", "?", "[person:1]", "[cup:2]"]),
+        max_size=10))
+    def test_matches_the_pattern_scan(self, pieces):
+        question = pts(" ".join(pieces))
+        assert question_type(question) == _scan_question_type(question)
+
+
+def _scan_question_type(question):
+    """Reference: scan every pattern at every position, groups in order."""
+    words = [t.text if t.kind == "word" else None for t in question]
+    for name, patterns in QUESTION_TYPE_PATTERNS:
+        for pat in patterns:
+            k = len(pat)
+            for start in range(len(words) - k + 1):
+                if tuple(words[start:start + k]) == pat:
+                    return name
+    return "other"
 
 
 class TestClusterEmbeddings:

@@ -11,7 +11,7 @@ from advmatch.cli import main
 from advmatch.corpus import parse_records, serialize_records
 from advmatch.matcher import MatchConfig, parse_items
 from advmatch.pipeline import digest_bytes, run_match
-from advmatch.scoring import read_score_matrix
+from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
 
@@ -118,6 +118,15 @@ class TestMatch:
         assert main(["match", str(corpus), "--config", str(noseed)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["match", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, workspace, capsys, command, jobs):
+        tmp, corpus, config = workspace
+        assert main([command, str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x"), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, corpus, _ = workspace
         typo = tmp / "typo.json"
@@ -189,11 +198,17 @@ class TestSplitAndBuckets:
         scores = tmp_path / "scores"
         assert main(["score", str(corpus), "--config", str(config),
                      "--out", str(scores)]) == 0
+        spec = ScorerSpec("overlap", eps=result.config.eps)
         for br in result.buckets:
             safe = br.bucket.bucket_id.replace(":", "_").replace("/", "-")
-            _, rel, _ = read_score_matrix(scores / f"{safe}.relevance.scm")
-            expected = br.relevance.values.astype(np.float32).astype(np.float64)
-            assert np.array_equal(rel, expected)
+            matrices = score_bucket(br.bucket.members, spec, spec)
+            for role, matrix in zip(("relevance", "similarity"), matrices):
+                stored_role, values, ids = read_score_matrix(
+                    scores / f"{safe}.{role}.scm")
+                assert stored_role == role
+                assert ids == [r.id for r in br.bucket.members]
+                expected = matrix.values.astype(np.float32).astype(np.float64)
+                assert np.array_equal(values, expected)
 
 
 class TestScoreAndExternalMatrices:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from advmatch.corpus import (CorpusError, Record, Token, parse_records,
                              parse_token_stream, serialize_records, split_folds,
                              tokens_to_text, validate_record)
+from advmatch.matcher import MatchConfig
+from advmatch.pipeline import run_match
+from advmatch.remap import CandidateTable
 
-from conftest import make_record
+from conftest import make_record, multi_fold_corpus
 
 
 def _line(**kwargs) -> str:
@@ -145,6 +149,48 @@ class TestRoundTrip:
     def test_tag_serialization_shape(self):
         toks = parse_token_stream("look at [car:2] now")
         assert tokens_to_text(toks) == "look at [car:2] now"
+
+
+def _all_tokens(token_seqs):
+    return [t for seq in token_seqs for t in seq]
+
+
+class TestInterning:
+    def test_constructors_return_one_instance_per_value(self):
+        assert Token.word("Dog") is Token.word("dog")
+        assert Token.tag("cup", 2) is Token.tag("cup", 2)
+        assert Token.tag("cup", 2) is not Token.tag("cup", 3)
+
+    def test_parse_yields_one_object_per_token_value(self):
+        records = parse_records(
+            serialize_records(multi_fold_corpus(n_keys=6, per_key=4, seed=1))
+            .splitlines())
+        tokens = _all_tokens(seq for r in records for seq in (r.query, r.gold))
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+    def test_remapped_tokens_are_interned(self):
+        records = [
+            make_record(0, "m", "why is [person:1] near [dog:3] ?",
+                        "[person:2] pets [dog:3] .", ("person", "person", "dog")),
+            make_record(1, "m", "why is [person:1] by [cup:2] ?",
+                        "[person:1] drinks from [cup:2] .", ("person", "cup")),
+            make_record(2, "m", "why is [car:1] here ?", "[car:1] is parked .",
+                        ("car",)),
+        ]
+        table = CandidateTable(records, p_reuse=0.5, seed=3)
+        remapped = _all_tokens(table.get(i, j) for i in range(3) for j in range(3))
+        assert any(t.is_tag for t in remapped)
+        for t in remapped:
+            expected = (Token.tag(t.tag_class, t.tag_index) if t.is_tag
+                        else Token.word(t.text))
+            assert t is expected
+
+    def test_items_survive_pickling_as_interned_tokens(self):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=2)
+        items = run_match(records, MatchConfig(seed=5, n_folds=3)).items
+        copy = pickle.loads(pickle.dumps(items))
+        assert copy == items
+        assert copy[0].choices[0][0] is items[0].choices[0][0]
 
 
 class TestSplitFolds:

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from advmatch.corpus import parse_token_stream as pts
-from advmatch.diagnostics import (DiagnosticsError, canonical_choice_text,
-                                  format_sweep_csv, format_sweep_table,
-                                  frequency_prior_probe, lambda_sweep,
-                                  machine_accuracy)
+from advmatch.diagnostics import (DiagnosticsError, _matched_means,
+                                  canonical_choice_text, format_sweep_csv,
+                                  format_sweep_table, frequency_prior_probe,
+                                  lambda_sweep, machine_accuracy)
 from advmatch.matcher import MatchConfig, MCQItem, Provenance
+from advmatch.pipeline import run_match
+from advmatch.scoring import ScorerSpec, score_bucket
 
-from conftest import simple_bucket_corpus, trend_corpus
+from conftest import multi_fold_corpus, simple_bucket_corpus, trend_corpus
 
 
 def make_item(i, gold_index=0, choice_texts=None, query="why is [person:1] busy ?"):
@@ -160,3 +162,35 @@ class TestLambdaSweep:
         assert csv_text.splitlines()[0] == ("lambda,machine_accuracy,"
                                             "mean_gold_distractor_similarity,"
                                             "mean_distractor_relevance")
+
+    def test_sweep_identical_across_jobs(self):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=7)
+        cfg = MatchConfig(seed=3, n_folds=3, target_size=100)
+        serial = lambda_sweep(records, [1.0, 0.01], cfg, jobs=1)
+        pooled = lambda_sweep(records, [1.0, 0.01], cfg, jobs=2)
+        assert pooled == serial
+        assert format_sweep_table(pooled) == format_sweep_table(serial)
+        assert format_sweep_csv(pooled) == format_sweep_csv(serial)
+
+    def test_matched_means_equal_score_matrices_at_provenance(self):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=8)
+        cfg = MatchConfig(seed=6, n_folds=3, target_size=100)
+        sim_spec = ScorerSpec("embedding_cosine", eps=cfg.eps)
+        result = run_match(records, cfg, sim_spec=sim_spec)
+        rel_spec = ScorerSpec("overlap", eps=cfg.eps)
+        sim_sum = rel_sum = 0.0
+        count = 0
+        for br in result.buckets:
+            rel, sim = score_bucket(br.bucket.members, rel_spec, sim_spec)
+            index = {r.id: pos for pos, r in enumerate(br.bucket.members)}
+            for item in br.items:
+                i = index[item.id]
+                picks = sorted((p for p in item.provenance if p.kind == "distractor"),
+                               key=lambda p: p.round_index)
+                for p in picks:
+                    j = index[p.source_id]
+                    sim_sum += float(sim.values[i, j])
+                    rel_sum += float(rel.values[i, j])
+                    count += 1
+        assert count == len(records) * cfg.rounds
+        assert _matched_means(result) == (sim_sum / count, rel_sum / count)

@@ -195,31 +195,66 @@ def _lexicalize_exact(values: np.ndarray, forbidden: np.ndarray,
                 break
 
 
+def _swap_screen(values: np.ndarray, forbidden: np.ndarray, current: np.ndarray,
+                 pos: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ok[a, b]: moving column cols[b] to row rows[a] is a swap candidate.
+
+    A candidate is a smaller column whose holder is a later row, with both
+    swapped entries allowed and a total change of exactly zero as the
+    four-term delta computes it.
+    """
+    r = rows[:, None]
+    cur = current[r]
+    holders = pos[cols]
+    delta = (values[r, cols] + values[holders, cur]
+             - values[r, cur] - values[holders, cols])
+    ok = (delta == 0.0) & (cols < cur) & (holders > r)
+    a, b = np.nonzero(ok)  # the mask is read only where the rest holds
+    ok[a, b] = ~forbidden[rows[a], cols[b]] & ~forbidden[holders[b], cur[a, 0]]
+    return ok
+
+
 def _lexicalize_swaps(values: np.ndarray, forbidden: np.ndarray,
                       current: np.ndarray, total: float, pos: np.ndarray) -> None:
-    # Vectorized per row: zero-delta two-row swaps are the only candidates,
-    # each verified against the exact recomputed total before adoption.
+    # Rows in order, each taking its smallest zero-delta swap candidate
+    # until none is left.  One screen over all rows finds the candidates,
+    # in eight row blocks so that its temporaries stay within about one n x n
+    # float64 matrix; an accepted swap moves two columns between row i and
+    # a later row r, so only rows i and r and those two columns are
+    # screened again.  Each candidate is verified against the exact
+    # recomputed total before adoption.
     n = len(current)
-    for i in range(n):
+    every = np.arange(n)
+    ok = np.empty((n, n), dtype=np.bool_)
+    step = -(-n // 8)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, n, step):
+            rows = every[start:start + step]
+            ok[rows] = _swap_screen(values, forbidden, current, pos, rows, every)
+        # rows that may hold a candidate; a row is rechecked when reached
+        flagged = ok.any(axis=1)
+        i = -1
         while True:
-            ci = int(current[i])
-            if ci == 0:
-                break
-            old = ci
-            cols = np.arange(ci)
-            holders = pos[cols]
-            delta = (values[i, cols] + values[holders, old]
-                     - values[i, old] - values[holders, cols])
-            ok = ((delta == 0.0) & (holders > i)
-                  & ~forbidden[i, cols] & ~forbidden[holders, old])
-            candidates = np.nonzero(ok)[0]
-            accepted = False
-            for j in candidates:
-                if _swap_accept(values, forbidden, current, total, i, int(j), pos):
-                    accepted = True
-                    break
-            if not accepted:
-                break
+            ahead = np.flatnonzero(flagged[i + 1:])
+            if not ahead.size:
+                return
+            i += 1 + int(ahead[0])
+            accepted = True
+            while accepted:
+                accepted = False
+                for j in np.flatnonzero(ok[i]).tolist():
+                    r, old = int(pos[j]), int(current[i])
+                    if _swap_accept(values, forbidden, current, total, i, j, pos):
+                        accepted = True
+                        touched = np.array([i, r])
+                        ok[touched] = _swap_screen(values, forbidden, current, pos,
+                                                   touched, every)
+                        moved = np.array([j, old])
+                        ok[i + 1:, moved] = _swap_screen(values, forbidden, current,
+                                                         pos, every[i + 1:], moved)
+                        flagged[i + 1:] |= ok[i + 1:, moved].any(axis=1)
+                        flagged[r] = True
+                        break
 
 
 def _lexicalize(values: np.ndarray, forbidden: np.ndarray, mapping: np.ndarray,

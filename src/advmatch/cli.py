@@ -234,13 +234,20 @@ def cmd_match(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, rel_spec, sim_spec = _load_config(args)
-    records = _read_corpus(args.input)
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = [float(x) for x in args.grid.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --grid value: {exc}")
-    else:
+        if not grid:
+            raise ConfigError(f"--grid {args.grid!r} holds no lambda value")
+        for lam in grid:  # every point, before any of them runs
+            try:
+                config.with_lambda(lam)
+            except MatchingError as exc:
+                raise ConfigError(f"bad --grid value: {exc}") from exc
+    records = _read_corpus(args.input)
+    if args.grid is None:
         grid = [LAMBDA_DEFAULTS[resolve_mode(records, config)]]
     rows = lambda_sweep(records, grid, config, rel_spec, sim_spec, jobs=args.jobs)
     table = format_sweep_table(rows)

@@ -14,6 +14,7 @@ and optional ``embedding``.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -90,14 +91,17 @@ def parse_token_stream(text: str) -> tuple[Token, ...]:
     Anything matching ``[class:index]`` becomes a tag; everything else is a
     lowercased word.  The inverse of :func:`tokens_to_text`.
     """
-    out = []
-    for piece in text.split():
-        m = _TAG_RE.match(piece)
-        if m:
-            out.append(Token.tag(m.group(1), int(m.group(2))))
-        else:
-            out.append(Token.word(piece))
-    return tuple(out)
+    return tuple(map(_piece_token, text.split()))
+
+
+# Unbounded like the token table: one entry per distinct piece of input.
+@functools.lru_cache(maxsize=None)
+def _piece_token(piece: str) -> Token:
+    # tokens are interned, so one lookup per distinct piece is enough
+    m = _TAG_RE.match(piece)
+    if m:
+        return Token.tag(m.group(1), int(m.group(2)))
+    return Token.word(piece)
 
 
 def tokens_to_text(tokens: Sequence[Token]) -> str:
@@ -128,31 +132,39 @@ class ValidationReport:
         return not self.violations
 
 
+# Unbounded like the token table: one entry per distinct word text.
+@functools.lru_cache(maxsize=None)
+def _word_problem(text: str) -> str | None:
+    """What is wrong with a word's text, decided once per distinct text."""
+    # words must survive the round trip: no whitespace, not tag-shaped
+    if not text or any(c.isspace() for c in text) or _TAG_RE.match(text):
+        return "malformed word"
+    if text != text.lower():
+        return "word not lowercase"
+    return None
+
+
 def _check_tokens(name: str, tokens: Sequence[Token], objects: Sequence[str],
                   out: list[str]) -> None:
     if not tokens:
         out.append(f"{name}: empty")
         return
     for pos, tok in enumerate(tokens):
-        where = f"{name}[{pos}]"
         if tok.kind == "word":
-            # words must survive the round trip: no whitespace, not tag-shaped
-            if not tok.text or any(c.isspace() for c in tok.text) \
-                    or _TAG_RE.match(tok.text):
-                out.append(f"{where}: malformed word {tok.text!r}")
-            elif tok.text != tok.text.lower():
-                out.append(f"{where}: word not lowercase {tok.text!r}")
+            problem = _word_problem(tok.text)
+            if problem is not None:
+                out.append(f"{name}[{pos}]: {problem} {tok.text!r}")
         elif tok.kind == "tag":
             if tok.tag_index < 1 or tok.tag_index > len(objects):
                 out.append(
-                    f"{where}: dangling tag index {tok.tag_index} "
+                    f"{name}[{pos}]: dangling tag index {tok.tag_index} "
                     f"(objects has {len(objects)} entries)")
             elif objects[tok.tag_index - 1] != tok.tag_class:
                 out.append(
-                    f"{where}: class mismatch (tag {tok.tag_class!r} vs "
+                    f"{name}[{pos}]: class mismatch (tag {tok.tag_class!r} vs "
                     f"objects[{tok.tag_index}]={objects[tok.tag_index - 1]!r})")
         else:
-            out.append(f"{where}: unknown token kind {tok.kind!r}")
+            out.append(f"{name}[{pos}]: unknown token kind {tok.kind!r}")
 
 
 def validate_record(record: Record) -> ValidationReport:

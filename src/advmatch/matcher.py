@@ -18,6 +18,7 @@ formula above).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 from .assignment import AssignmentError, WeightMatrix, solve_lap_max
 from .corpus import Record, Token, parse_token_stream, tokens_to_text
 from .scoring import DEFAULT_EPS, ScoreMatrix
-from .seeding import derive_rng
+from .seeding import Substreams
 
 LAMBDA_DEFAULTS = {"qa": 0.1, "qar": 0.01}
 
@@ -52,8 +53,8 @@ class MatchConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise MatchingError(f"rounds must be >= 1, got {self.rounds}")
-        if self.lambda_ is not None and not self.lambda_ > 0:
-            raise MatchingError(f"lambda must be > 0, got {self.lambda_}")
+        if self.lambda_ is not None and not 0 < self.lambda_ < math.inf:
+            raise MatchingError(f"lambda must be finite and > 0, got {self.lambda_}")
         if not 0.0 < self.eps < 0.5:
             raise MatchingError(f"eps must be in (0, 0.5), got {self.eps}")
         if not 0.0 <= self.p_reuse <= 1.0:
@@ -145,8 +146,10 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
     """K matching rounds over one bucket; returns one DistractorSet per record.
 
     ``candidates`` is a ``remap.CandidateTable`` or anything with
-    ``get(i, j)``, and supplies the distractor text for an assigned (query,
-    response) pair; without it the raw gold responses are used.
+    ``get(pairs)``: given a round's ``(query, response)`` index pairs, it
+    returns the distractor text of each, in order.  It is called once per
+    round, so a table can derive the round's substreams in one batch.
+    Without it the raw gold responses are used.
     """
     n = len(bucket)
     k = config.rounds
@@ -167,11 +170,14 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
             result = solve_lap_max(weight_matrix(rel_values, eff, lam))
         except AssignmentError as exc:
             raise MatchingError(f"round {t}: {exc}") from exc
-        for i, j in enumerate(result.mapping):
+        pairs = list(enumerate(result.mapping))
+        for i, j in pairs:
             if j == i or j in assigned[i]:
                 raise MatchingError(
                     f"round {t}: invalid assignment {i} -> {j} (self or repeat)")
-            tokens = candidates.get(i, j) if candidates is not None else bucket[j].gold
+        texts = (candidates.get(pairs) if candidates is not None
+                 else [bucket[j].gold for _, j in pairs])
+        for (i, j), tokens in zip(pairs, texts):
             picks[i].append(Distractor(bucket[j].id, tuple(tokens), t))
             assigned[i].add(j)
 
@@ -215,24 +221,28 @@ class MCQItem:
 def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record],
                seed: int, fold: int | None = None, bucket_id: str | None = None,
                ) -> list[MCQItem]:
-    """Shuffle gold + distractors into choice lists, keyed per query id."""
+    """Shuffle gold + distractors into choice lists, keyed per query id.
+
+    The shuffle substreams of all queries are derived in one batch; each
+    equals ``derive_rng(seed, "shuffle", query_id)``.
+    """
     by_id = {r.id: r for r in bucket}
+    streams = Substreams(seed, [("shuffle", d.query_id) for d in distractor_sets])
     items = []
-    for dset in distractor_sets:
+    for k, dset in enumerate(distractor_sets):
         record = by_id[dset.query_id]
         choices: list[tuple[Token, ...]] = [record.gold]
         prov: list[Provenance] = [Provenance("gold")]
         for d in dset.distractors:
             choices.append(d.tokens)
             prov.append(Provenance("distractor", d.source_id, d.round_index))
-        rng = derive_rng(seed, "shuffle", dset.query_id)
-        order = rng.permutation(len(choices))
+        order = streams.load(k).permutation(len(choices)).tolist()
         items.append(MCQItem(
             id=record.id,
             query=record.query,
-            choices=tuple(choices[int(p)] for p in order),
-            gold_index=int(np.nonzero(order == 0)[0][0]),
-            provenance=tuple(prov[int(p)] for p in order),
+            choices=tuple(choices[p] for p in order),
+            gold_index=order.index(0),
+            provenance=tuple(prov[p] for p in order),
             task_mode=record.task_mode,
             fold=fold,
             bucket_id=bucket_id,

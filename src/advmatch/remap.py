@@ -11,7 +11,8 @@ tag, and finally to spelling out the class ("the <class>") so remapping
 never fails.
 
 Every (query, candidate) pair draws from its own RNG substream keyed by
-the two record ids, so results do not depend on evaluation order.
+the two record ids, so results do not depend on evaluation order or on
+how pairs are batched.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Record, Token
-from .seeding import derive_rng
+from .seeding import Substreams
 
 
 class RemapError(ValueError):
@@ -139,8 +140,13 @@ def remap_tags(template: ResponseTemplate, target: Record, p_reuse: float,
 class CandidateTable:
     """Lazy n x n table of responses remapped per target query.
 
-    ``get(i, j)`` materializes response j remapped for query i from its
-    keyed substream; nothing is cached, so memory stays O(n).
+    ``get(pairs)`` materializes response j remapped for query i for every
+    ``(i, j)`` it is given; nothing is cached, so memory stays O(n).  Each
+    pair draws from its own substream keyed by the two record ids, and the
+    substreams of one call are derived in one batch
+    (:class:`~advmatch.seeding.Substreams`).  A pair's text does not
+    depend on which other pairs share the call.  A self pair gives the
+    record's own gold.
     """
 
     def __init__(self, records: Sequence[Record], p_reuse: float, seed: int):
@@ -155,10 +161,17 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, i: int, j: int) -> tuple[Token, ...]:
-        if i == j:
-            return self._records[i].gold
-        rng = derive_rng(self._seed, "remap", self._records[i].id,
-                         self._records[j].id)
-        return _remap_with_pools(self._templates[j], self._records[i],
-                                 self._pools[i], self._p_reuse, rng)
+    def get(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[Token, ...]]:
+        """Response j remapped for query i, for each ``(i, j)`` in order."""
+        records = self._records
+        out = [records[j].gold for _, j in pairs]
+        drawn = [k for k, (i, j) in enumerate(pairs) if i != j]
+        streams = Substreams(self._seed, [
+            ("remap", records[pairs[k][0]].id, records[pairs[k][1]].id)
+            for k in drawn])
+        for s, k in enumerate(drawn):
+            i, j = pairs[k]
+            out[k] = _remap_with_pools(self._templates[j], records[i],
+                                       self._pools[i], self._p_reuse,
+                                       streams.load(s))
+        return out

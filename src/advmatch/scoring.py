@@ -343,8 +343,8 @@ def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
     """All-pairs relevance and similarity matrices for one bucket.
 
     ``rel[i][j]`` scores query i against response j with its tags remapped
-    onto record i's objects, as ``remap.CandidateTable.get(i, j)`` serves
-    it; the overlap scorer's value does not depend on the remapping's
+    onto record i's objects, as ``remap.CandidateTable.get([(i, j)])``
+    serves it; the overlap scorer's value does not depend on the remapping's
     random draws, so no candidate table is needed.  Similarity always
     compares the original gold responses.  Pure and deterministic: repeated
     calls on the same inputs are bit-identical.

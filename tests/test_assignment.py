@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advmatch.assignment import (FORBIDDEN, AssignmentError, WeightMatrix,
+from advmatch.assignment import (FORBIDDEN, LEX_EXACT_MAX, AssignmentError,
+                                 WeightMatrix, _lexicalize_swaps, _solve_masked,
                                  brute_force_lap, solve_lap_max)
 
 
@@ -152,3 +153,68 @@ class TestProperties:
                          forbidden=np.zeros((n, n), dtype=bool))
         a = solve_lap_max(w)
         assert a.mapping == tuple(range(n))
+
+
+def _reference_swap_accept(values, forbidden, current, total, i, j, pos):
+    r = int(pos[j])
+    old = int(current[i])
+    if forbidden[i, j] or forbidden[r, old]:
+        return False
+    cand = current.copy()
+    cand[i], cand[r] = j, old
+    if float(values[np.arange(len(cand)), cand].sum()) != total:
+        return False
+    current[i], current[r] = j, old
+    pos[j], pos[old] = i, r
+    return True
+
+
+def _reference_lexicalize_swaps(values, forbidden, current, total, pos):
+    """The per-row scan the swap tie-break is defined by: every row in turn
+    rescans its smaller columns after each accepted swap."""
+    n = len(current)
+    for i in range(n):
+        while True:
+            ci = int(current[i])
+            if ci == 0:
+                break
+            old = ci
+            cols = np.arange(ci)
+            holders = pos[cols]
+            delta = (values[i, cols] + values[holders, old]
+                     - values[i, old] - values[holders, cols])
+            ok = ((delta == 0.0) & (holders > i)
+                  & ~forbidden[i, cols] & ~forbidden[holders, old])
+            accepted = False
+            for j in np.nonzero(ok)[0]:
+                if _reference_swap_accept(values, forbidden, current, total,
+                                          i, int(j), pos):
+                    accepted = True
+                    break
+            if not accepted:
+                break
+
+
+class TestSwapTieBreak:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(LEX_EXACT_MAX + 1, 200), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([2, 3, 5]), st.floats(0.0, 0.3), st.booleans())
+    def test_equals_the_per_row_scan(self, n, seed, levels, forbid_p, solved):
+        # small-integer weights make zero-delta swaps common
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, levels, size=(n, n)).astype(np.float64)
+        forbidden = rng.random((n, n)) < forbid_p
+        safe = rng.permutation(n)
+        forbidden[np.arange(n), safe] = False
+        mapping = _solve_masked(values, forbidden) if solved else safe
+        total = float(values[np.arange(n), mapping].sum())
+        runs = []
+        for lexicalize in (_lexicalize_swaps, _reference_lexicalize_swaps):
+            current = mapping.copy()
+            pos = np.empty(n, dtype=np.int64)
+            pos[current] = np.arange(n)
+            lexicalize(values, forbidden, current, total, pos)
+            runs.append((current, pos))
+        (got, got_pos), (want, want_pos) = runs
+        assert got.tolist() == want.tolist()
+        assert got_pos.tolist() == want_pos.tolist()

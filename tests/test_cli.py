@@ -127,6 +127,37 @@ class TestMatch:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp / "x").exists()
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-1"])
+    def test_bad_lambda_is_a_config_error(self, workspace, capsys, lam):
+        tmp, corpus, config = workspace
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x"), "--lambda", lam]) == 2
+        assert "lambda must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_infinite_config_lambda_is_a_config_error(self, workspace, capsys):
+        tmp, corpus, _ = workspace
+        config = tmp / "inf.json"
+        config.write_text('{"seed": 1, "n_folds": 1, "lambda": Infinity}',
+                          encoding="utf-8")
+        assert main(["match", str(corpus), "--config", str(config)]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [",", "", "-1", "0", "0.1,nan", "0.1,inf",
+                                      "0.1,x"])
+    def test_bad_grid_rejected_before_matching(self, workspace, capsys,
+                                               monkeypatch, grid):
+        tmp, corpus, config = workspace
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("advmatch.cli.lambda_sweep", no_sweep)
+        assert main(["sweep", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "s.txt"), "--grid", grid]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp / "s.txt").exists()
+
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, corpus, _ = workspace
         typo = tmp / "typo.json"

@@ -103,6 +103,38 @@ class TestValidate:
         with pytest.raises(CorpusError, match="line 1.*not lowercase 'Dog'"):
             parse_records([line])
 
+    def test_malformed_tokens_name_every_position(self):
+        # word checks are decided once per distinct text; every occurrence
+        # must still be reported at its own position, on every record
+        bad = (Token("word", "a b"), Token.word("ok"), Token("word", "Big"),
+               Token("word", "a b"), Token("word", ""), Token("word", "[dog:1]"),
+               Token.tag("dog", 3), Token.tag("car", 1), Token("word", "Big"),
+               Token("blob", "x"))
+        r = Record(id="a", source_key="m", query=bad, gold=bad[:3],
+                   objects=("dog",))
+        expected = [
+            "query[0]: malformed word 'a b'",
+            "query[2]: word not lowercase 'Big'",
+            "query[3]: malformed word 'a b'",
+            "query[4]: malformed word ''",
+            "query[5]: malformed word '[dog:1]'",
+            "query[6]: dangling tag index 3 (objects has 1 entries)",
+            "query[7]: class mismatch (tag 'car' vs objects[1]='dog')",
+            "query[8]: word not lowercase 'Big'",
+            "query[9]: unknown token kind 'blob'",
+            "gold[0]: malformed word 'a b'",
+            "gold[2]: word not lowercase 'Big'",
+        ]
+        assert validate_record(r).violations == expected
+        assert validate_record(r).violations == expected
+        line = _line(gold="[person:2] waves at [dog:3] and [dog:3] .")
+        with pytest.raises(CorpusError) as exc:
+            parse_records([_line(id="ok"), line])
+        assert str(exc.value) == (
+            "line 2: invalid record: "
+            "gold[3]: dangling tag index 3 (objects has 2 entries); "
+            "gold[5]: dangling tag index 3 (objects has 2 entries)")
+
     def test_conforming_record_is_ok(self):
         r = make_record(0, "m", "why is [person:1] running ?", "[person:2] waves .")
         assert validate_record(r).ok
@@ -178,7 +210,7 @@ class TestInterning:
                         ("car",)),
         ]
         table = CandidateTable(records, p_reuse=0.5, seed=3)
-        remapped = _all_tokens(table.get(i, j) for i in range(3) for j in range(3))
+        remapped = _all_tokens(table.get([(i, j) for i in range(3) for j in range(3)]))
         assert any(t.is_tag for t in remapped)
         for t in remapped:
             expected = (Token.tag(t.tag_class, t.tag_index) if t.is_tag

@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(MatchingError, match="holdout"):
             MatchConfig(seed=0, n_folds=4, holdout_folds=(4,))
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(MatchingError, match="lambda must be finite"):
+            MatchConfig(seed=0, lambda_=lam)
+        with pytest.raises(MatchingError, match="lambda must be finite"):
+            MatchConfig(seed=0).with_lambda(lam)
+
     def test_holdout_defaults_to_two_highest(self):
         assert MatchConfig(seed=0, n_folds=11).resolved_holdout() == (9, 10)
         assert MatchConfig(seed=0, n_folds=1).resolved_holdout() == (0,)
@@ -181,7 +188,7 @@ class TestRunRounds:
         index = {r.id: k for k, r in enumerate(bucket)}
         for i, ds in enumerate(sets):
             for d in ds.distractors:
-                assert d.tokens == candidates.get(i, index[d.source_id])
+                assert d.tokens == candidates.get([(i, index[d.source_id])])[0]
 
 
 class TestLambdaTradeoff:

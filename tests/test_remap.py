@@ -133,35 +133,45 @@ class TestRemapTags:
                        derive_rng(0))
 
 
+def _all_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
 class TestCandidateTable:
     def test_same_key_same_output(self):
         bucket = simple_bucket_corpus(6, seed=1)
         a = CandidateTable(bucket, p_reuse=0.5, seed=42)
         b = CandidateTable(bucket, p_reuse=0.5, seed=42)
-        for i in range(6):
-            for j in range(6):
-                assert a.get(i, j) == b.get(i, j)
+        pairs = _all_pairs(6)
+        assert a.get(pairs) == b.get(pairs)
+
+    def test_text_independent_of_batching(self):
+        # one pair per call, all pairs at once, and reversed order agree
+        bucket = simple_bucket_corpus(6, seed=4)
+        table = CandidateTable(bucket, p_reuse=0.5, seed=8)
+        pairs = _all_pairs(6)
+        together = table.get(pairs)
+        assert [table.get([p])[0] for p in pairs] == together
+        assert table.get(pairs[::-1]) == together[::-1]
+        assert table.get([]) == []
 
     def test_self_pair_untouched(self):
         bucket = simple_bucket_corpus(4, seed=2)
         table = CandidateTable(bucket, p_reuse=0.5, seed=0)
-        for i in range(4):
-            assert table.get(i, i) == bucket[i].gold
+        assert table.get([(i, i) for i in range(4)]) == [r.gold for r in bucket]
 
     def test_matches_remap_tags_substream(self):
         bucket = simple_bucket_corpus(5, seed=3)
         table = CandidateTable(bucket, p_reuse=0.3, seed=7)
-        for i in range(5):
-            for j in range(5):
-                if i == j:
-                    continue
-                rng = derive_rng(7, "remap", bucket[i].id, bucket[j].id)
-                expected = remap_tags(templatize(bucket[j].gold), bucket[i],
-                                      0.3, rng)
-                assert table.get(i, j) == expected
+        pairs = [(i, j) for i, j in _all_pairs(5) if i != j]
+        for (i, j), got in zip(pairs, table.get(pairs)):
+            rng = derive_rng(7, "remap", bucket[i].id, bucket[j].id)
+            expected = remap_tags(templatize(bucket[j].gold), bucket[i],
+                                  0.3, rng)
+            assert got == expected
 
     def test_content_matches_materialized_tokens(self):
-        # the content of get(i, j) must not depend on the remapping's random
+        # the content of a pair's text must not depend on the remapping's random
         # draws, fallback translations included: the overlap scorer relies
         # on it to score without materializing the table
         rng = np.random.default_rng(9)
@@ -176,10 +186,9 @@ class TestCandidateTable:
                 query=pts(f"why is {tagged} busy b{i} ?"),
                 gold=(Token.tag(objs[-1], len(objs)), *pts(f"acts a{i} .")),
                 objects=objs))
-        reference = CandidateTable(records, p_reuse=0.4, seed=13)
+        pairs = _all_pairs(12)
+        reference = CandidateTable(records, p_reuse=0.4, seed=13).get(pairs)
         for p_reuse, seed in ((0.4, 14), (0.0, 13), (1.0, 7)):
             table = CandidateTable(records, p_reuse=p_reuse, seed=seed)
-            for i in range(12):
-                for j in range(12):
-                    assert (content(table.get(i, j))
-                            == content(reference.get(i, j)))
+            for got, ref in zip(table.get(pairs), reference):
+                assert content(got) == content(ref)

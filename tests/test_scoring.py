@@ -186,11 +186,10 @@ class TestScoreBucket:
             n = len(bucket)
             candidates = CandidateTable(bucket, p_reuse=0.5, seed=99)
             rel, sim = score_bucket(bucket, *_specs())
-            for i in range(n):
-                for j in range(n):
-                    expected = relevance_overlap(bucket[i].query,
-                                                 candidates.get(i, j), EPS)
-                    assert rel.values[i, j] == expected
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            for (i, j), text in zip(pairs, candidates.get(pairs)):
+                expected = relevance_overlap(bucket[i].query, text, EPS)
+                assert rel.values[i, j] == expected
             for i in range(n):
                 for j in range(n):
                     if i == j:
@@ -211,11 +210,10 @@ class TestScoreBucket:
         candidates = CandidateTable(bucket, p_reuse=data.draw(st.floats(0, 1)),
                                     seed=data.draw(st.integers(0, 2 ** 16)))
         rel, _ = score_bucket(bucket, *_specs())
-        for i in range(n):
-            for j in range(n):
-                expected = relevance_overlap(bucket[i].query,
-                                             candidates.get(i, j), EPS)
-                assert rel.values[i, j] == expected
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for (i, j), text in zip(pairs, candidates.get(pairs)):
+            expected = relevance_overlap(bucket[i].query, text, EPS)
+            assert rel.values[i, j] == expected
 
     def test_entrywise_recomputation_cosine(self):
         bucket = simple_bucket_corpus(10, seed=13)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bucketing import BucketingError
-from .corpus import (CorpusError, parse_records, record_from_obj, record_to_json,
-                     split_folds, validate_record)
+from .corpus import (CorpusError, parse_records, scan_records, serialize_records,
+                     split_folds)
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
 from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items, write_items
@@ -42,9 +43,63 @@ def _read_corpus(path: str):
         return parse_records(f)
 
 
-_CONFIG_KEYS = frozenset({"seed", "lambda", "rounds", "eps", "p_reuse", "n_folds",
-                          "target_size", "mode", "holdout_folds",
-                          "relevance_scorer", "similarity_scorer"})
+def _bad(key: str, kind: str, value) -> ConfigError:
+    return ConfigError(f"config {key!r} must be {kind}, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(key, "an integer", value)
+    return value
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad(key, "a number", value)
+    return float(value)
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise _bad(key, "a string", value)
+    return value
+
+
+def _folds(key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise _bad(key, "a list of fold indices", value)
+    return tuple(_integer(key, f) for f in value)
+
+
+def _scorer(key: str, value) -> dict:
+    if not isinstance(value, dict) or "kind" not in value:
+        raise _bad(key, "an object with a 'kind'", value)
+    if value.get("eps") is not None:
+        _number(f"{key}.eps", value["eps"])
+    if value.get("path") is not None:
+        _text(f"{key}.path", value["path"])
+    return value
+
+
+# Every config key: the name it is read back by and its cast.  The name is
+# the MatchConfig field the key sets and the dest of the flag that
+# overrides it, where there is one.  A scorer key sets no field; its name is
+# the flag of the external matrix that replaces it.
+_CONFIG_KEYS = {
+    "seed": ("seed", _integer),
+    "lambda": ("lambda_", _number),
+    "rounds": ("rounds", _integer),
+    "eps": ("eps", _number),
+    "p_reuse": ("p_reuse", _number),
+    "n_folds": ("n_folds", _integer),
+    "target_size": ("target_size", _integer),
+    "mode": ("mode", _text),
+    "holdout_folds": ("holdout_folds", _folds),
+    "relevance_scorer": ("rel_matrix", _scorer),
+    "similarity_scorer": ("sim_matrix", _scorer),
+}
 
 
 def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
@@ -59,93 +114,53 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
                 raise ConfigError(f"{args.config}: malformed config JSON ({exc.msg})")
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {unknown}")
 
-    def flag(name, key, cast):
-        value = getattr(args, name, None)
-        if value is not None:
-            return cast(value)
-        if key in raw and raw[key] is not None:
-            return cast(raw[key])
-        return None
-
-    seed = flag("seed", "seed", int)
-    if seed is None:
+    fields: dict = {}
+    scorers: list[dict] = []
+    for key, (name, cast) in _CONFIG_KEYS.items():
+        flag = getattr(args, name, None)  # argparse has typed it
+        value = raw.get(key)
+        if cast is _scorer:
+            if flag:
+                value = {"kind": "external_matrix", "path": flag}
+            scorers.append({"kind": "overlap"} if value is None else cast(key, value))
+        elif flag is not None:
+            fields[name] = flag
+        elif value is not None:
+            fields[name] = cast(key, value)
+    if "seed" not in fields:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
-    kwargs = dict(seed=seed)
-    for name, key, cast in (("lambda_", "lambda", float), ("rounds", "rounds", int),
-                            ("eps", "eps", float), ("p_reuse", "p_reuse", float),
-                            ("n_folds", "n_folds", int),
-                            ("target_size", "target_size", int),
-                            ("mode", "mode", str)):
-        value = flag(name, key, cast)
-        if value is not None:
-            kwargs[name] = value
-    if raw.get("holdout_folds") is not None:
-        kwargs["holdout_folds"] = tuple(int(f) for f in raw["holdout_folds"])
     try:
-        config = MatchConfig(**kwargs)
-    except MatchingError as exc:
+        config = MatchConfig(**fields)
+        rel, sim = (ScorerSpec(s["kind"], path=s.get("path"),
+                               eps=config.eps if s.get("eps") is None else s["eps"])
+                    for s in scorers)
+    except (MatchingError, ScoringError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    def scorer(key: str, override_path: str | None, default_kind: str) -> ScorerSpec:
-        if override_path:
-            return ScorerSpec("external_matrix", eps=config.eps, path=override_path)
-        spec = raw.get(key)
-        if spec is None:
-            return ScorerSpec(default_kind, eps=config.eps)
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"config {key!r} must be an object with a 'kind'")
-        try:
-            return ScorerSpec(spec["kind"], eps=float(spec.get("eps", config.eps)),
-                              path=spec.get("path"))
-        except ScoringError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    rel = scorer("relevance_scorer", getattr(args, "rel_matrix", None), "overlap")
-    sim = scorer("similarity_scorer", getattr(args, "sim_matrix", None), "overlap")
     return config, rel, sim
 
 
+def _config_snapshot(config: MatchConfig, rel: ScorerSpec, sim: ScorerSpec) -> dict:
+    """The value every config key took, as the manifest records it."""
+    resolved = replace(config, holdout_folds=config.resolved_holdout())
+    kinds = iter((rel.kind, sim.kind))  # the scorer keys, in table order
+    return {key: next(kinds) if cast is _scorer else getattr(resolved, name)
+            for key, (name, cast) in _CONFIG_KEYS.items()}
+
+
 def cmd_validate(args) -> int:
-    total = 0
-    bad = 0
-    seen: dict[str, int] = {}
+    total = problems = 0
     with open(args.input, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        for _, found in scan_records(f):
             total += 1
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                print(f"line {lineno}: malformed JSON ({exc})")
-                bad += 1
-                continue
-            try:
-                if not isinstance(obj, dict):
-                    raise CorpusError(f"line {lineno}: expected a JSON object")
-                record = record_from_obj(obj, lineno)
-            except CorpusError as exc:
-                print(exc)
-                bad += 1
-                continue
-            report = validate_record(record)
-            if not report.ok:
-                bad += 1
-                for v in report.violations:
-                    print(f"record {record.id} (line {lineno}): {v}")
-            if record.id in seen:
-                bad += 1
-                print(f"record {record.id} (line {lineno}): duplicate id, "
-                      f"first seen on line {seen[record.id]}")
-            else:
-                seen[record.id] = lineno
-    if bad:
-        print(f"{bad} problem(s) in {args.input}")
+            problems += len(found)
+            for message in found:
+                print(message)
+    if problems:
+        print(f"{problems} problem(s) in {args.input}")
         return EXIT_DATA
     print(f"{total} records ok")
     return EXIT_OK
@@ -155,9 +170,7 @@ def cmd_split(args) -> int:
     config, _, _ = _load_config(args)
     records = _read_corpus(args.input)
     plan = split_folds(records, config.n_folds, config.seed)
-    lines = [record_to_json(r, fold=plan.fold_of(r)) for r in records]
-    text = "\n".join(lines) + "\n"
-    _write_out(args.out, text)
+    _write_out(args.out, serialize_records(records, plan.assignment))
     return EXIT_OK
 
 
@@ -194,14 +207,8 @@ def cmd_score(args) -> int:
 
 def cmd_match(args) -> int:
     config, rel_spec, sim_spec = _load_config(args)
-    manifest = PipelineManifest(config={
-        "seed": config.seed, "lambda": config.lambda_, "rounds": config.rounds,
-        "eps": config.eps, "p_reuse": config.p_reuse, "n_folds": config.n_folds,
-        "target_size": config.target_size, "mode": config.mode,
-        "holdout_folds": list(config.resolved_holdout()),
-        "relevance_scorer": rel_spec.kind, "similarity_scorer": sim_spec.kind,
-        "jobs": args.jobs,
-    })
+    manifest = PipelineManifest(config={**_config_snapshot(config, rel_spec, sim_spec),
+                                        "jobs": args.jobs})
     with open(args.input, "rb") as f:
         data = f.read()
     manifest.inputs[str(args.input)] = digest_bytes(data)
@@ -212,7 +219,7 @@ def cmd_match(args) -> int:
                 if f.is_file():
                     manifest.inputs[str(f)] = digest_bytes(f.read_bytes())
     with StageTimer(manifest, "parse"):
-        records = parse_records(data.splitlines())
+        records = parse_records(data.split(b"\n"))  # lines as a file yields them
     with StageTimer(manifest, "match"):
         result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs)
     with StageTimer(manifest, "export"):

@@ -18,7 +18,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .seeding import derive_rng
 
@@ -211,6 +211,8 @@ def record_to_json(record: Record, fold: int | None = None) -> str:
 
 def record_from_obj(obj: dict, lineno: int = 0) -> Record:
     """Build a Record from a decoded JSONL object; structural checks only."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {lineno}: expected a JSON object")
     for key in ("id", "source_key", "query", "gold", "objects", "task_mode"):
         if key not in obj:
             raise CorpusError(f"line {lineno}: missing field {key!r}")
@@ -235,48 +237,64 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
     )
 
 
+def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
+                 ) -> Iterator[tuple[Record | None, list[str]]]:
+    """Check a JSONL stream line by line: ``(record, problems)`` per line.
+
+    Blank lines are skipped.  ``record`` is None where the line does not
+    build one (bad UTF-8, malformed JSON, not an object, missing or
+    mistyped field); otherwise the problems are its invariant violations,
+    a duplicate id, and an embedding length that differs from the first
+    non-empty embedding's.  Every problem names the line and, once the
+    record is built, its id.  A line's problems depend only on it and the
+    lines before it.
+    """
+    seen: dict[str, int] = {}
+    embed_len = embed_line = 0
+    for lineno, raw in enumerate(stream, start=1):
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line:
+                continue
+            record = record_from_obj(json.loads(line), lineno)
+        except UnicodeDecodeError as exc:
+            yield None, [f"line {lineno}: not valid UTF-8 ({exc})"]
+            continue
+        except json.JSONDecodeError as exc:
+            yield None, [f"line {lineno}: malformed JSON ({exc.msg})"]
+            continue
+        except CorpusError as exc:
+            yield None, [str(exc)]
+            continue
+        at = f"line {lineno}: record {record.id!r}"
+        problems = []
+        report = validate_record(record)
+        if not report.ok:
+            problems.append(f"{at}: invalid record: " + "; ".join(report.violations))
+        if record.id in seen:
+            problems.append(f"{at}: duplicate id, first seen on line {seen[record.id]}")
+        else:
+            seen[record.id] = lineno
+        if record.embedding:
+            if not embed_len:
+                embed_len, embed_line = len(record.embedding), lineno
+            elif len(record.embedding) != embed_len:
+                problems.append(
+                    f"{at}: embedding length {len(record.embedding)} differs "
+                    f"from length {embed_len} on line {embed_line}")
+        yield record, problems
+
+
 def parse_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str]) -> list[Record]:
     """Parse a JSONL byte/text stream into validated records.
 
-    Raises :class:`CorpusError` naming the offending line for malformed
-    JSON, missing fields, invariant violations, duplicate ids, or
-    inconsistent embedding lengths.  Blank lines are skipped; input order
-    is preserved.
+    Raises :class:`CorpusError` with the first problem
+    :func:`scan_records` finds.  Input order is preserved.
     """
     records: list[Record] = []
-    seen: dict[str, int] = {}
-    embed_len: int | None = None
-    embed_line = 0
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"line {lineno}: not valid UTF-8 ({exc})") from exc
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise CorpusError(f"line {lineno}: expected a JSON object")
-        record = record_from_obj(obj, lineno)
-        report = validate_record(record)
-        if not report.ok:
-            raise CorpusError(f"line {lineno}: invalid record: " + "; ".join(report.violations))
-        if record.id in seen:
-            raise CorpusError(
-                f"line {lineno}: duplicate id {record.id!r} (first seen on line {seen[record.id]})")
-        seen[record.id] = lineno
-        if record.embedding is not None:
-            if embed_len is None:
-                embed_len, embed_line = len(record.embedding), lineno
-            elif len(record.embedding) != embed_len:
-                raise CorpusError(
-                    f"line {lineno}: embedding length {len(record.embedding)} differs "
-                    f"from length {embed_len} on line {embed_line}")
+    for record, problems in scan_records(stream):
+        if problems:
+            raise CorpusError(problems[0])
         records.append(record)
     return records
 

@@ -88,8 +88,7 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
 
 def _process_bucket(args) -> tuple[tuple[MCQItem, ...], tuple[tuple[float, float], ...]]:
     """Match one bucket; return its items and ``BucketResult.matched``."""
-    bucket, config, rel_spec, sim_spec, store_paths = args
-    store = ExternalMatrixStore(store_paths) if store_paths else None
+    bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
     rel, sim = score_bucket(members, rel_spec, sim_spec, store)
@@ -125,9 +124,10 @@ def run_match(records: Sequence[Record], config: MatchConfig,
               jobs: int = 1) -> RunResult:
     """Run the full matching pipeline over a corpus.
 
-    External score matrices are referenced by path inside the specs and
-    resolved per bucket by record-id match, so they must have been computed
-    on the same remapped candidates this pipeline produces.
+    External score matrices are referenced by path inside the specs,
+    indexed once by their headers, and resolved per bucket by record-id
+    match, so they must have been computed on the same remapped candidates
+    this pipeline produces.  Each bucket reads only its own files.
     """
     if not records:
         raise PipelineError("corpus is empty")
@@ -140,7 +140,8 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     plan, buckets = plan_buckets(records, config, mode)
     store_paths = [s.path for s in (rel_spec, sim_spec)
                    if s.kind == "external_matrix" and s.path]
-    tasks = [(b, config, rel_spec, sim_spec, store_paths) for b in buckets]
+    store = ExternalMatrixStore(store_paths) if store_paths else None
+    tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
     if jobs > 1 and len(tasks) > 1:
         # fork inherits the tasks; spawn and forkserver pickle them once
         # per worker, not once per bucket

@@ -1,4 +1,4 @@
-"""Turn candidate responses into templates and remap their tags per target query.
+"""Remap the tags of candidate responses onto each target query's objects.
 
 A response written for one scene rarely references objects that exist in
 another.  Before a response can serve as a candidate for a different
@@ -27,44 +27,7 @@ from .seeding import Substreams
 
 
 class RemapError(ValueError):
-    """Raised when template/record inputs are structurally unusable."""
-
-
-@dataclass(frozen=True)
-class ResponseTemplate:
-    """A response with its tag tokens treated as open, class-labelled slots."""
-
-    tokens: tuple[Token, ...]
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.tokens) if t.is_tag)
-
-    @property
-    def slot_classes(self) -> tuple[str, ...]:
-        return tuple(t.tag_class for t in self.tokens if t.is_tag)
-
-
-def templatize(response: Sequence[Token]) -> ResponseTemplate:
-    """Lift a response into a template; slot count equals its tag count."""
-    return ResponseTemplate(tokens=tuple(response))
-
-
-def fill_slots(template: ResponseTemplate,
-               tags: Sequence[tuple[str, int]]) -> tuple[Token, ...]:
-    """Close every slot with the given (class, index) tags, in order."""
-    if len(tags) != len(template.slots):
-        raise RemapError(
-            f"template has {len(template.slots)} slots, got {len(tags)} tags")
-    it = iter(tags)
-    out = []
-    for t in template.tokens:
-        if t.is_tag:
-            cls, idx = next(it)
-            out.append(Token.tag(cls, idx))
-        else:
-            out.append(t)
-    return tuple(out)
+    """Raised when remapping inputs are structurally unusable."""
 
 
 @dataclass(frozen=True)
@@ -94,15 +57,11 @@ class _TagPools:
         )
 
 
-def _draw(pool: Sequence[int], rng: np.random.Generator) -> int:
-    return int(pool[int(rng.integers(len(pool)))])
-
-
-def _remap_with_pools(template: ResponseTemplate, record: Record,
+def _remap_with_pools(response: Sequence[Token], record: Record,
                       pools: _TagPools, p_reuse: float,
                       rng: np.random.Generator) -> tuple[Token, ...]:
     out: list[Token] = []
-    for t in template.tokens:
+    for t in response:
         if not t.is_tag:
             out.append(t)
             continue
@@ -113,7 +72,7 @@ def _remap_with_pools(template: ResponseTemplate, record: Record,
                          else (allobjs, mentioned))
         pool = first or second or pools.persons
         if pool:
-            idx = _draw(pool, rng)
+            idx = pool[int(rng.integers(len(pool)))]
             out.append(Token.tag(record.objects[idx - 1], idx))
         else:
             out.append(Token.word("the"))
@@ -121,20 +80,20 @@ def _remap_with_pools(template: ResponseTemplate, record: Record,
     return tuple(out)
 
 
-def remap_tags(template: ResponseTemplate, target: Record, p_reuse: float,
+def remap_tags(response: Sequence[Token], target: Record, p_reuse: float,
                rng: np.random.Generator) -> tuple[Token, ...]:
-    """Remap a template's slots onto the target record's objects.
+    """Remap a response's tags onto the target record's objects.
 
-    Each slot draws independently; the fallback chain is total, so this
-    never fails.  Zero-slot templates return unchanged without consuming
-    randomness.
+    Each tag draws independently; the fallback chain is total, so this
+    never fails.  A response without tags returns unchanged without
+    consuming randomness.
     """
     if not 0.0 <= p_reuse <= 1.0:
         raise RemapError(f"p_reuse must be in [0, 1], got {p_reuse}")
-    if not template.slots:
-        return template.tokens
+    if not any(t.is_tag for t in response):
+        return tuple(response)
     pools = _TagPools.for_record(target)
-    return _remap_with_pools(template, target, pools, p_reuse, rng)
+    return _remap_with_pools(response, target, pools, p_reuse, rng)
 
 
 class CandidateTable:
@@ -155,11 +114,7 @@ class CandidateTable:
         self._records = list(records)
         self._p_reuse = p_reuse
         self._seed = seed
-        self._templates = [templatize(r.gold) for r in self._records]
         self._pools = [_TagPools.for_record(r) for r in self._records]
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def get(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[Token, ...]]:
         """Response j remapped for query i, for each ``(i, j)`` in order."""
@@ -171,7 +126,7 @@ class CandidateTable:
             for k in drawn])
         for s, k in enumerate(drawn):
             i, j = pairs[k]
-            out[k] = _remap_with_pools(self._templates[j], records[i],
+            out[k] = _remap_with_pools(records[j].gold, records[i],
                                        self._pools[i], self._p_reuse,
                                        streams.load(s))
         return out

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import AbstractSet, Iterable, Sequence
+from typing import IO, AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -396,20 +396,13 @@ def write_score_matrix(path: str | os.PathLike, role: str,
         raise ScoringError(f"unknown format {fmt!r} (use 'binary' or 'tsv')")
 
 
-def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[str]]:
-    """Read a score-matrix file; returns (role, float64 values, record ids).
-
-    Values are returned as stored (float32 precision); validation against a
-    bucket happens at use time in :func:`score_bucket`.
-    """
-    path = Path(path)
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
+def _read_header(f: IO[bytes], path: Path) -> tuple[str, list[str]]:
+    """The role and record ids of the score-matrix file open at its start."""
+    line = f.readline()
+    if not line.endswith(b"\n"):
         raise ScoringError(f"{path}: missing header line")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScoringError(f"{path}: malformed header ({exc})") from exc
     for key in ("role", "n", "dtype", "layout", "ids"):
@@ -422,7 +415,20 @@ def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[st
         raise ScoringError(f"{path}: unsupported dtype/layout")
     if len(ids) != n:
         raise ScoringError(f"{path}: header has {len(ids)} ids for n={n}")
-    body = raw[nl + 1:]
+    return role, ids
+
+
+def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[str]]:
+    """Read a score-matrix file; returns (role, float64 values, record ids).
+
+    Values are returned as stored (float32 precision); validation against a
+    bucket happens at use time in :func:`score_bucket`.
+    """
+    path = Path(path)
+    with open(path, "rb") as f:
+        role, ids = _read_header(f, path)
+        body = f.read()
+    n = len(ids)
     if len(body) == 4 * n * n:
         vals = np.frombuffer(body, dtype="<f4").reshape(n, n).astype(np.float64)
     else:
@@ -447,29 +453,32 @@ class ExternalMatrixStore:
     """Index of score-matrix files keyed by (role, record-id tuple).
 
     ``paths`` may name files or directories; directories are scanned
-    non-recursively.  Lets multi-bucket runs resolve the right file per
-    bucket by its member ids, which also catches provenance mismatches.
+    non-recursively and a path named twice is scanned once.  Only the
+    header lines are read up front: a file's values are read when
+    :meth:`for_bucket` asks for them, so a run holds the matrices of the
+    buckets it is scoring, not the corpus's.  Looking a bucket up by its
+    member ids also catches provenance mismatches.
     """
 
     def __init__(self, paths: str | os.PathLike | Iterable[str | os.PathLike]):
         if isinstance(paths, (str, os.PathLike)):
             paths = [paths]
-        self._matrices: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
-        for p in paths:
-            p = Path(p)
-            files = sorted(p.iterdir()) if p.is_dir() else [p]
-            for f in files:
+        self._files: dict[tuple[str, tuple[str, ...]], Path] = {}
+        for p in dict.fromkeys(map(Path, paths)):
+            for f in sorted(p.iterdir()) if p.is_dir() else [p]:
                 if f.is_dir():
                     continue
-                role, vals, ids = read_score_matrix(f)
-                self._matrices[(role, tuple(ids))] = vals
+                with open(f, "rb") as stream:
+                    role, ids = _read_header(stream, f)
+                self._files[(role, tuple(ids))] = f
 
     def for_bucket(self, role: str, ids: tuple[str, ...]) -> np.ndarray:
         try:
-            return self._matrices[(role, ids)]
+            path = self._files[(role, ids)]
         except KeyError:
-            sizes = sorted({len(k[1]) for k in self._matrices if k[0] == role})
+            sizes = sorted({len(k[1]) for k in self._files if k[0] == role})
             raise ScoringError(
                 f"no external {role} matrix matches bucket of {len(ids)} records "
-                f"(ids {ids[0]}..{ids[-1]}); loaded {role} matrices have sizes {sizes}"
+                f"(ids {ids[0]}..{ids[-1]}); found {role} matrices have sizes {sizes}"
             ) from None
+        return read_score_matrix(path)[1]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from advmatch.cli import main
-from advmatch.corpus import parse_records, serialize_records
+from advmatch.corpus import CorpusError, parse_records, serialize_records
 from advmatch.matcher import MatchConfig, parse_items
 from advmatch.pipeline import digest_bytes, run_match
 from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
@@ -55,6 +58,76 @@ class TestValidate:
         assert "duplicate id" in capsys.readouterr().out
 
 
+def test_every_command_splits_lines_alike(workspace):
+    # a bare CR is JSON whitespace inside a line, not a line break
+    tmp, corpus, config = workspace
+    text = corpus.read_text(encoding="utf-8")
+    corpus.write_bytes(text.replace(',"source_key"', ',\r"source_key"').encode())
+    assert main(["validate", str(corpus)]) == 0
+    assert main(["split", str(corpus), "--config", str(config),
+                 "--out", str(tmp / "folds.jsonl")]) == 0
+    assert main(["match", str(corpus), "--config", str(config),
+                 "--out", str(tmp / "items.jsonl")]) == 0
+
+
+def _planted_line(fault: str, base: str) -> bytes:
+    """A corpus line built from ``base`` that carries one kind of fault."""
+    obj = json.loads(base)
+    if fault != "duplicate_id":
+        obj["id"] = "planted"
+    if fault == "missing_field":
+        del obj["gold"]
+    elif fault == "violation":
+        obj["gold"] = "[person:9] waves ."
+    elif fault == "embedding_length":
+        obj["embedding"] = [1.0, 2.0, 3.0]
+    line = json.dumps(obj).encode("utf-8")
+    if fault == "utf8":
+        return b"\xff" + line
+    if fault == "json":
+        return line[:-1]
+    if fault == "not_object":
+        return b"[" + line + b"]"
+    return line
+
+
+FAULTS = ("utf8", "json", "not_object", "missing_field", "violation",
+          "duplicate_id", "embedding_length")
+
+
+class TestValidateAgreesWithParse:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+           fault=st.sampled_from((None, *FAULTS)), where=st.integers(0, 5),
+           base=st.integers(0, 4), blank=st.booleans())
+    def test_validate_exits_zero_exactly_when_parse_succeeds(
+            self, tmp_path_factory, n, seed, fault, where, base, blank):
+        lines = serialize_records(simple_bucket_corpus(n, seed=seed)).encode(
+            "utf-8").splitlines()
+        if fault is not None:
+            lines.insert(where % (n + 1),
+                         _planted_line(fault, lines[base % n].decode("utf-8")))
+        if blank:
+            lines.insert(1, b"   ")
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["validate", str(path)])
+        printed = stdout.getvalue().splitlines()
+        try:
+            with open(path, "rb") as f:
+                parse_records(f)
+        except CorpusError as exc:
+            assert code == 1
+            assert printed[0] == str(exc)
+            assert printed[-1] == f"{len(printed) - 1} problem(s) in {path}"
+        else:
+            assert code == 0
+            assert printed == [f"{n} records ok"]
+        assert (code == 0) == (fault is None)
+
+
 class TestMatch:
     def test_size_arithmetic(self, workspace):
         tmp, corpus, config = workspace
@@ -97,6 +170,26 @@ class TestMatch:
         assert manifest["config"]["seed"] == 7
         assert "match" in manifest["timings"]
         assert set(manifest["outputs"]) == {str(out), "fold_plan", "buckets"}
+
+    def test_manifest_config_pinned(self, workspace):
+        tmp, corpus, _ = workspace
+        config = tmp / "every_key.json"
+        config.write_text(json.dumps({
+            "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
+            "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
+            "holdout_folds": [0], "relevance_scorer": {"kind": "overlap"},
+            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.01},
+        }), encoding="utf-8")
+        out = tmp / "items.jsonl"
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(out), "--jobs", "2"]) == 0
+        manifest = json.loads((tmp / "items.jsonl.manifest.json").read_text())
+        assert manifest["config"] == {
+            "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
+            "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
+            "holdout_folds": [0], "relevance_scorer": "overlap",
+            "similarity_scorer": "embedding_cosine", "jobs": 2,
+        }
 
     def test_manifest_records_external_matrix_digests(self, workspace):
         tmp, corpus, config = workspace
@@ -157,6 +250,39 @@ class TestMatch:
                      "--out", str(tmp / "s.txt"), "--grid", grid]) == 2
         assert "--grid" in capsys.readouterr().err
         assert not (tmp / "s.txt").exists()
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.9}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"rounds": 1.5}, "rounds"),
+        ({"lambda": "abc"}, "lambda"),
+        ({"holdout_folds": 3}, "holdout_folds"),
+        ({"holdout_folds": [0.5]}, "holdout_folds"),
+        ({"relevance_scorer": {"kind": "overlap", "eps": "x"}},
+         "relevance_scorer.eps"),
+    ])
+    def test_wrong_config_type_is_a_config_error(self, workspace, capsys, bad, key):
+        tmp, corpus, _ = workspace
+        config = tmp / "typed.json"
+        config.write_text(json.dumps({"seed": 1, "n_folds": 1, **bad}),
+                          encoding="utf-8")
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x")]) == 2
+        assert f"config {key!r} must be" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_integral_float_is_an_integer(self, workspace):
+        tmp, corpus, _ = workspace
+        config = tmp / "float_rounds.json"
+        config.write_text(json.dumps({"seed": 7.0, "n_folds": 1, "rounds": 2.0}),
+                          encoding="utf-8")
+        out = tmp / "items.jsonl"
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp / "items.jsonl.manifest.json").read_text())
+        assert manifest["config"]["seed"] == 7
+        assert manifest["config"]["rounds"] == 2
 
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, corpus, _ = workspace
@@ -256,6 +382,37 @@ class TestScoreAndExternalMatrices:
                      "--rel-matrix", str(scores), "--sim-matrix", str(scores)]) == 0
         items = parse_items(out.read_text(encoding="utf-8").splitlines())
         assert len(items) == 8
+
+    def test_each_bucket_reads_only_its_own_matrices(self, tmp_path, monkeypatch):
+        import advmatch.scoring
+
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        scores = tmp_path / "scores"
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        buckets = len(list(scores.iterdir())) // 2
+        assert buckets > 1
+        reads = []
+        original = advmatch.scoring.read_score_matrix
+
+        def counted(path):
+            role, values, ids = original(path)
+            reads.append((role, tuple(ids)))
+            return role, values, ids
+
+        monkeypatch.setattr(advmatch.scoring, "read_score_matrix", counted)
+        # the same directory behind both flags is indexed once
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp_path / "ext.jsonl"),
+                     "--rel-matrix", str(scores), "--sim-matrix", str(scores)]) == 0
+        assert len(reads) == 2 * buckets
+        assert len(set(reads)) == len(reads)
+        assert sorted(role for role, _ in reads) == (
+            ["relevance"] * buckets + ["similarity"] * buckets)
 
     def test_mismatched_external_exit_one(self, workspace, tmp_path):
         tmp, corpus, config = workspace

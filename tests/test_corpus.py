@@ -131,7 +131,7 @@ class TestValidate:
         with pytest.raises(CorpusError) as exc:
             parse_records([_line(id="ok"), line])
         assert str(exc.value) == (
-            "line 2: invalid record: "
+            "line 2: record 'a': invalid record: "
             "gold[3]: dangling tag index 3 (objects has 2 entries); "
             "gold[5]: dangling tag index 3 (objects has 2 entries)")
 

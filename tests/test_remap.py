@@ -1,4 +1,4 @@
-"""Templates, tag remapping semantics, fallback chain, and determinism."""
+"""Tag remapping semantics, fallback chain, and determinism."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from advmatch.corpus import Record, Token, parse_token_stream as pts
-from advmatch.remap import (CandidateTable, RemapError, fill_slots, remap_tags,
-                            templatize)
+from advmatch.remap import CandidateTable, RemapError, remap_tags
 from advmatch.scoring import content
 from advmatch.seeding import derive_rng
 
@@ -19,35 +18,11 @@ def target(objects, query="why is [person:1] here ?", gold="[person:1] rests .")
                   objects=tuple(objects))
 
 
-class TestTemplatize:
-    def test_no_tags_zero_slots(self):
-        t = templatize(pts("nothing tagged here ."))
-        assert t.slots == ()
-        assert t.tokens == pts("nothing tagged here .")
-
-    def test_one_slot(self):
-        t = templatize(pts("[person:2] is smiling ."))
-        assert len(t.slots) == 1
-        assert t.slot_classes == ("person",)
-        assert sum(1 for tok in t.tokens if tok.kind == "word") == 3
-
-    def test_round_trip_fill(self):
-        response = pts("[person:2] hands [cup:3] over .")
-        t = templatize(response)
-        original_tags = [(tok.tag_class, tok.tag_index)
-                         for tok in response if tok.is_tag]
-        assert fill_slots(t, original_tags) == response
-
-    def test_fill_arity_checked(self):
-        with pytest.raises(RemapError, match="slots"):
-            fill_slots(templatize(pts("[person:1] waves .")), [])
-
-
 class TestRemapTags:
     def test_zero_slots_rng_unconsumed(self):
         rng = derive_rng(0, "x")
         before = rng.bit_generator.state
-        out = remap_tags(templatize(pts("no tags at all .")),
+        out = remap_tags(pts("no tags at all ."),
                          target(["person"]), 0.5, rng)
         assert out == pts("no tags at all .")
         assert rng.bit_generator.state == before
@@ -55,31 +30,31 @@ class TestRemapTags:
     def test_singleton_pools_ignore_p_reuse(self):
         # one person object, mentioned in the query: both pools = {1}
         tgt = target(["person"])
-        # the template's own index is foreign anyway; only its class matters
-        template = templatize((Token.tag("person", 1), *pts("smiles .")))
+        # the response's own index is foreign anyway; only its class matters
+        response = (Token.tag("person", 1), *pts("smiles ."))
         for p_reuse in (0.0, 0.37, 1.0):
-            out = remap_tags(template, tgt, p_reuse, derive_rng(1, p_reuse))
+            out = remap_tags(response, tgt, p_reuse, derive_rng(1, p_reuse))
             assert out[0] == Token.tag("person", 1)
 
     def test_reuse_only_draws_mentioned(self):
         # mentioned persons = {1}; objects add persons 2 and 3
         tgt = target(["person", "person", "person"])
-        template = templatize((Token.tag("person", 2), *pts("waves .")))
+        response = (Token.tag("person", 2), *pts("waves ."))
         rng = derive_rng(2, "mc")
         seen = set()
         for _ in range(10_000):
-            out = remap_tags(template, tgt, 1.0, rng)
+            out = remap_tags(response, tgt, 1.0, rng)
             seen.add(out[0].tag_index)
         assert seen == {1}
 
     def test_no_reuse_draws_uniformly_from_objects(self):
         tgt = target(["person", "person", "person"])
-        template = templatize((Token.tag("person", 2), *pts("waves .")))
+        response = (Token.tag("person", 2), *pts("waves ."))
         rng = derive_rng(3, "mc")
         counts = {1: 0, 2: 0, 3: 0}
         trials = 30_000
         for _ in range(trials):
-            out = remap_tags(template, tgt, 0.0, rng)
+            out = remap_tags(response, tgt, 0.0, rng)
             counts[out[0].tag_index] += 1
         for idx in counts:
             assert counts[idx] / trials == pytest.approx(1 / 3, abs=0.02)
@@ -87,24 +62,24 @@ class TestRemapTags:
     def test_fallback_to_person(self):
         # no cars anywhere, but persons exist
         tgt = target(["person", "person"])
-        template = templatize((Token.tag("car", 1), *pts("drives away .")))
-        out = remap_tags(template, tgt, 0.5, derive_rng(4, "fb"))
+        response = (Token.tag("car", 1), *pts("drives away ."))
+        out = remap_tags(response, tgt, 0.5, derive_rng(4, "fb"))
         assert out[0].kind == "tag"
         assert out[0].tag_class == "person"
 
     def test_fallback_to_class_words(self):
         # no cars, no persons: tag dissolves into "the car"
         tgt = target(["dog"], query="why bark ?", gold="loud noise .")
-        template = templatize((Token.tag("car", 1), *pts("drives away .")))
-        out = remap_tags(template, tgt, 0.5, derive_rng(5, "fb"))
+        response = (Token.tag("car", 1), *pts("drives away ."))
+        out = remap_tags(response, tgt, 0.5, derive_rng(5, "fb"))
         assert out[:2] == (Token.word("the"), Token.word("car"))
-        assert len(out) == len(template.tokens) + 1
+        assert len(out) == len(response) + 1
 
     def test_empty_objects_total_fallback(self):
         tgt = Record(id="t", source_key="m", query=pts("why quiet ?"),
                      gold=pts("no reason ."), objects=())
-        template = templatize((Token.tag("person", 1), *pts("waves .")))
-        out = remap_tags(template, tgt, 0.5, derive_rng(6, "fb"))
+        response = (Token.tag("person", 1), *pts("waves ."))
+        out = remap_tags(response, tgt, 0.5, derive_rng(6, "fb"))
         assert out[:2] == (Token.word("the"), Token.word("person"))
 
     def test_output_tags_exist_in_target(self):
@@ -117,10 +92,10 @@ class TestRemapTags:
             tgt = Record(id="t", source_key="m",
                          query=pts(f"why is {mention} here ?"),
                          gold=pts("something happens ."), objects=tuple(objs))
-            template = templatize(tuple(
+            response = tuple(
                 Token.tag(classes[int(rng_master.integers(4))], 1)
-                for _ in range(int(rng_master.integers(1, 4)))))
-            out = remap_tags(template, tgt, float(rng_master.random()),
+                for _ in range(int(rng_master.integers(1, 4))))
+            out = remap_tags(response, tgt, float(rng_master.random()),
                              derive_rng(8, trial))
             for tok in out:
                 if tok.kind == "tag":
@@ -129,7 +104,7 @@ class TestRemapTags:
 
     def test_p_reuse_validated(self):
         with pytest.raises(RemapError, match="p_reuse"):
-            remap_tags(templatize(pts("x .")), target(["person"]), 1.5,
+            remap_tags(pts("x ."), target(["person"]), 1.5,
                        derive_rng(0))
 
 
@@ -166,7 +141,7 @@ class TestCandidateTable:
         pairs = [(i, j) for i, j in _all_pairs(5) if i != j]
         for (i, j), got in zip(pairs, table.get(pairs)):
             rng = derive_rng(7, "remap", bucket[i].id, bucket[j].id)
-            expected = remap_tags(templatize(bucket[j].gold), bucket[i],
+            expected = remap_tags(bucket[j].gold, bucket[i],
                                   0.3, rng)
             assert got == expected
 

@@ -1,19 +1,21 @@
 """Maximum-weight linear assignment with forbidden pairs, plus a brute-force oracle.
 
-The solver delegates the heavy lifting to scipy's shortest-augmenting-path
-implementation and layers three guarantees on top:
+The solver returns the lexicographically smallest of the maximum-total
+mappings of an integer grid copy of the weights, whichever optimum scipy's
+shortest-augmenting-path solver happens to find:
 
-* forbidden entries are handled as an explicit mask, never as a large
-  negative float, and infeasibility is detected exactly by a
-  maximum-cardinality matching on the allowed mask before solving;
+* the allowed weights are quantized to ``Q = rint(W * 2**s)``, with ``s``
+  chosen from n and max|W| so that n * max|Q| <= 2**50.  Every sum,
+  potential and reduced cost below is then an integer computed exactly in
+  float64, so co-optimality is decided exactly on the Q grid;
+* forbidden entries are an explicit mask, handed to scipy as +inf costs;
+  scipy raises exactly when no perfect matching avoids them;
+* from the solver's optimum, dual potentials are recovered by Bellman-Ford.
+  The tight edges that lie on an alternating cycle are exactly the edges of
+  the optimal mappings, and the lexicographically smallest perfect matching
+  among them is built row by row;
 * the reported total is always the plain sum of the selected original
-  entries;
-* ties between co-optimal assignments are broken toward the
-  lexicographically smallest mapping.  The tie-break is enforced exactly
-  for n <= LEX_EXACT_MAX via per-row optimality certificates; above that a
-  pairwise-swap canonicalization pass is applied (full certificates would
-  need O(n^2) sub-solves, which is not worth it at bucket scale where
-  real-valued weights make exact ties a measure-zero event).
+  entries.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
-# Largest n for which lexicographic tie-breaking is certified exactly.
-LEX_EXACT_MAX = 64
+from scipy.sparse.csgraph import connected_components
 
 BRUTE_FORCE_MAX = 10
+
+# n * max|Q| <= 2**GRID_BITS keeps every cost, potential and reduced cost an
+# integer below 2**52 in magnitude, so float64 holds each one exactly
+GRID_BITS = 50
 
 
 class AssignmentError(ValueError):
@@ -114,182 +117,143 @@ def _total(values: np.ndarray, mapping: np.ndarray) -> float:
     return float(values[np.arange(len(mapping)), mapping].sum())
 
 
-def _is_feasible(forbidden: np.ndarray) -> bool:
-    # Degree shortcut: if every row and column keeps more than n/2 allowed
-    # entries, Hall's condition holds automatically and the (comparatively
-    # costly) matching check can be skipped.
-    n = forbidden.shape[0]
-    if (forbidden.sum(axis=1).max() < n / 2
-            and forbidden.sum(axis=0).max() < n / 2):
-        return True
-    match = maximum_bipartite_matching(csr_matrix(~forbidden), perm_type="column")
-    return bool((match != -1).all())
+def _quantize(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
+    """Q = rint(W * 2**s) over the allowed entries (forbidden ones are 0).
 
-
-def _solve_masked(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray | None:
-    """One scipy solve over allowed entries; None when no perfect matching."""
-    if forbidden.any() and not _is_feasible(forbidden):
-        return None
-    allowed_vals = values[~forbidden]
-    vmax = float(allowed_vals.max())
-    vmin = float(allowed_vals.min())
-    n = values.shape[0]
-    big = (vmax - vmin) * n + 1.0
-    if not math.isfinite(big):
-        raise AssignmentError("weight range too large to solve")
-    cost = vmax - values
-    cost[forbidden] = big
-    mapping = linear_sum_assignment(cost)[1]
-    if forbidden[np.arange(n), mapping].any():
-        raise AssignmentError("internal error: solver selected a forbidden entry")
-    return mapping
-
-
-def _swap_accept(values: np.ndarray, forbidden: np.ndarray, current: np.ndarray,
-                 total: float, i: int, j: int, pos: np.ndarray) -> bool:
-    """Try moving column j to row i via a two-row swap that keeps the total."""
-    r = int(pos[j])
-    old = int(current[i])
-    if forbidden[i, j] or forbidden[r, old]:
-        return False
-    cand = current.copy()
-    cand[i], cand[r] = j, old
-    if _total(values, cand) != total:
-        return False
-    current[i], current[r] = j, old
-    pos[j], pos[old] = i, r
-    return True
-
-
-def _certify_accept(values: np.ndarray, forbidden: np.ndarray, current: np.ndarray,
-                    total: float, i: int, j: int, pos: np.ndarray) -> bool:
-    """Check via a sub-solve whether fixing row i to column j stays optimal."""
-    n = len(current)
-    if i + 1 >= n:
-        return False
-    rest_rows = np.arange(i + 1, n)
-    rest_cols = np.array([c for c in current[i:] if c != j], dtype=np.int64)
-    sub_map = _solve_masked(values[np.ix_(rest_rows, rest_cols)],
-                            forbidden[np.ix_(rest_rows, rest_cols)])
-    if sub_map is None:
-        return False
-    cand = current.copy()
-    cand[i] = j
-    cand[i + 1:] = rest_cols[sub_map]
-    if _total(values, cand) != total:
-        return False
-    current[:] = cand
-    pos[current] = np.arange(n)
-    return True
-
-
-def _lexicalize_exact(values: np.ndarray, forbidden: np.ndarray,
-                      current: np.ndarray, total: float, pos: np.ndarray) -> None:
-    for i in range(len(current)):
-        for j in range(int(current[i])):
-            if forbidden[i, j] or pos[j] <= i:
-                continue
-            if _swap_accept(values, forbidden, current, total, i, j, pos):
-                break
-            if _certify_accept(values, forbidden, current, total, i, j, pos):
-                break
-
-
-def _swap_screen(values: np.ndarray, forbidden: np.ndarray, current: np.ndarray,
-                 pos: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """ok[a, b]: moving column cols[b] to row rows[a] is a swap candidate.
-
-    A candidate is a smaller column whose holder is a later row, with both
-    swapped entries allowed and a total change of exactly zero as the
-    four-term delta computes it.
+    n < 2**n.bit_length() and max|W| < 2**e, so s = GRID_BITS - both
+    exponents gives n * max|Q| <= 2**GRID_BITS.  ``ldexp`` applies s without
+    forming 2**s, which would overflow for tiny weights.
     """
-    r = rows[:, None]
-    cur = current[r]
-    holders = pos[cols]
-    delta = (values[r, cols] + values[holders, cur]
-             - values[r, cur] - values[holders, cols])
-    ok = (delta == 0.0) & (cols < cur) & (holders > r)
-    a, b = np.nonzero(ok)  # the mask is read only where the rest holds
-    ok[a, b] = ~forbidden[rows[a], cols[b]] & ~forbidden[holders[b], cur[a, 0]]
-    return ok
+    q = np.where(forbidden, 0.0, values)
+    top = float(np.abs(q).max())
+    if top == 0.0:
+        return q
+    s = GRID_BITS - values.shape[0].bit_length() - int(np.frexp(top)[1])
+    return np.rint(np.ldexp(q, s, out=q), out=q)
 
 
-def _lexicalize_swaps(values: np.ndarray, forbidden: np.ndarray,
-                      current: np.ndarray, total: float, pos: np.ndarray) -> None:
-    # Rows in order, each taking its smallest zero-delta swap candidate
-    # until none is left.  One screen over all rows finds the candidates,
-    # in eight row blocks so that its temporaries stay within about one n x n
-    # float64 matrix; an accepted swap moves two columns between row i and
-    # a later row r, so only rows i and r and those two columns are
-    # screened again.  Each candidate is verified against the exact
-    # recomputed total before adoption.
-    n = len(current)
-    every = np.arange(n)
-    ok = np.empty((n, n), dtype=np.bool_)
-    step = -(-n // 8)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, n, step):
-            rows = every[start:start + step]
-            ok[rows] = _swap_screen(values, forbidden, current, pos, rows, every)
-        # rows that may hold a candidate; a row is rechecked when reached
-        flagged = ok.any(axis=1)
-        i = -1
-        while True:
-            ahead = np.flatnonzero(flagged[i + 1:])
-            if not ahead.size:
-                return
-            i += 1 + int(ahead[0])
-            accepted = True
-            while accepted:
-                accepted = False
-                for j in np.flatnonzero(ok[i]).tolist():
-                    r, old = int(pos[j]), int(current[i])
-                    if _swap_accept(values, forbidden, current, total, i, j, pos):
-                        accepted = True
-                        touched = np.array([i, r])
-                        ok[touched] = _swap_screen(values, forbidden, current, pos,
-                                                   touched, every)
-                        moved = np.array([j, old])
-                        ok[i + 1:, moved] = _swap_screen(values, forbidden, current,
-                                                         pos, every[i + 1:], moved)
-                        flagged[i + 1:] |= ok[i + 1:, moved].any(axis=1)
-                        flagged[r] = True
-                        break
+def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
+    """max(Q) - Q, the solver's integer costs, with +inf on forbidden entries."""
+    q = _quantize(values, forbidden)
+    cost = np.subtract(q.max(), q, out=q)
+    cost[forbidden] = np.inf
+    return cost
 
 
-def _lexicalize(values: np.ndarray, forbidden: np.ndarray, mapping: np.ndarray,
-                total: float) -> np.ndarray:
-    """Canonicalize an optimal mapping toward the lexicographically smallest one.
+def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
+    """allowed[r, c]: row r takes column c in some minimum-cost mapping.
 
-    Row by row, tries allowed smaller columns, accepting a move only when
-    the full recomputed total is unchanged.  For n <= LEX_EXACT_MAX every
-    candidate is certified with a sub-solve, which makes the result exactly
-    the lexicographically smallest co-optimal mapping; above that only
-    total-preserving two-row swaps are applied.
+    ``cost`` holds integer costs with +inf on forbidden entries, and
+    ``mapping`` is a minimum-cost perfect matching of it.  Row r may take
+    column c from its holder s at extra cost cost[r, c] - cost[r, m(r)], an
+    edge r -> s of the row graph.  The shortest distances d <= 0 over that
+    graph are dual potentials, and the edge is tight when its extra cost is
+    d[s] - d[r].  Every optimal mapping uses tight edges only, and a tight
+    edge is in one exactly when its two rows share a strong component of
+    the tight graph.
     """
     n = len(mapping)
+    rows = np.arange(n)
+    pos = np.empty(n, dtype=np.int64)
+    pos[mapping] = rows
+    own = cost[rows, mapping]
+    # Bellman-Ford from a virtual source, relaxing only the rows whose
+    # distance moved in the last pass; n passes without settling mean a
+    # negative cycle, that is a mapping that was not optimal
+    dist = np.zeros(n)
+    moved = rows
+    for _ in range(n):
+        reach = cost[moved]
+        reach += (dist - own)[moved, None]
+        reach = reach.min(axis=0)[mapping]
+        moved = np.flatnonzero(reach < dist)
+        if not moved.size:
+            break
+        dist[moved] = reach[moved]
+    else:
+        raise AssignmentError("internal error: the solver's mapping is not optimal")
+    tight = cost + (dist - own)[:, None] == dist[pos]
+    src, col = np.nonzero(tight)
+    _, label = connected_components(
+        csr_matrix((np.ones(len(src), dtype=np.bool_), (src, pos[col])), shape=(n, n)),
+        directed=True, connection="strong")
+    cut = label[src] != label[pos[col]]
+    tight[src[cut], col[cut]] = False
+    return tight
+
+
+def _lexicalize(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest minimum-cost mapping, from any one.
+
+    Row by row, a row takes the smallest column of its optimal edges that
+    the later rows can give up along a chain of such edges, found by one
+    reverse search.  Only rows with such a column below their own are
+    visited.
+    """
+    allowed = _optimal_edges(cost, mapping)
+    n = len(mapping)
+    rows = np.arange(n)
     current = mapping.copy()
     pos = np.empty(n, dtype=np.int64)
-    pos[current] = np.arange(n)
-    if n <= LEX_EXACT_MAX:
-        _lexicalize_exact(values, forbidden, current, total, pos)
-    else:
-        _lexicalize_swaps(values, forbidden, current, total, pos)
-    return current
+    pos[current] = rows
+    flagged = (allowed & (rows[None, :] < current[:, None])).any(axis=1)
+    i = -1
+    while True:
+        ahead = np.flatnonzero(flagged[i + 1:])
+        if not ahead.size:
+            return current
+        i += 1 + int(ahead[0])
+        old = int(current[i])
+        cands = np.flatnonzero(allowed[i, :old])
+        cands = cands[pos[cands] > i]
+        if not cands.size:
+            continue
+        # Reverse search from column `old`: a later row that may take a
+        # freed column frees its own.  Row i may take every freed column;
+        # stop once the smallest candidate is freed.
+        freed = np.zeros(n, dtype=np.bool_)
+        freed[old] = True
+        parent = np.empty(n, dtype=np.int64)  # column a freed row moves to
+        movable = rows > i
+        layer = np.array([old])
+        while layer.size and not freed[cands[0]]:
+            takes = allowed[:, layer] & movable[:, None]
+            movers = np.flatnonzero(takes.any(axis=1))
+            parent[movers] = layer[takes[movers].argmax(axis=1)]
+            movable[movers] = False
+            layer = current[movers]
+            freed[layer] = True
+        hits = cands[freed[cands]]
+        if not hits.size:
+            continue
+        # rotate: row i takes the best column, its holder takes the column
+        # it was freed by, and so on back to `old`
+        col = int(hits[0])
+        r = int(pos[col])
+        current[i], pos[col] = col, i
+        path = []
+        while col != old:
+            col, nxt = int(parent[r]), int(pos[parent[r]])
+            current[r], pos[col] = col, r
+            path.append(r)
+            r = nxt
+        path = np.array(path)
+        flagged[path] = (allowed[path] & (rows[None, :] < current[path, None])).any(axis=1)
 
 
 def solve_lap_max(w: WeightMatrix) -> Assignment:
     """Maximum-total-weight assignment avoiding all forbidden entries.
 
-    Raises :class:`AssignmentError` when no perfect matching exists.  Among
-    co-optimal assignments the lexicographically smallest mapping is
-    returned (exactly for n <= LEX_EXACT_MAX, see module docstring).
+    Raises :class:`AssignmentError` when no perfect matching exists.  The
+    mapping is the lexicographically smallest of the maximum-total mappings
+    of the quantized weights (see module docstring).
     """
-    mapping = _solve_masked(w.values, w.forbidden)
-    if mapping is None:
-        raise AssignmentError("no perfect matching avoids the forbidden entries")
-    total = _total(w.values, mapping)
-    mapping = _lexicalize(w.values, w.forbidden, mapping, total)
+    cost = _grid_cost(w.values, w.forbidden)
+    try:
+        mapping = linear_sum_assignment(cost)[1]
+    except ValueError as exc:  # scipy: "cost matrix is infeasible"
+        raise AssignmentError("no perfect matching avoids the forbidden entries") from exc
+    mapping = _lexicalize(cost, mapping)
     return Assignment(mapping=tuple(int(c) for c in mapping),
                       total_weight=_total(w.values, mapping))
 
@@ -299,9 +263,10 @@ def brute_force_lap(w: WeightMatrix) -> Assignment:
 
     Permutations are generated in lexicographic order and only strictly
     better totals win, so the first of any co-optimal set (the
-    lexicographically smallest mapping) is returned.  Totals are reduced
-    with the same row-wise summation the solver uses, keeping tie
-    comparisons bit-consistent.  Capped at n <= BRUTE_FORCE_MAX; work is
+    lexicographically smallest mapping) is returned.  Totals are float sums
+    of the given weights, so ties are exact only for weights whose sums are
+    exact, such as the solver's quantized ones; on those the oracle returns
+    the solver's mapping.  Capped at n <= BRUTE_FORCE_MAX; work is
     chunked so peak memory stays modest even at the cap (10! rows).
     """
     n = w.n

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bucketing import BucketingError
@@ -22,7 +22,7 @@ from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table
                           frequency_prior_probe, lambda_sweep)
 from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items, write_items
 from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
-                       plan_buckets, resolve_mode, run_match)
+                       digest_file, plan_buckets, resolve_mode, run_match)
 from .remap import RemapError
 from .scoring import ScorerSpec, ScoringError, score_bucket, write_score_matrix
 
@@ -146,8 +146,8 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
 def _config_snapshot(config: MatchConfig, rel: ScorerSpec, sim: ScorerSpec) -> dict:
     """The value every config key took, as the manifest records it."""
     resolved = replace(config, holdout_folds=config.resolved_holdout())
-    kinds = iter((rel.kind, sim.kind))  # the scorer keys, in table order
-    return {key: next(kinds) if cast is _scorer else getattr(resolved, name)
+    specs = iter((rel, sim))  # the scorer keys, in table order
+    return {key: asdict(next(specs)) if cast is _scorer else getattr(resolved, name)
             for key, (name, cast) in _CONFIG_KEYS.items()}
 
 
@@ -217,7 +217,7 @@ def cmd_match(args) -> int:
             p = Path(spec.path)
             for f in sorted(p.iterdir()) if p.is_dir() else [p]:
                 if f.is_file():
-                    manifest.inputs[str(f)] = digest_bytes(f.read_bytes())
+                    manifest.inputs[str(f)] = digest_file(f)
     with StageTimer(manifest, "parse"):
         records = parse_records(data.split(b"\n"))  # lines as a file yields them
     with StageTimer(manifest, "match"):

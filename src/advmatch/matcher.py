@@ -271,8 +271,31 @@ def item_to_json(item: MCQItem) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _item_from_json(obj: dict) -> MCQItem:
+    prov = []
+    for p in obj["provenance"]:
+        if p["kind"] == "gold":
+            prov.append(Provenance("gold"))
+        else:
+            prov.append(Provenance("distractor", p["source"], p["round"]))
+    return MCQItem(
+        id=str(obj["id"]),
+        query=parse_token_stream(obj["query"]),
+        choices=tuple(parse_token_stream(c) for c in obj["choices"]),
+        gold_index=int(obj["gold_index"]),
+        provenance=tuple(prov),
+        task_mode=obj.get("task_mode", "qa"),
+        fold=obj.get("fold"),
+        bucket_id=obj.get("bucket"),
+    )
+
+
 def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQItem]:
-    """Read MCQ items back from their JSONL serialization."""
+    """Read MCQ items back from their JSONL serialization.
+
+    A line that is not an item raises :class:`MatchingError` naming the line
+    and, for a missing field, the field.
+    """
     items = []
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
@@ -284,22 +307,15 @@ def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQ
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MatchingError(f"line {lineno}: malformed item JSON ({exc.msg})") from exc
-        prov = []
-        for p in obj["provenance"]:
-            if p["kind"] == "gold":
-                prov.append(Provenance("gold"))
-            else:
-                prov.append(Provenance("distractor", p["source"], p["round"]))
-        items.append(MCQItem(
-            id=str(obj["id"]),
-            query=parse_token_stream(obj["query"]),
-            choices=tuple(parse_token_stream(c) for c in obj["choices"]),
-            gold_index=int(obj["gold_index"]),
-            provenance=tuple(prov),
-            task_mode=obj.get("task_mode", "qa"),
-            fold=obj.get("fold"),
-            bucket_id=obj.get("bucket"),
-        ))
+        if not isinstance(obj, dict):
+            raise MatchingError(
+                f"line {lineno}: item must be a JSON object, got {type(obj).__name__}")
+        try:
+            items.append(_item_from_json(obj))
+        except KeyError as exc:
+            raise MatchingError(f"line {lineno}: item has no {exc.args[0]!r} field") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise MatchingError(f"line {lineno}: malformed item ({exc})") from exc
     return items
 
 

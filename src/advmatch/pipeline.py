@@ -162,8 +162,20 @@ def run_match(records: Sequence[Record], config: MatchConfig,
 # -- manifests ---------------------------------------------------------------
 
 
+DIGEST_CHUNK = 1 << 20
+
+
 def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def digest_file(path) -> str:
+    """``digest_bytes`` of a file's content, read in DIGEST_CHUNK pieces."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(DIGEST_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 @dataclass

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from advmatch.assignment import (FORBIDDEN, LEX_EXACT_MAX, AssignmentError,
-                                 WeightMatrix, _lexicalize_swaps, _solve_masked,
-                                 brute_force_lap, solve_lap_max)
+from advmatch.assignment import (FORBIDDEN, GRID_BITS, AssignmentError,
+                                 WeightMatrix, _grid_cost, _lexicalize,
+                                 _quantize, brute_force_lap, solve_lap_max)
 
 
 def dense(rows):
@@ -22,6 +25,11 @@ def random_matrix(rng, n, forbid_p=0.0):
     safe = rng.permutation(n)
     forbidden[np.arange(n), safe] = False
     return WeightMatrix(values=values, forbidden=forbidden)
+
+
+def _has_perfect_matching(forbidden):
+    match = maximum_bipartite_matching(csr_matrix(~forbidden), perm_type="column")
+    return bool((match != -1).all())
 
 
 class TestExamples:
@@ -89,6 +97,26 @@ class TestFeasibility:
             assert not w.forbidden[np.arange(6), list(a.mapping)].any()
             assert sorted(a.mapping) == list(range(6))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.9))
+    def test_raises_exactly_without_a_perfect_matching(self, n, seed, forbid_p):
+        rng = np.random.default_rng(seed)
+        forbidden = rng.random((n, n)) < forbid_p
+        # WeightMatrix rejects empty rows and columns; reopen one entry each
+        for i in np.flatnonzero(forbidden.all(axis=1)):
+            forbidden[i, rng.integers(n)] = False
+        for j in np.flatnonzero(forbidden.all(axis=0)):
+            forbidden[rng.integers(n), j] = False
+        w = WeightMatrix(values=rng.integers(-3, 4, size=(n, n)).astype(np.float64),
+                         forbidden=forbidden)
+        if _has_perfect_matching(forbidden):
+            a = solve_lap_max(w)
+            assert not forbidden[np.arange(n), list(a.mapping)].any()
+            assert sorted(a.mapping) == list(range(n))
+        else:
+            with pytest.raises(AssignmentError, match="no perfect matching"):
+                solve_lap_max(w)
+
 
 class TestOracleAgreement:
     def test_totals_and_mappings_agree(self):
@@ -146,8 +174,8 @@ class TestProperties:
         assert repr(FORBIDDEN) == "FORBIDDEN"
 
     def test_large_tied_matrix_canonicalizes(self):
-        # above the exact-certificate cap the swap sweep still restores
-        # identity on an all-equal matrix
+        # every mapping of an all-equal matrix is optimal; identity is the
+        # lexicographically smallest
         n = 80
         w = WeightMatrix(values=np.zeros((n, n)),
                          forbidden=np.zeros((n, n), dtype=bool))
@@ -155,66 +183,122 @@ class TestProperties:
         assert a.mapping == tuple(range(n))
 
 
-def _reference_swap_accept(values, forbidden, current, total, i, j, pos):
-    r = int(pos[j])
-    old = int(current[i])
-    if forbidden[i, j] or forbidden[r, old]:
+class TestQuantize:
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_grid_is_finite_and_nonzero_at_extreme_magnitudes(self, scale):
+        base = np.array([[1.0, -0.5, 0.25], [0.0, 1.0, -1.0], [0.75, 0.5, 0.125]])
+        values = base * scale
+        forbidden = np.zeros((3, 3), dtype=bool)
+        q = _quantize(values, forbidden)
+        top = np.abs(q).max()
+        assert np.isfinite(q).all() and (q == np.rint(q)).all()
+        assert 0 < top and 3 * top <= 2.0 ** GRID_BITS
+        assert np.allclose(q / top, base, rtol=1e-12, atol=0)
+        w = WeightMatrix(values=values, forbidden=forbidden)
+        assert solve_lap_max(w).mapping == brute_force_lap(w).mapping
+
+    def test_forbidden_entries_do_not_set_the_scale(self):
+        values = np.array([[1.0, 1e300], [0.5, 1.0]])
+        forbidden = np.array([[False, True], [False, False]])
+        q = _quantize(values, forbidden)
+        assert q[0, 1] == 0.0 and q[0, 0] == 2 * q[1, 0] > 0
+
+
+def _reference_certify_accept(values, forbidden, current, total, i, j, pos):
+    """Fix row i to column j and re-solve the later rows from scratch;
+    accept when the float total is unchanged (exact on integer weights)."""
+    n = len(current)
+    if i + 1 >= n:
         return False
+    rest_rows = np.arange(i + 1, n)
+    rest_cols = np.array([c for c in current[i:] if c != j], dtype=np.int64)
+    sub_forbidden = forbidden[np.ix_(rest_rows, rest_cols)]
+    if not _has_perfect_matching(sub_forbidden):
+        return False
+    cost = -values[np.ix_(rest_rows, rest_cols)]
+    cost[sub_forbidden] = np.inf
     cand = current.copy()
-    cand[i], cand[r] = j, old
-    if float(values[np.arange(len(cand)), cand].sum()) != total:
+    cand[i] = j
+    cand[i + 1:] = rest_cols[linear_sum_assignment(cost)[1]]
+    if float(values[np.arange(n), cand].sum()) != total:
         return False
-    current[i], current[r] = j, old
-    pos[j], pos[old] = i, r
+    current[:] = cand
+    pos[current] = np.arange(n)
     return True
 
 
-def _reference_lexicalize_swaps(values, forbidden, current, total, pos):
-    """The per-row scan the swap tie-break is defined by: every row in turn
-    rescans its smaller columns after each accepted swap."""
-    n = len(current)
+def _reference_lexicalize_exact(values, forbidden, mapping):
+    """The certificate search: each row in turn takes the smallest column
+    for which a sub-solve over the later rows keeps the optimal total."""
+    n = len(mapping)
+    current = mapping.copy()
+    pos = np.empty(n, dtype=np.int64)
+    pos[current] = np.arange(n)
+    total = float(values[np.arange(n), current].sum())
     for i in range(n):
-        while True:
-            ci = int(current[i])
-            if ci == 0:
+        for j in range(int(current[i])):
+            if forbidden[i, j] or pos[j] <= i:
+                continue
+            if _reference_certify_accept(values, forbidden, current, total, i, j, pos):
                 break
-            old = ci
-            cols = np.arange(ci)
-            holders = pos[cols]
-            delta = (values[i, cols] + values[holders, old]
-                     - values[i, old] - values[holders, cols])
-            ok = ((delta == 0.0) & (holders > i)
-                  & ~forbidden[i, cols] & ~forbidden[holders, old])
-            accepted = False
-            for j in np.nonzero(ok)[0]:
-                if _reference_swap_accept(values, forbidden, current, total,
-                                          i, int(j), pos):
-                    accepted = True
-                    break
-            if not accepted:
-                break
+    return current
 
 
-class TestSwapTieBreak:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(LEX_EXACT_MAX + 1, 200), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([2, 3, 5]), st.floats(0.0, 0.3), st.booleans())
-    def test_equals_the_per_row_scan(self, n, seed, levels, forbid_p, solved):
-        # small-integer weights make zero-delta swaps common
+def _tied_matrix(rng, n, levels, forbid_p, unit=1.0):
+    values = rng.integers(0, levels, size=(n, n)) * unit
+    forbidden = rng.random((n, n)) < forbid_p
+    forbidden[np.arange(n), rng.permutation(n)] = False
+    return values, forbidden
+
+
+class TestExactTieBreak:
+    def test_equals_oracle_on_quantized_weights(self):
+        # non-dyadic units put rounding on the grid: ties of W need not be
+        # ties of Q, and the contract is stated on Q
+        rng = np.random.default_rng(3)
+        sizes = [int(n) for n in rng.integers(2, 9, size=300)] + [9, 9, 9, 10]
+        for n in sizes:
+            values, forbidden = _tied_matrix(
+                rng, n, int(rng.choice([2, 3, 5])), float(rng.uniform(0, 0.5)),
+                unit=float(rng.choice([1.0, 0.1, 1 / 3])))
+            q = _quantize(values, forbidden)
+            got = solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
+            want = brute_force_lap(WeightMatrix(values=q, forbidden=forbidden))
+            assert got.mapping == want.mapping
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(65, 120), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([2, 3, 5]), st.floats(0.0, 0.3))
+    def test_equals_the_certificate_search(self, n, seed, levels, forbid_p):
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, levels, size=(n, n)).astype(np.float64)
-        forbidden = rng.random((n, n)) < forbid_p
-        safe = rng.permutation(n)
-        forbidden[np.arange(n), safe] = False
-        mapping = _solve_masked(values, forbidden) if solved else safe
-        total = float(values[np.arange(n), mapping].sum())
-        runs = []
-        for lexicalize in (_lexicalize_swaps, _reference_lexicalize_swaps):
-            current = mapping.copy()
-            pos = np.empty(n, dtype=np.int64)
-            pos[current] = np.arange(n)
-            lexicalize(values, forbidden, current, total, pos)
-            runs.append((current, pos))
-        (got, got_pos), (want, want_pos) = runs
-        assert got.tolist() == want.tolist()
-        assert got_pos.tolist() == want_pos.tolist()
+        values, forbidden = _tied_matrix(rng, n, levels, forbid_p)
+        cost = _grid_cost(values, forbidden)
+        start = linear_sum_assignment(cost)[1]
+        want = _reference_lexicalize_exact(values, forbidden, start)
+        assert _lexicalize(cost, start).tolist() == want.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 150), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([2, 3, 5]), st.floats(0.0, 0.5),
+           st.sampled_from([1.0, 0.1]))
+    def test_independent_of_which_optimum_the_solver_returns(
+            self, n, seed, levels, forbid_p, unit):
+        # lexicographic order is not relabelling-invariant, but the optimum
+        # found on relabelled rows and columns, mapped back, is another
+        # start from which the same mapping must come out
+        rng = np.random.default_rng(seed)
+        values, forbidden = _tied_matrix(rng, n, levels, forbid_p, unit)
+        cost = _grid_cost(values, forbidden)
+        direct = linear_sum_assignment(cost)[1]
+        p, q = rng.permutation(n), rng.permutation(n)
+        back = np.empty(n, dtype=np.int64)
+        back[p] = q[linear_sum_assignment(cost[np.ix_(p, q)])[1]]
+        got = _lexicalize(cost, direct)
+        assert got.tolist() == _lexicalize(cost, back).tolist()
+        rows = np.arange(n)
+        assert cost[rows, got].sum() == cost[rows, direct].sum()
+
+    def test_rejects_a_start_that_is_not_optimal(self):
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(AssignmentError, match="not optimal"):
+            _lexicalize(cost, np.array([1, 0]))

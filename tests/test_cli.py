@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from advmatch.cli import main
 from advmatch.corpus import CorpusError, parse_records, serialize_records
 from advmatch.matcher import MatchConfig, parse_items
+from advmatch import pipeline
 from advmatch.pipeline import digest_bytes, run_match
 from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
 
@@ -187,8 +188,11 @@ class TestMatch:
         assert manifest["config"] == {
             "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
             "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
-            "holdout_folds": [0], "relevance_scorer": "overlap",
-            "similarity_scorer": "embedding_cosine", "jobs": 2,
+            "holdout_folds": [0],
+            "relevance_scorer": {"kind": "overlap", "eps": 0.002, "path": None},
+            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.01,
+                                  "path": None},
+            "jobs": 2,
         }
 
     def test_manifest_records_external_matrix_digests(self, workspace):
@@ -203,6 +207,35 @@ class TestMatch:
         assert matrix_files
         for f in matrix_files:
             assert manifest["inputs"][str(f)] == digest_bytes(f.read_bytes())
+        assert manifest["config"]["relevance_scorer"]["path"] == str(scores)
+
+    def test_file_digest_reads_in_chunks(self, tmp_path, monkeypatch):
+        data = bytes(range(256)) * 9
+        path = tmp_path / "matrix.npy"
+        path.write_bytes(data)
+        reads = []
+        real_open = open
+
+        class Recording:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.f.read(size)
+
+        monkeypatch.setattr(pipeline, "DIGEST_CHUNK", 1000)
+        monkeypatch.setattr(pipeline, "open",
+                            lambda *a, **k: Recording(real_open(*a, **k)),
+                            raising=False)
+        assert pipeline.digest_file(path) == digest_bytes(data)
+        assert reads and all(0 < size <= 1000 for size in reads)
 
     def test_seed_required(self, workspace, capsys):
         tmp, corpus, _ = workspace
@@ -453,6 +486,24 @@ class TestSweepAndProbe:
         out = capsys.readouterr().out
         assert "frequency_prior_accuracy" in out
         assert "chance\t0.25" in out
+
+    @pytest.mark.parametrize("line, message", [
+        (lambda item: {k: v for k, v in item.items() if k != "provenance"},
+         "line 2: item has no 'provenance' field"),
+        (lambda item: list(item.values()),
+         "line 2: item must be a JSON object, got list"),
+    ], ids=["no-provenance", "array"])
+    def test_probe_names_the_malformed_line(self, workspace, capsys, line, message):
+        tmp, corpus, config = workspace
+        items = tmp / "items.jsonl"
+        main(["match", str(corpus), "--config", str(config), "--out", str(items)])
+        first, second, *rest = items.read_text().splitlines()
+        bad = tmp / "bad.jsonl"
+        bad.write_text("\n".join([first, json.dumps(line(json.loads(second))), *rest]),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["probe", str(bad)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 class TestPipelineOrderInvariance:

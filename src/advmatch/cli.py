@@ -20,7 +20,10 @@ from .corpus import (CorpusError, parse_records, scan_records, serialize_records
                      split_folds)
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
-from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items, write_items
+from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items
+# Not called here since the workers serialize; bench/tracer.py still wraps
+# the name advmatch.cli.write_items, so it stays importable from this module.
+from .matcher import write_items  # noqa: F401
 from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
                        digest_file, plan_buckets, resolve_mode, run_match)
 from .remap import RemapError
@@ -223,7 +226,7 @@ def cmd_match(args) -> int:
     with StageTimer(manifest, "match"):
         result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs)
     with StageTimer(manifest, "export"):
-        text = write_items(result.items)
+        text = result.text
     out = Path(args.out or "items.jsonl")
     _write_out(out, text)
     manifest.outputs[str(out)] = digest_bytes(text.encode("utf-8"))
@@ -233,9 +236,11 @@ def cmd_match(args) -> int:
                                [r.id for r in br.bucket.members])
                               for br in result.buckets])
     manifest.outputs["buckets"] = digest_bytes(bucket_text.encode("utf-8"))
-    manifest_path = Path(str(out) + ".manifest.json")
-    manifest_path.write_text(manifest.to_json(), encoding="utf-8")
-    print(f"wrote {len(result.items)} items to {out}")
+    if not _is_stdout(out):
+        Path(str(out) + ".manifest.json").write_text(manifest.to_json(),
+                                                     encoding="utf-8")
+    # stdout may be the items themselves, so the status line goes to stderr
+    print(f"wrote {result.item_count} items to {out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -260,8 +265,9 @@ def cmd_sweep(args) -> int:
     table = format_sweep_table(rows)
     out = Path(args.out or "sweep.txt")
     _write_out(out, table)
-    Path(str(out) + ".csv").write_text(format_sweep_csv(rows), encoding="utf-8")
-    print(table, end="")
+    if not _is_stdout(out):
+        Path(str(out) + ".csv").write_text(format_sweep_csv(rows), encoding="utf-8")
+        print(table, end="")
     return EXIT_OK
 
 
@@ -279,8 +285,12 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _is_stdout(path) -> bool:
+    return path is None or str(path) == "-"
+
+
 def _write_out(path, text: str) -> None:
-    if path is None or str(path) == "-":
+    if _is_stdout(path):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")

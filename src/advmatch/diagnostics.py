@@ -5,7 +5,11 @@ Three probes stand in for human evaluation at desk scale:
 * machine_accuracy: how often a relevance scorer, acting as the
   attacker, picks the gold choice by argmax (ties count as incorrect);
 * lambda_sweep: rerun the whole pipeline across a tradeoff grid and
-  report attacker accuracy plus the matched relevance/similarity means;
+  report attacker accuracy plus the matched relevance/similarity means.
+  The attacker runs in the workers, next to the matching: each bucket
+  returns its hit count (``pipeline.attack_hits``, the count behind
+  machine_accuracy too), and the sweep divides their sum by the item
+  count, so no item is parsed back in the parent;
 * frequency_prior_probe: predict from per-response gold rates alone,
   without ever reading the query.  On well-matched output every response
   is gold once and a distractor K times, so the probe converges to
@@ -15,12 +19,13 @@ Three probes stand in for human evaluation at desk scale:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .matcher import MCQItem, MatchConfig
-from .pipeline import RunResult, run_match
+from .pipeline import Attacker, RunResult, attack_hits, run_match
 from .scoring import ScorerSpec, relevance_overlap
 from .corpus import Token
 
@@ -29,29 +34,23 @@ class DiagnosticsError(ValueError):
     """Raised for unusable probe inputs."""
 
 
-RelScorer = Callable[[Sequence[Token], Sequence[Token]], float]
+def overlap_attacker(eps: float = 1e-6) -> Attacker:
+    """The pipeline's own built-in relevance scorer as an attacker.
+
+    A ``functools.partial``, not a lambda, so that it pickles and can run
+    in pool workers under every start method.
+    """
+    return functools.partial(relevance_overlap, eps=eps)
 
 
-def overlap_attacker(eps: float = 1e-6) -> RelScorer:
-    """The pipeline's own built-in relevance scorer as an attacker."""
-    return lambda query, choice: relevance_overlap(query, choice, eps)
-
-
-def machine_accuracy(items: Sequence[MCQItem], scorer: RelScorer) -> float:
+def machine_accuracy(items: Sequence[MCQItem], scorer: Attacker) -> float:
     """Fraction of items where the scorer's argmax choice is gold.
 
-    Ties never count as correct: a scorer with no opinion must score zero,
-    not chance.
+    Ties never count as correct (see ``attack_hits``).
     """
     if not items:
         raise DiagnosticsError("machine_accuracy needs at least one item")
-    hits = 0
-    for item in items:
-        scores = [scorer(item.query, choice) for choice in item.choices]
-        top = max(scores)
-        if scores.count(top) == 1 and scores.index(top) == item.gold_index:
-            hits += 1
-    return hits / len(items)
+    return attack_hits(items, scorer) / len(items)
 
 
 def canonical_choice_text(tokens: Sequence[Token]) -> str:
@@ -110,9 +109,14 @@ def _matched_means(result: RunResult) -> tuple[float, float]:
 def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
                  rel_spec: ScorerSpec | None = None,
                  sim_spec: ScorerSpec | None = None,
-                 attacker: RelScorer | None = None,
+                 attacker: Attacker | None = None,
                  jobs: int = 1) -> list[SweepRow]:
-    """Full pipeline rerun per lambda (same seed); one row per grid point."""
+    """Full pipeline rerun per lambda (same seed); one row per grid point.
+
+    The attacker scores each bucket's items in the worker that matched
+    them, so with ``jobs > 1`` it must pickle (see ``run_match``); its
+    accuracy equals ``machine_accuracy(result.items, attacker)``.
+    """
     if not grid:
         raise DiagnosticsError("lambda grid is empty")
     attacker = attacker or overlap_attacker(config.eps)
@@ -120,13 +124,15 @@ def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
     for lam in grid:
         try:
             result = run_match(records, config.with_lambda(lam),
-                               rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs)
+                               rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs,
+                               attacker=attacker)
         except ValueError as exc:
             raise DiagnosticsError(f"lambda={lam}: {exc}") from exc
         sim_mean, rel_mean = _matched_means(result)
+        hits = sum(br.attack_hits for br in result.buckets)
         rows.append(SweepRow(
             lambda_=float(lam),
-            machine_accuracy=machine_accuracy(result.items, attacker),
+            machine_accuracy=hits / result.item_count,
             mean_gold_distractor_similarity=sim_mean,
             mean_distractor_relevance=rel_mean,
         ))

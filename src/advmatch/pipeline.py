@@ -7,8 +7,10 @@ assembled in sorted order, which makes the output byte-identical for any
 degree of parallelism.
 
 The pool receives the planned buckets once, when each worker starts, and
-then each bucket by its index.  A worker sends back only the bucket's items
-and the scores of its matched pairs; the score matrices stay in the worker.
+then each bucket by its index.  A worker sends back the bucket's finished
+JSONL text, the scores of its matched pairs and, when the run has an
+attacker, how many of its items the attacker answers; no item object and
+no score matrix leaves the worker.  The parent only joins the texts.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bucketing import Bucket, build_buckets
-from .corpus import FoldPlan, Record, split_folds
-from .matcher import MatchConfig, MCQItem, export_mcq, run_rounds
+from .corpus import FoldPlan, Record, Token, split_folds
+from .matcher import (MatchConfig, MCQItem, export_mcq, parse_items, run_rounds,
+                      write_items)
 from .remap import CandidateTable
 from .scoring import ExternalMatrixStore, ScorerSpec, score_bucket
 
@@ -31,19 +34,46 @@ class PipelineError(ValueError):
     """Raised for corpus/config combinations the pipeline cannot run."""
 
 
+# A relevance scorer standing in for the machine solving the items.
+Attacker = Callable[[Sequence[Token], Sequence[Token]], float]
+
+
+def attack_hits(items: Sequence[MCQItem], attacker: Attacker) -> int:
+    """Number of items whose strict argmax choice under ``attacker`` is gold.
+
+    Ties never count as hits: a scorer with no opinion must score zero,
+    not chance.
+    """
+    hits = 0
+    for item in items:
+        scores = [attacker(item.query, choice) for choice in item.choices]
+        top = max(scores)
+        if scores.count(top) == 1 and scores.index(top) == item.gold_index:
+            hits += 1
+    return hits
+
+
 @dataclass(frozen=True)
 class BucketResult:
-    """One bucket's items and the scores of its matched pairs.
+    """One bucket's serialized items and the scores of its matched pairs.
 
-    ``matched`` holds ``(relevance, similarity)`` for every (query,
-    distractor) pair, queries in member order and each query's distractors
-    in round order.  The score matrices are not kept: ``score_bucket`` on
-    ``bucket.members`` (or ``advmatch score``) recomputes them.
+    ``text`` is ``write_items`` of the bucket's items, one per member;
+    ``items`` parses it back on each access.  ``matched`` holds
+    ``(relevance, similarity)`` for every (query, distractor) pair, queries
+    in member order and each query's distractors in round order.  The
+    score matrices are not kept: ``score_bucket`` on ``bucket.members`` (or
+    ``advmatch score``) recomputes them.  ``attack_hits`` is the function's
+    count for the run's attacker, or None when the run had no attacker.
     """
 
     bucket: Bucket
-    items: tuple[MCQItem, ...]
+    text: str
     matched: tuple[tuple[float, float], ...]
+    attack_hits: int | None = None
+
+    @property
+    def items(self) -> list[MCQItem]:
+        return parse_items(self.text.split("\n"))
 
 
 @dataclass(frozen=True)
@@ -54,11 +84,19 @@ class RunResult:
     buckets: tuple[BucketResult, ...]
 
     @property
+    def text(self) -> str:
+        """The JSONL of every item, buckets in (fold, bucket id) order."""
+        return "".join(br.text for br in self.buckets)
+
+    @property
+    def item_count(self) -> int:
+        """One item per bucket member, counted without parsing ``text``."""
+        return sum(len(br.bucket.members) for br in self.buckets)
+
+    @property
     def items(self) -> list[MCQItem]:
-        out: list[MCQItem] = []
-        for br in self.buckets:
-            out.extend(br.items)
-        return out
+        """Every item, parsed back from ``text`` on each access."""
+        return parse_items(self.text.split("\n"))
 
 
 def resolve_mode(records: Sequence[Record], config: MatchConfig) -> str:
@@ -86,9 +124,9 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
     return plan, buckets
 
 
-def _process_bucket(args) -> tuple[tuple[MCQItem, ...], tuple[tuple[float, float], ...]]:
-    """Match one bucket; return its items and ``BucketResult.matched``."""
-    bucket, config, rel_spec, sim_spec, store = args
+def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int | None]:
+    """Match one bucket; return ``BucketResult``'s text, matched and attack_hits."""
+    bucket, config, rel_spec, sim_spec, store, attacker = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
     rel, sim = score_bucket(members, rel_spec, sim_spec, store)
@@ -102,7 +140,8 @@ def _process_bucket(args) -> tuple[tuple[MCQItem, ...], tuple[tuple[float, float
         for d in dset.distractors:
             j = index[d.source_id]
             matched.append((float(rel.values[i, j]), float(sim.values[i, j])))
-    return tuple(items), tuple(matched)
+    hits = None if attacker is None else attack_hits(items, attacker)
+    return write_items(items), tuple(matched), hits
 
 
 # The planned tasks of the run a pool worker serves, set once per worker.
@@ -121,13 +160,18 @@ def _run_task(index: int):
 def run_match(records: Sequence[Record], config: MatchConfig,
               rel_spec: ScorerSpec | None = None,
               sim_spec: ScorerSpec | None = None,
-              jobs: int = 1) -> RunResult:
+              jobs: int = 1, attacker: Attacker | None = None) -> RunResult:
     """Run the full matching pipeline over a corpus.
 
     External score matrices are referenced by path inside the specs,
     indexed once by their headers, and resolved per bucket by record-id
     match, so they must have been computed on the same remapped candidates
     this pipeline produces.  Each bucket reads only its own files.
+
+    With an ``attacker``, each bucket also counts its ``attack_hits`` where
+    it is matched.  Under the spawn and forkserver start methods the
+    attacker is pickled, so it must be a module-level function or a
+    ``functools.partial`` of one, not a lambda.
     """
     if not records:
         raise PipelineError("corpus is empty")
@@ -141,7 +185,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     store_paths = [s.path for s in (rel_spec, sim_spec)
                    if s.kind == "external_matrix" and s.path]
     store = ExternalMatrixStore(store_paths) if store_paths else None
-    tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
+    tasks = [(b, config, rel_spec, sim_spec, store, attacker) for b in buckets]
     if jobs > 1 and len(tasks) > 1:
         # fork inherits the tasks; spawn and forkserver pickle them once
         # per worker, not once per bucket
@@ -152,8 +196,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     else:
         outputs = [_process_bucket(t) for t in tasks]
 
-    results = [BucketResult(b, items, matched)
-               for b, (items, matched) in zip(buckets, outputs)]
+    results = [BucketResult(b, *output) for b, output in zip(buckets, outputs)]
     results.sort(key=lambda br: (br.bucket.fold, br.bucket.bucket_id))
     return RunResult(mode=mode, config=config, fold_plan=plan,
                      buckets=tuple(results))

@@ -172,6 +172,22 @@ class TestMatch:
         assert "match" in manifest["timings"]
         assert set(manifest["outputs"]) == {str(out), "fold_plan", "buckets"}
 
+    def test_out_dash_writes_only_items_to_stdout(self, workspace, capsys,
+                                                    monkeypatch):
+        tmp, corpus, config = workspace
+        monkeypatch.chdir(tmp)
+        out = tmp / "items.jsonl"
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text(encoding="utf-8")
+        assert len(parse_items(captured.out.splitlines())) == 8
+        assert captured.err == "wrote 8 items to -\n"
+        assert not list(tmp.glob("-*"))  # no manifest named after stdout
+
     def test_manifest_config_pinned(self, workspace):
         tmp, corpus, _ = workspace
         config = tmp / "every_key.json"
@@ -469,6 +485,18 @@ class TestSweepAndProbe:
         assert len(lines) == 4
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["1.0", "0.1", "0.01"]
         assert (tmp / "sweep.txt.csv").exists()
+
+    def test_sweep_out_dash_prints_the_table_once(self, workspace, capsys,
+                                                  monkeypatch):
+        tmp, corpus, config = workspace
+        monkeypatch.chdir(tmp)
+        out = tmp / "sweep.txt"
+        argv = ["sweep", str(corpus), "--config", str(config), "--grid", "1.0,0.1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+        assert not list(tmp.glob("-*"))  # no CSV named after stdout
 
     def test_sweep_default_lambda_from_mode(self, workspace):
         tmp, corpus, config = workspace

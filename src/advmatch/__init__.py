@@ -21,7 +21,7 @@ from .matcher import (DistractorSet, MatchConfig, MatchingError, MCQItem,
                       effective_similarity, export_mcq, parse_items, run_rounds,
                       weight_matrix, write_items)
 from .pipeline import PipelineError, RunResult, plan_buckets, run_match
-from .remap import CandidateTable, RemapError, remap_tags
+from .remap import CandidateTable, RemapError
 from .scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
                       read_score_matrix, relevance_overlap, score_bucket,
                       similarity_cosine, symmetrize_entailment,
@@ -43,7 +43,7 @@ __all__ = [
     "effective_similarity", "export_mcq", "parse_items", "run_rounds",
     "weight_matrix", "write_items",
     "PipelineError", "RunResult", "plan_buckets", "run_match",
-    "CandidateTable", "RemapError", "remap_tags",
+    "CandidateTable", "RemapError",
     "ScoreMatrix", "ScorerSpec", "ScoringError", "clamp_prob",
     "read_score_matrix", "relevance_overlap", "score_bucket",
     "similarity_cosine", "symmetrize_entailment", "write_score_matrix",

@@ -40,6 +40,9 @@ _PATTERN_LENGTHS = sorted({len(pat) for _, pats in QUESTION_TYPE_PATTERNS
                            for pat in pats})
 
 KMEANS_MAX_ITER = 100
+# Elements of the row x center x dimension temporary that one block of the
+# k-means distance computation may allocate (8 bytes each).
+KMEANS_BLOCK = 1 << 16
 
 
 class BucketingError(ValueError):
@@ -70,6 +73,22 @@ def question_type(question: Sequence[Token]) -> str:
     return "other"
 
 
+def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``((x[:, None] - centers[None]) ** 2).sum(axis=2)``, over blocks of rows.
+
+    Every block evaluates that same expression on its rows, so the result
+    is bit-identical, while the temporary stays at about KMEANS_BLOCK
+    elements instead of n x k x d.
+    """
+    k, d = centers.shape
+    step = max(1, KMEANS_BLOCK // max(1, k * d))
+    d2 = np.empty((x.shape[0], k))
+    for start in range(0, x.shape[0], step):
+        rows = x[start:start + step, None, :]
+        d2[start:start + step] = ((rows - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2
+
+
 def cluster_embeddings(vectors: Sequence[Sequence[float]], k: int,
                        seed: int) -> np.ndarray:
     """Seeded deterministic k-means labels (farthest-point init, cap 100 iters)."""
@@ -92,7 +111,7 @@ def cluster_embeddings(vectors: Sequence[Sequence[float]], k: int,
 
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = squared_distances(x, centers)
         new_labels = np.argmin(d2, axis=1)
         # Re-seat empty clusters on the currently worst-fit points.
         for c in range(k):

@@ -10,10 +10,12 @@ seed must be pinned in one of the two, never taken from the clock.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Iterable
 
 from .bucketing import BucketingError
 from .corpus import (CorpusError, parse_records, scan_records, serialize_records,
@@ -173,7 +175,7 @@ def cmd_split(args) -> int:
     config, _, _ = _load_config(args)
     records = _read_corpus(args.input)
     plan = split_folds(records, config.n_folds, config.seed)
-    _write_out(args.out, serialize_records(records, plan.assignment))
+    _write_out(args.out, [serialize_records(records, plan.assignment)])
     return EXIT_OK
 
 
@@ -185,7 +187,7 @@ def cmd_buckets(args) -> int:
                          "members": [r.id for r in b.members]},
                         ensure_ascii=False, separators=(",", ":"))
              for b in buckets]
-    _write_out(args.out, "\n".join(lines) + "\n")
+    _write_out(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -225,11 +227,10 @@ def cmd_match(args) -> int:
         records = parse_records(data.split(b"\n"))  # lines as a file yields them
     with StageTimer(manifest, "match"):
         result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs)
-    with StageTimer(manifest, "export"):
-        text = result.text
     out = Path(args.out or "items.jsonl")
-    _write_out(out, text)
-    manifest.outputs[str(out)] = digest_bytes(text.encode("utf-8"))
+    with StageTimer(manifest, "export"):
+        texts = (br.text for br in result.buckets)
+        manifest.outputs[str(out)] = _write_out(out, texts)
     fold_text = json.dumps(result.fold_plan.assignment, sort_keys=True)
     manifest.outputs["fold_plan"] = digest_bytes(fold_text.encode("utf-8"))
     bucket_text = json.dumps([(br.bucket.bucket_id,
@@ -264,7 +265,7 @@ def cmd_sweep(args) -> int:
     rows = lambda_sweep(records, grid, config, rel_spec, sim_spec, jobs=args.jobs)
     table = format_sweep_table(rows)
     out = Path(args.out or "sweep.txt")
-    _write_out(out, table)
+    _write_out(out, [table])
     if not _is_stdout(out):
         Path(str(out) + ".csv").write_text(format_sweep_csv(rows), encoding="utf-8")
         print(table, end="")
@@ -289,11 +290,24 @@ def _is_stdout(path) -> bool:
     return path is None or str(path) == "-"
 
 
-def _write_out(path, text: str) -> None:
+def _write_out(path, chunks: Iterable[str]) -> str:
+    """Write the chunks as UTF-8, in order, to ``path`` or stdout.
+
+    Returns the SHA-256 of the bytes written, fed chunk by chunk, so the
+    whole output is never held as one string.
+    """
+    digest = hashlib.sha256()
     if _is_stdout(path):
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            digest.update(chunk.encode("utf-8"))
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                f.write(data)
+                digest.update(data)
+    return digest.hexdigest()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,7 +50,8 @@ def machine_accuracy(items: Sequence[MCQItem], scorer: Attacker) -> float:
     """
     if not items:
         raise DiagnosticsError("machine_accuracy needs at least one item")
-    return attack_hits(items, scorer) / len(items)
+    questions = ((item.query, item.choices, item.gold_index) for item in items)
+    return attack_hits(questions, scorer) / len(items)
 
 
 def canonical_choice_text(tokens: Sequence[Token]) -> str:
@@ -115,7 +116,9 @@ def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
 
     The attacker scores each bucket's items in the worker that matched
     them, so with ``jobs > 1`` it must pickle (see ``run_match``); its
-    accuracy equals ``machine_accuracy(result.items, attacker)``.
+    accuracy equals ``machine_accuracy(result.items, attacker)``.  A grid
+    point's run is dropped before the next point runs, so only one run's
+    texts are held at a time.
     """
     if not grid:
         raise DiagnosticsError("lambda grid is empty")
@@ -136,6 +139,7 @@ def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
             mean_gold_distractor_similarity=sim_mean,
             mean_distractor_relevance=rel_mean,
         ))
+        del result
     return rows
 
 

@@ -95,15 +95,20 @@ def effective_similarity(sim: ScoreMatrix | np.ndarray,
     ``eff[i][j] = max(sim[a][j] for a in {i} | assigned[i])``; with nothing
     assigned this is just ``sim`` itself.  Already-assigned responses hit
     the unit diagonal and come out as exactly 1.0, which downstream turns
-    into a forbidden pair.
+    into a forbidden pair.  The rows are folded in one ``np.maximum`` per
+    assignment depth: the d-th assigned response of every row at once.
     """
     values = sim.values if isinstance(sim, ScoreMatrix) else np.asarray(sim)
     eff = values.copy()
     items = assigned.items() if isinstance(assigned, Mapping) else enumerate(assigned)
-    for i, extra in items:
-        if extra:
-            rows = [i, *sorted(extra)]
-            eff[i] = values[rows].max(axis=0)
+    extra = [(i, sorted(cols)) for i, cols in items if cols]
+    depth = 0
+    while extra:
+        rows = [i for i, _ in extra]
+        cols = [c[depth] for _, c in extra]
+        eff[rows] = np.maximum(eff[rows], values[cols])
+        depth += 1
+        extra = [(i, c) for i, c in extra if len(c) > depth]
     return eff
 
 
@@ -128,7 +133,7 @@ def weight_matrix(rel: ScoreMatrix | np.ndarray, eff_sim: np.ndarray,
 @dataclass(frozen=True)
 class Distractor:
     source_id: str
-    tokens: tuple[Token, ...]
+    text: str  # the remapped response, as ``tokens_to_text`` writes it
     round_index: int
 
 
@@ -148,7 +153,7 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
     ``candidates`` is a ``remap.CandidateTable`` or anything with
     ``get(pairs)``: given a round's ``(query, response)`` index pairs, it
     returns the distractor text of each, in order.  It is called once per
-    round, so a table can derive the round's substreams in one batch.
+    round, so a table can decode the round's substreams in one batch.
     Without it the raw gold responses are used.
     """
     n = len(bucket)
@@ -176,9 +181,9 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
                 raise MatchingError(
                     f"round {t}: invalid assignment {i} -> {j} (self or repeat)")
         texts = (candidates.get(pairs) if candidates is not None
-                 else [bucket[j].gold for _, j in pairs])
-        for (i, j), tokens in zip(pairs, texts):
-            picks[i].append(Distractor(bucket[j].id, tuple(tokens), t))
+                 else [tokens_to_text(bucket[j].gold) for _, j in pairs])
+        for (i, j), text in zip(pairs, texts):
+            picks[i].append(Distractor(bucket[j].id, text, t))
             assigned[i].add(j)
 
     sets = []
@@ -218,36 +223,49 @@ class MCQItem:
     bucket_id: str | None = None
 
 
+# json.dumps of one string or scalar, as it appears inside an item line
+_json_value = json.JSONEncoder(ensure_ascii=False).encode
+_GOLD_PROVENANCE = '{"kind":"gold"}'
+
+
 def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record],
                seed: int, fold: int | None = None, bucket_id: str | None = None,
-               ) -> list[MCQItem]:
-    """Shuffle gold + distractors into choice lists, keyed per query id.
+               ) -> list[str]:
+    """Shuffle gold + distractors into choices; one JSONL item line per query.
 
-    The shuffle substreams of all queries are derived in one batch; each
-    equals ``derive_rng(seed, "shuffle", query_id)``.
+    Each line ends in a newline and is the ``item_to_json`` line of the
+    item, written straight from the texts, so ``"".join`` of the lines is
+    ``write_items`` of the items and ``parse_items`` reads them back.  A
+    query's choice order is ``derive_rng(seed, "shuffle",
+    query_id).permutation(K + 1)`` over (gold, distractors in round
+    order); the orders of all queries are decoded in one batch.
     """
     by_id = {r.id: r for r in bucket}
     streams = Substreams(seed, [("shuffle", d.query_id) for d in distractor_sets])
-    items = []
-    for k, dset in enumerate(distractor_sets):
+    sizes = [len(d.distractors) + 1 for d in distractor_sets]
+    orders: list = [None] * len(sizes)
+    for size in set(sizes):
+        rows = [k for k, n in enumerate(sizes) if n == size]
+        for row, order in zip(rows, streams.permutation(size, rows).tolist()):
+            orders[row] = order
+    place = (f',"fold":{_json_value(fold)},"bucket":{_json_value(bucket_id)}'
+             ',"task_mode":')
+    lines = []
+    for dset, order in zip(distractor_sets, orders):
         record = by_id[dset.query_id]
-        choices: list[tuple[Token, ...]] = [record.gold]
-        prov: list[Provenance] = [Provenance("gold")]
+        choices = [_json_value(tokens_to_text(record.gold))]
+        prov = [_GOLD_PROVENANCE]
         for d in dset.distractors:
-            choices.append(d.tokens)
-            prov.append(Provenance("distractor", d.source_id, d.round_index))
-        order = streams.load(k).permutation(len(choices)).tolist()
-        items.append(MCQItem(
-            id=record.id,
-            query=record.query,
-            choices=tuple(choices[p] for p in order),
-            gold_index=order.index(0),
-            provenance=tuple(prov[p] for p in order),
-            task_mode=record.task_mode,
-            fold=fold,
-            bucket_id=bucket_id,
-        ))
-    return items
+            choices.append(_json_value(d.text))
+            prov.append(f'{{"kind":"distractor","source":{_json_value(d.source_id)}'
+                        f',"round":{d.round_index}}}')
+        lines.append(
+            f'{{"id":{_json_value(record.id)}{place}{_json_value(record.task_mode)}'
+            f',"query":{_json_value(tokens_to_text(record.query))}'
+            f',"choices":[{",".join([choices[p] for p in order])}]'
+            f',"gold_index":{order.index(0)}'
+            f',"provenance":[{",".join([prov[p] for p in order])}]}}\n')
+    return lines
 
 
 def item_to_json(item: MCQItem) -> str:

@@ -10,7 +10,8 @@ The pool receives the planned buckets once, when each worker starts, and
 then each bucket by its index.  A worker sends back the bucket's finished
 JSONL text, the scores of its matched pairs and, when the run has an
 attacker, how many of its items the attacker answers; no item object and
-no score matrix leaves the worker.  The parent only joins the texts.
+no score matrix leaves the worker.  The parent writes the texts out bucket
+by bucket, in order.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bucketing import Bucket, build_buckets
-from .corpus import FoldPlan, Record, Token, split_folds
-from .matcher import (MatchConfig, MCQItem, export_mcq, parse_items, run_rounds,
-                      write_items)
+from .corpus import (FoldPlan, Record, Token, parse_token_stream, split_folds,
+                     tokens_to_text)
+from .matcher import (DistractorSet, MatchConfig, MCQItem, export_mcq, parse_items,
+                      run_rounds)
 from .remap import CandidateTable
 from .scoring import ExternalMatrixStore, ScorerSpec, score_bucket
 
@@ -38,19 +40,34 @@ class PipelineError(ValueError):
 Attacker = Callable[[Sequence[Token], Sequence[Token]], float]
 
 
-def attack_hits(items: Sequence[MCQItem], attacker: Attacker) -> int:
-    """Number of items whose strict argmax choice under ``attacker`` is gold.
+# What an attacker sees of one item: query, choices and the gold's position.
+Question = tuple[Sequence[Token], Sequence[Sequence[Token]], int]
+
+
+def attack_hits(questions: Iterable[Question], attacker: Attacker) -> int:
+    """Number of questions whose strict argmax choice under ``attacker`` is gold.
 
     Ties never count as hits: a scorer with no opinion must score zero,
     not chance.
     """
     hits = 0
-    for item in items:
-        scores = [attacker(item.query, choice) for choice in item.choices]
+    for query, choices, gold_index in questions:
+        scores = [attacker(query, choice) for choice in choices]
         top = max(scores)
-        if scores.count(top) == 1 and scores.index(top) == item.gold_index:
+        if scores.count(top) == 1 and scores.index(top) == gold_index:
             hits += 1
     return hits
+
+
+def _questions(dsets: Sequence[DistractorSet],
+               members: Sequence[Record]) -> Iterable[Question]:
+    """Each set's question, gold first, read back from the texts its item holds."""
+    by_id = {r.id: r for r in members}
+    for dset in dsets:
+        record = by_id[dset.query_id]
+        choices = [parse_token_stream(tokens_to_text(record.gold))]
+        choices += [parse_token_stream(d.text) for d in dset.distractors]
+        yield parse_token_stream(tokens_to_text(record.query)), choices, 0
 
 
 @dataclass(frozen=True)
@@ -131,7 +148,7 @@ def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int | N
     candidates = CandidateTable(members, config.p_reuse, config.seed)
     rel, sim = score_bucket(members, rel_spec, sim_spec, store)
     dsets = run_rounds(members, rel, sim, config, candidates)
-    items = export_mcq(dsets, members, config.seed, fold=bucket.fold,
+    lines = export_mcq(dsets, members, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
     index = {r.id: pos for pos, r in enumerate(members)}
     matched = []
@@ -140,8 +157,9 @@ def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int | N
         for d in dset.distractors:
             j = index[d.source_id]
             matched.append((float(rel.values[i, j]), float(sim.values[i, j])))
-    hits = None if attacker is None else attack_hits(items, attacker)
-    return write_items(items), tuple(matched), hits
+    hits = None if attacker is None else attack_hits(_questions(dsets, members),
+                                                       attacker)
+    return "".join(lines), tuple(matched), hits
 
 
 # The planned tasks of the run a pool worker serves, set once per worker.

@@ -18,7 +18,8 @@ from advmatch.assignment import WeightMatrix, brute_force_lap, solve_lap_max
 from advmatch.cli import main
 from advmatch.corpus import serialize_records, split_folds
 from advmatch.diagnostics import frequency_prior_probe, lambda_sweep
-from advmatch.matcher import MatchConfig, export_mcq, run_rounds, weight_matrix
+from advmatch.matcher import (MatchConfig, export_mcq, parse_items, run_rounds,
+                              weight_matrix)
 from advmatch.pipeline import run_match
 from advmatch.scoring import ScorerSpec
 
@@ -76,7 +77,7 @@ def test_criterion_2_recycling_and_prior():
 
     items = []
     for shuffle_seed in range(50):
-        items.extend(export_mcq(dsets, bucket, seed=shuffle_seed))
+        items.extend(parse_items(export_mcq(dsets, bucket, seed=shuffle_seed)))
     assert len(items) >= 5000
     accuracy = frequency_prior_probe(items, items)
     assert abs(accuracy - 0.25) <= 0.02, f"prior probe at {accuracy:.4f}"

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from advmatch import bucketing
 from advmatch.bucketing import (QUESTION_TYPE_PATTERNS, BucketingError,
                                 build_buckets, cluster_embeddings,
-                                pronoun_class, question_type)
+                                pronoun_class, question_type, squared_distances)
 from advmatch.corpus import parse_token_stream as pts
 
 from conftest import make_record
@@ -115,6 +118,22 @@ class TestClusterEmbeddings:
         a = cluster_embeddings(x, 4, seed=11)
         b = cluster_embeddings(x, 4, seed=11)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 9), st.integers(1, 40),
+           st.sampled_from([1, 7, 64, bucketing.KMEANS_BLOCK]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_blocked_distances_equal_unblocked(self, n, k, d, block, seed):
+        # blocks of one row, of a few rows, and the default all agree with
+        # the n x k x d formula bit for bit, and so do the labels
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0)
+        centers = rng.normal(size=(k, d))
+        want = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        with mock.patch.object(bucketing, "KMEANS_BLOCK", block):
+            assert np.array_equal(squared_distances(x, centers), want)
+            labels = cluster_embeddings(x, min(k, n), seed=seed)
+        assert np.array_equal(labels, cluster_embeddings(x, min(k, n), seed=seed))
 
     def test_errors(self):
         with pytest.raises(BucketingError, match="empty"):

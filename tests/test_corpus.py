@@ -210,7 +210,8 @@ class TestInterning:
                         ("car",)),
         ]
         table = CandidateTable(records, p_reuse=0.5, seed=3)
-        remapped = _all_tokens(table.get([(i, j) for i in range(3) for j in range(3)]))
+        texts = table.get([(i, j) for i in range(3) for j in range(3)])
+        remapped = _all_tokens(parse_token_stream(text) for text in texts)
         assert any(t.is_tag for t in remapped)
         for t in remapped:
             expected = (Token.tag(t.tag_class, t.tag_index) if t.is_tag

@@ -188,7 +188,7 @@ class TestRunRounds:
         index = {r.id: k for k, r in enumerate(bucket)}
         for i, ds in enumerate(sets):
             for d in ds.distractors:
-                assert d.tokens == candidates.get([(i, index[d.source_id])])[0]
+                assert d.text == candidates.get([(i, index[d.source_id])])[0]
 
 
 class TestLambdaTradeoff:
@@ -220,22 +220,26 @@ class TestExport:
         cfg = MatchConfig(seed=0, rounds=rounds)
         return bucket, run_rounds(bucket, rel, sim, cfg)
 
+    @staticmethod
+    def _items(sets, bucket, **kwargs):
+        return parse_items(export_mcq(sets, bucket, **kwargs))
+
     def test_four_choices(self):
         bucket, sets = self._sets()
-        items = export_mcq(sets, bucket, seed=21)
+        items = self._items(sets, bucket, seed=21)
         assert all(len(it.choices) == 4 for it in items)
         assert all(len(it.provenance) == 4 for it in items)
 
     def test_same_seed_same_gold_indices(self):
         bucket, sets = self._sets()
-        a = export_mcq(sets, bucket, seed=21)
-        b = export_mcq(sets, bucket, seed=21)
+        a = self._items(sets, bucket, seed=21)
+        b = self._items(sets, bucket, seed=21)
         assert [i.gold_index for i in a] == [i.gold_index for i in b]
         assert a == b
 
     def test_gold_matches_provenance(self):
         bucket, sets = self._sets()
-        for item in export_mcq(sets, bucket, seed=22):
+        for item in self._items(sets, bucket, seed=22):
             assert item.provenance[item.gold_index].kind == "gold"
             others = [p for k, p in enumerate(item.provenance) if k != item.gold_index]
             assert all(p.kind == "distractor" for p in others)
@@ -245,7 +249,7 @@ class TestExport:
         bucket, sets = self._sets(n=100, seed=14)
         counts = Counter()
         for seed in range(100):
-            for item in export_mcq(sets, bucket, seed=seed):
+            for item in self._items(sets, bucket, seed=seed):
                 counts[item.gold_index] += 1
         total = sum(counts.values())
         assert total == 10_000
@@ -255,6 +259,8 @@ class TestExport:
 
     def test_items_round_trip_jsonl(self):
         bucket, sets = self._sets(n=8, seed=15)
-        items = export_mcq(sets, bucket, seed=9, fold=2, bucket_id="f2:x:0")
-        text = write_items(items)
-        assert parse_items(text.splitlines()) == items
+        lines = export_mcq(sets, bucket, seed=9, fold=2, bucket_id="f2:x:0")
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        items = parse_items(lines)
+        assert write_items(items) == "".join(lines)
+        assert [(it.fold, it.bucket_id) for it in items] == [(2, "f2:x:0")] * 8

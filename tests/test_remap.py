@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from advmatch.corpus import Record, Token, parse_token_stream as pts
-from advmatch.remap import CandidateTable, RemapError, remap_tags
+from advmatch.corpus import Record, Token, parse_token_stream as pts, tokens_to_text
+from advmatch.remap import CandidateTable, RemapError
 from advmatch.scoring import content
 from advmatch.seeding import derive_rng
 
 from conftest import simple_bucket_corpus
+from remap_oracle import remap_tags
 
 
 def target(objects, query="why is [person:1] here ?", gold="[person:1] rests ."):
@@ -133,7 +135,8 @@ class TestCandidateTable:
     def test_self_pair_untouched(self):
         bucket = simple_bucket_corpus(4, seed=2)
         table = CandidateTable(bucket, p_reuse=0.5, seed=0)
-        assert table.get([(i, i) for i in range(4)]) == [r.gold for r in bucket]
+        assert table.get([(i, i) for i in range(4)]) == [tokens_to_text(r.gold)
+                                                          for r in bucket]
 
     def test_matches_remap_tags_substream(self):
         bucket = simple_bucket_corpus(5, seed=3)
@@ -143,7 +146,7 @@ class TestCandidateTable:
             rng = derive_rng(7, "remap", bucket[i].id, bucket[j].id)
             expected = remap_tags(bucket[j].gold, bucket[i],
                                   0.3, rng)
-            assert got == expected
+            assert got == tokens_to_text(expected)
 
     def test_content_matches_materialized_tokens(self):
         # the content of a pair's text must not depend on the remapping's random
@@ -166,4 +169,37 @@ class TestCandidateTable:
         for p_reuse, seed in ((0.4, 14), (0.0, 13), (1.0, 7)):
             table = CandidateTable(records, p_reuse=p_reuse, seed=seed)
             for got, ref in zip(table.get(pairs), reference):
-                assert content(got) == content(ref)
+                assert content(pts(got)) == content(pts(ref))
+
+
+@st.composite
+def _tagged_record(draw, i):
+    """A record whose gold tags its own objects; some have no objects at all."""
+    objects = tuple(draw(st.lists(st.sampled_from(["person", "car", "dog", "cup"]),
+                                  max_size=4)))
+    tags = [f"[{label}:{k}]" for k, label in enumerate(objects, 1)]
+    pieces = st.one_of(st.sampled_from(["w", "the", "own", "."]), st.sampled_from(tags)
+                       ) if tags else st.sampled_from(["w", "the", "own", "."])
+    query = ["why", *draw(st.lists(pieces, max_size=3)), "?"]
+    gold = draw(st.lists(pieces, min_size=1, max_size=5))
+    return Record(id=f"r{i}", source_key="m", query=pts(" ".join(query)),
+                  gold=pts(" ".join(gold)), objects=objects)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_get_equals_oracle_text(data):
+    # empty pools spell the class out, classes the target lacks fall back to
+    # its persons, and p_reuse 0 and 1 take one pool order only
+    n = data.draw(st.integers(1, 6))
+    bucket = [data.draw(_tagged_record(i)) for i in range(n)]
+    p_reuse = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               unique=True, max_size=n * n))
+    got = CandidateTable(bucket, p_reuse, seed).get(pairs)
+    for (i, j), text in zip(pairs, got):
+        rng = derive_rng(seed, "remap", bucket[i].id, bucket[j].id)
+        want = bucket[j].gold if i == j else remap_tags(bucket[j].gold, bucket[i],
+                                                        p_reuse, rng)
+        assert text == tokens_to_text(want)

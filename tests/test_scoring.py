@@ -188,7 +188,7 @@ class TestScoreBucket:
             rel, sim = score_bucket(bucket, *_specs())
             pairs = [(i, j) for i in range(n) for j in range(n)]
             for (i, j), text in zip(pairs, candidates.get(pairs)):
-                expected = relevance_overlap(bucket[i].query, text, EPS)
+                expected = relevance_overlap(bucket[i].query, pts(text), EPS)
                 assert rel.values[i, j] == expected
             for i in range(n):
                 for j in range(n):
@@ -212,7 +212,7 @@ class TestScoreBucket:
         rel, _ = score_bucket(bucket, *_specs())
         pairs = [(i, j) for i in range(n) for j in range(n)]
         for (i, j), text in zip(pairs, candidates.get(pairs)):
-            expected = relevance_overlap(bucket[i].query, text, EPS)
+            expected = relevance_overlap(bucket[i].query, pts(text), EPS)
             assert rel.values[i, j] == expected
 
     def test_entrywise_recomputation_cosine(self):

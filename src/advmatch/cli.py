@@ -23,9 +23,6 @@ from .corpus import (CorpusError, parse_records, scan_records, serialize_records
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
 from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items
-# Not called here since the workers serialize; bench/tracer.py still wraps
-# the name advmatch.cli.write_items, so it stays importable from this module.
-from .matcher import write_items  # noqa: F401
 from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
                        digest_file, plan_buckets, resolve_mode, run_match)
 from .remap import RemapError

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -87,9 +87,7 @@ class MatchConfig:
         return replace(self, lambda_=lambda_)
 
 
-def effective_similarity(sim: ScoreMatrix | np.ndarray,
-                         assigned: Mapping[int, set[int]] | Sequence[set[int]],
-                         ) -> np.ndarray:
+def effective_similarity(sim: np.ndarray, assigned: Sequence[set[int]]) -> np.ndarray:
     """Per-pair similarity against the gold response and everything assigned.
 
     ``eff[i][j] = max(sim[a][j] for a in {i} | assigned[i])``; with nothing
@@ -98,34 +96,29 @@ def effective_similarity(sim: ScoreMatrix | np.ndarray,
     into a forbidden pair.  The rows are folded in one ``np.maximum`` per
     assignment depth: the d-th assigned response of every row at once.
     """
-    values = sim.values if isinstance(sim, ScoreMatrix) else np.asarray(sim)
-    eff = values.copy()
-    items = assigned.items() if isinstance(assigned, Mapping) else enumerate(assigned)
-    extra = [(i, sorted(cols)) for i, cols in items if cols]
+    eff = sim.copy()
+    extra = [(i, sorted(cols)) for i, cols in enumerate(assigned) if cols]
     depth = 0
     while extra:
         rows = [i for i, _ in extra]
         cols = [c[depth] for _, c in extra]
-        eff[rows] = np.maximum(eff[rows], values[cols])
+        eff[rows] = np.maximum(eff[rows], sim[cols])
         depth += 1
         extra = [(i, c) for i, c in extra if len(c) > depth]
     return eff
 
 
-def weight_matrix(rel: ScoreMatrix | np.ndarray, eff_sim: np.ndarray,
-                  lambda_: float) -> WeightMatrix:
+def weight_matrix(rel: np.ndarray, eff_sim: np.ndarray, lambda_: float) -> WeightMatrix:
     """Tradeoff weights with self-pairs and saturated pairs forbidden."""
-    rel_values = rel.values if isinstance(rel, ScoreMatrix) else np.asarray(rel)
-    eff = np.asarray(eff_sim, dtype=np.float64)
-    if rel_values.shape != eff.shape:
+    if rel.shape != eff_sim.shape:
         raise MatchingError(
-            f"shape mismatch: relevance {rel_values.shape} vs similarity {eff.shape}")
-    if (rel_values <= 0.0).any():
+            f"shape mismatch: relevance {rel.shape} vs similarity {eff_sim.shape}")
+    if (rel <= 0.0).any():
         raise MatchingError("relevance entries must be positive (clamp first)")
-    forbidden = eff >= 1.0
+    forbidden = eff_sim >= 1.0
     np.fill_diagonal(forbidden, True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.log(rel_values) + lambda_ * np.log1p(-eff)
+        values = np.log(rel) + lambda_ * np.log1p(-eff_sim)
     values[forbidden] = 0.0
     return WeightMatrix(values=values, forbidden=forbidden)
 
@@ -223,9 +216,31 @@ class MCQItem:
     bucket_id: str | None = None
 
 
-# json.dumps of one string or scalar, as it appears inside an item line
-_json_value = json.JSONEncoder(ensure_ascii=False).encode
-_GOLD_PROVENANCE = '{"kind":"gold"}'
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _json_value(value) -> str:
+    """json.dumps of one string or scalar; an int skips the encoder's setup."""
+    return repr(value) if type(value) is int else _encode(value)
+
+
+def _item_line(item_id, fold, bucket_id, task_mode, query: str,
+               choices: Sequence[str], gold_index: int,
+               provenance: Sequence[tuple | None]) -> str:
+    """One item's JSONL line: compact ``json.dumps`` with ``ensure_ascii=False``.
+
+    Per choice in served order, ``provenance`` is None for the gold, else
+    the distractor's ``(source id, round)``."""
+    prov = ",".join(
+        '{"kind":"gold"}' if p is None else
+        f'{{"kind":"distractor","source":{_json_value(p[0])}'
+        f',"round":{_json_value(p[1])}}}'
+        for p in provenance)
+    return (f'{{"id":{_json_value(item_id)},"fold":{_json_value(fold)}'
+            f',"bucket":{_json_value(bucket_id)},"task_mode":{_json_value(task_mode)}'
+            f',"query":{_json_value(query)}'
+            f',"choices":[{",".join(map(_json_value, choices))}]'
+            f',"gold_index":{_json_value(gold_index)},"provenance":[{prov}]}}\n')
 
 
 def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record],
@@ -233,8 +248,8 @@ def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record
                ) -> list[str]:
     """Shuffle gold + distractors into choices; one JSONL item line per query.
 
-    Each line ends in a newline and is the ``item_to_json`` line of the
-    item, written straight from the texts, so ``"".join`` of the lines is
+    Each line ends in a newline and is written straight from the texts by
+    the same encoder as :func:`write_items`, so ``"".join`` of the lines is
     ``write_items`` of the items and ``parse_items`` reads them back.  A
     query's choice order is ``derive_rng(seed, "shuffle",
     query_id).permutation(K + 1)`` over (gold, distractors in round
@@ -248,45 +263,15 @@ def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record
         rows = [k for k, n in enumerate(sizes) if n == size]
         for row, order in zip(rows, streams.permutation(size, rows).tolist()):
             orders[row] = order
-    place = (f',"fold":{_json_value(fold)},"bucket":{_json_value(bucket_id)}'
-             ',"task_mode":')
     lines = []
     for dset, order in zip(distractor_sets, orders):
         record = by_id[dset.query_id]
-        choices = [_json_value(tokens_to_text(record.gold))]
-        prov = [_GOLD_PROVENANCE]
-        for d in dset.distractors:
-            choices.append(_json_value(d.text))
-            prov.append(f'{{"kind":"distractor","source":{_json_value(d.source_id)}'
-                        f',"round":{d.round_index}}}')
-        lines.append(
-            f'{{"id":{_json_value(record.id)}{place}{_json_value(record.task_mode)}'
-            f',"query":{_json_value(tokens_to_text(record.query))}'
-            f',"choices":[{",".join([choices[p] for p in order])}]'
-            f',"gold_index":{order.index(0)}'
-            f',"provenance":[{",".join([prov[p] for p in order])}]}}\n')
+        choices = [tokens_to_text(record.gold), *(d.text for d in dset.distractors)]
+        prov = [None, *((d.source_id, d.round_index) for d in dset.distractors)]
+        lines.append(_item_line(
+            record.id, fold, bucket_id, record.task_mode, tokens_to_text(record.query),
+            [choices[p] for p in order], order.index(0), [prov[p] for p in order]))
     return lines
-
-
-def item_to_json(item: MCQItem) -> str:
-    prov = []
-    for p in item.provenance:
-        if p.kind == "gold":
-            prov.append({"kind": "gold"})
-        else:
-            prov.append({"kind": "distractor", "source": p.source_id,
-                         "round": p.round_index})
-    obj = {
-        "id": item.id,
-        "fold": item.fold,
-        "bucket": item.bucket_id,
-        "task_mode": item.task_mode,
-        "query": tokens_to_text(item.query),
-        "choices": [tokens_to_text(c) for c in item.choices],
-        "gold_index": item.gold_index,
-        "provenance": prov,
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 def _item_from_json(obj: dict) -> MCQItem:
@@ -338,4 +323,10 @@ def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQ
 
 
 def write_items(items: Iterable[MCQItem]) -> str:
-    return "".join(item_to_json(it) + "\n" for it in items)
+    """The JSONL of the items, one line each, as :func:`export_mcq` writes it."""
+    return "".join(
+        _item_line(it.id, it.fold, it.bucket_id, it.task_mode, tokens_to_text(it.query),
+                   [tokens_to_text(c) for c in it.choices], it.gold_index,
+                   [None if p.kind == "gold" else (p.source_id, p.round_index)
+                    for p in it.provenance])
+        for it in items)

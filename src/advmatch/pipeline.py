@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .bucketing import Bucket, build_buckets
-from .corpus import (FoldPlan, Record, Token, parse_token_stream, split_folds,
-                     tokens_to_text)
+from .corpus import FoldPlan, Record, Token, parse_token_stream, split_folds
 from .matcher import (DistractorSet, MatchConfig, MCQItem, export_mcq, parse_items,
                       run_rounds)
 from .remap import CandidateTable
@@ -61,21 +60,20 @@ def attack_hits(questions: Iterable[Question], attacker: Attacker) -> int:
 
 def _questions(dsets: Sequence[DistractorSet],
                members: Sequence[Record]) -> Iterable[Question]:
-    """Each set's question, gold first, read back from the texts its item holds."""
+    """Each set's question, gold first, with the distractors read from their text."""
     by_id = {r.id: r for r in members}
     for dset in dsets:
         record = by_id[dset.query_id]
-        choices = [parse_token_stream(tokens_to_text(record.gold))]
-        choices += [parse_token_stream(d.text) for d in dset.distractors]
-        yield parse_token_stream(tokens_to_text(record.query)), choices, 0
+        choices = [record.gold, *(parse_token_stream(d.text) for d in dset.distractors)]
+        yield record.query, choices, 0
 
 
 @dataclass(frozen=True)
 class BucketResult:
     """One bucket's serialized items and the scores of its matched pairs.
 
-    ``text`` is ``write_items`` of the bucket's items, one per member;
-    ``items`` parses it back on each access.  ``matched`` holds
+    ``text`` is ``write_items`` of the bucket's items, one per member, and
+    ``parse_items`` reads them back.  ``matched`` holds
     ``(relevance, similarity)`` for every (query, distractor) pair, queries
     in member order and each query's distractors in round order.  The
     score matrices are not kept: ``score_bucket`` on ``bucket.members`` (or
@@ -87,10 +85,6 @@ class BucketResult:
     text: str
     matched: tuple[tuple[float, float], ...]
     attack_hits: int | None = None
-
-    @property
-    def items(self) -> list[MCQItem]:
-        return parse_items(self.text.split("\n"))
 
 
 @dataclass(frozen=True)

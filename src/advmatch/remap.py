@@ -70,6 +70,12 @@ class CandidateTable:
             slots = [k for k, t in enumerate(r.gold) if t.kind == "tag"]
             mentioned = sorted({t.tag_index for t in r.query if t.kind == "tag"}
                                | {r.gold[k].tag_index for k in slots})
+            # records built in code skip validate_record; 0 would wrap
+            if mentioned and not 1 <= mentioned[0] <= mentioned[-1] <= len(labels):
+                bad = [t.to_text() for t in (*r.query, *r.gold) if t.kind == "tag"
+                       and not 1 <= t.tag_index <= len(labels)]
+                raise RemapError(f"record {r.id}: tag {bad[0]} is outside its "
+                                 f"{len(labels)} objects")
             for (rec, cls, idx), pool in ((mentioned_pools, mentioned),
                                           (object_pools, range(1, len(labels) + 1))):
                 rec += [i] * len(pool)

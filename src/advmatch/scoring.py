@@ -13,8 +13,9 @@ scorers (content-word overlap, embedding cosine) are deliberately simple,
 deterministic stand-ins so the pipeline is exercisable end to end.
 
 Score-matrix files carry a one-line JSON header ``{role, n, dtype,
-layout, ids}`` followed by n*n little-endian float32 values (row-major),
-or a TSV body for n <= 1000.
+layout, ids}`` followed by n*n little-endian float32 values (row-major).
+The reader also takes a TSV body for n <= 1000, one row per line, from
+scorers outside this program.
 """
 
 from __future__ import annotations
@@ -362,9 +363,8 @@ TSV_MAX_N = 1000
 
 
 def write_score_matrix(path: str | os.PathLike, role: str,
-                       values: np.ndarray | ScoreMatrix,
-                       ids: Sequence[str], fmt: str = "binary") -> None:
-    """Write a score matrix file (binary float32 payload, or TSV for n <= 1000)."""
+                       values: np.ndarray | ScoreMatrix, ids: Sequence[str]) -> None:
+    """Write a score matrix file: the header line, then the float32 payload."""
     if isinstance(values, ScoreMatrix):
         role, values = values.role, values.values
     if role not in _ROLES:
@@ -379,21 +379,9 @@ def write_score_matrix(path: str | os.PathLike, role: str,
         {"role": role, "n": n, "dtype": "float32", "layout": "row-major",
          "ids": list(ids)},
         ensure_ascii=False, separators=(",", ":"))
-    path = Path(path)
-    if fmt == "binary":
-        with open(path, "wb") as f:
-            f.write(header.encode("utf-8") + b"\n")
-            f.write(np.ascontiguousarray(vals, dtype="<f4").tobytes())
-    elif fmt == "tsv":
-        if n > TSV_MAX_N:
-            raise ScoringError(f"TSV format only accepted for n <= {TSV_MAX_N}, got {n}")
-        rows = vals.astype("<f4")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(header + "\n")
-            for row in rows:
-                f.write("\t".join(repr(float(x)) for x in row) + "\n")
-    else:
-        raise ScoringError(f"unknown format {fmt!r} (use 'binary' or 'tsv')")
+    with open(path, "wb") as f:
+        f.write(header.encode("utf-8") + b"\n")
+        f.write(np.ascontiguousarray(vals, dtype="<f4").tobytes())
 
 
 def _read_header(f: IO[bytes], path: Path) -> tuple[str, list[str]]:

@@ -25,8 +25,8 @@ generator's, draw for draw:
 
 A 32-bit draw takes the lower half of a new word and keeps the upper half
 for the next 32-bit draw of the same key, as numpy's ``PCG64`` does; a
-64-bit draw leaves that buffered half alone.  :func:`derive_rng` loads a
-single key into an ordinary ``Generator``.
+64-bit draw leaves that buffered half alone.  :func:`derive_rng` is the
+substream's own ``Generator``, for the few keys drawn from one at a time.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ class Substreams:
     :meth:`random`, :meth:`integers` and :meth:`permutation` make one draw
     on each of the given rows (all rows by default), equal to the same
     ``Generator`` call on that row's stream; rows not given do not move.
-    ``rows`` must not repeat a row.  :meth:`load` returns a ``Generator``
-    at a row's current position; drawing from it does not move the row.
+    ``rows`` must not repeat a row.
     """
 
     def __init__(self, root: int, scopes: Sequence[Sequence[object]]):
@@ -161,22 +160,6 @@ class Substreams:
             np.frombuffer(digests, dtype="<u4"))
         self._half = np.zeros(len(scopes), dtype=np.uint64)
         self._has_half = np.zeros(len(scopes), dtype=bool)
-        self._rng: np.random.Generator | None = None
-
-    def load(self, k: int) -> np.random.Generator:
-        """A generator at row ``k``'s position, reused by every ``load``.
-
-        The next ``load`` resets that same generator, so finish drawing
-        from one row before loading another.
-        """
-        if self._rng is None:
-            self._rng = np.random.Generator(np.random.PCG64(0))
-        state = (int(self._hi[k]) << 64) | int(self._lo[k])
-        inc = (int(self._inc_hi[k]) << 64) | int(self._inc_lo[k])
-        self._rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": int(self._has_half[k]), "uinteger": int(self._half[k])}
-        return self._rng
 
     def _rows(self, rows) -> np.ndarray:
         if rows is None:
@@ -248,4 +231,4 @@ class Substreams:
 
 def derive_rng(root: int, *scope: object) -> np.random.Generator:
     """A fresh Generator seeded from the (root, scope) substream key."""
-    return Substreams(root, [scope]).load(0)
+    return np.random.default_rng(derive_seed(root, *scope))

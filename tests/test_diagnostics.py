@@ -10,7 +10,7 @@ from advmatch.diagnostics import (DiagnosticsError, _matched_means,
                                   canonical_choice_text, format_sweep_csv,
                                   format_sweep_table, frequency_prior_probe,
                                   lambda_sweep, machine_accuracy)
-from advmatch.matcher import MatchConfig, MCQItem, Provenance
+from advmatch.matcher import MatchConfig, MCQItem, Provenance, parse_items
 from advmatch.pipeline import run_match
 from advmatch.scoring import ScorerSpec, score_bucket
 
@@ -183,7 +183,7 @@ class TestLambdaSweep:
         for br in result.buckets:
             rel, sim = score_bucket(br.bucket.members, rel_spec, sim_spec)
             index = {r.id: pos for pos, r in enumerate(br.bucket.members)}
-            for item in br.items:
+            for item in parse_items(br.text.splitlines()):
                 i = index[item.id]
                 picks = sorted((p for p in item.provenance if p.kind == "distractor"),
                                key=lambda p: p.round_index)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch.assignment import brute_force_lap
+from advmatch.corpus import Record, Token, parse_token_stream
 from advmatch.matcher import (MatchConfig, MatchingError, effective_similarity,
                               export_mcq, parse_items, run_rounds, weight_matrix,
                               write_items)
@@ -264,3 +266,50 @@ class TestExport:
         items = parse_items(lines)
         assert write_items(items) == "".join(lines)
         assert [(it.fold, it.bucket_id) for it in items] == [(2, "f2:x:0")] * 8
+        # a parsed item's null round is written back as null
+        line = lines[0].replace('"round":1}', '"round":null}')
+        assert write_items(parse_items([line])) == line
+
+
+# quotes, backslashes, controls, a line separator and non-BMP text, plus any
+# character but a surrogate
+_chars = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"]),
+    st.characters(exclude_categories=("Cs",)))
+_names = st.text(_chars, max_size=6)
+# a piece that parses back to one word token of the same text
+_words = st.text(_chars, min_size=1, max_size=4).filter(
+    lambda w: parse_token_stream(w) == (Token.word(w),))
+
+
+@st.composite
+def _export_bucket(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 6))
+    pieces = st.one_of(_words, st.just("[person:1]"))
+
+    def stream(min_size):
+        return parse_token_stream(" ".join(draw(st.lists(pieces, min_size=min_size,
+                                                           max_size=4))))
+
+    ids = draw(st.lists(_names, min_size=n, max_size=n, unique=True))
+    mode = draw(st.sampled_from(["qa", "qar"]))
+    records = [Record(id=rid, source_key="m", query=stream(0), gold=stream(1),
+                      objects=("person",), task_mode=mode) for rid in ids]
+    return records, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_export_bucket(), st.one_of(st.none(), st.integers(0, 20)),
+       st.one_of(st.none(), _names), st.integers(0, 2 ** 32))
+def test_item_lines_are_compact_json_and_round_trip(bucket_k, fold, bucket_id, seed):
+    bucket, k = bucket_k
+    rel, sim = random_scores(len(bucket), seed)
+    sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
+                      CandidateTable(bucket, p_reuse=0.5, seed=seed))
+    lines = export_mcq(sets, bucket, seed, fold=fold, bucket_id=bucket_id)
+    assert write_items(parse_items(lines)) == "".join(lines)
+    # the reference: compact json.dumps of each line's object
+    for line in lines:
+        obj = json.loads(line)
+        assert line == json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"

@@ -148,6 +148,30 @@ class TestCandidateTable:
                                   0.3, rng)
             assert got == tokens_to_text(expected)
 
+    # records built in code reach the table without validate_record
+    def test_gold_tag_past_objects_names_record(self):
+        bucket = simple_bucket_corpus(3, seed=1)
+        bucket.append(Record(id="bad", source_key="m", query=pts("why ?"),
+                             gold=pts("[car:1] drives ."), objects=()))
+        with pytest.raises(RemapError, match=r"record bad: tag \[car:1\]"):
+            CandidateTable(bucket, p_reuse=0.5, seed=0)
+        bucket[-1] = Record(id="bad", source_key="m", query=pts("why ?"),
+                            gold=pts("[car:1] passes [car:2] ."), objects=("car",))
+        with pytest.raises(RemapError, match=r"record bad: tag \[car:2\]"):
+            CandidateTable(bucket, p_reuse=0.5, seed=0)
+
+    def test_query_tag_zero_names_record(self):
+        # index 0 used to wrap to the previous record's last tag, so
+        # "[dog:1] runs ." was served to "bad" as "[cat:1] runs ."
+        bucket = [Record(id="a", source_key="m", query=pts("why ?"),
+                         gold=pts("[cat:1] sits ."), objects=("cat",)),
+                  Record(id="bad", source_key="m", query=pts("is [dog:0] ok ?"),
+                         gold=pts("it rests ."), objects=("dog",)),
+                  Record(id="c", source_key="m", query=pts("why ?"),
+                         gold=pts("[dog:1] runs ."), objects=("dog",))]
+        with pytest.raises(RemapError, match=r"record bad: tag \[dog:0\]"):
+            CandidateTable(bucket, p_reuse=1.0, seed=0)
+
     def test_content_matches_materialized_tokens(self):
         # the content of a pair's text must not depend on the remapping's random
         # draws, fallback translations included: the overlap scorer relies

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -286,19 +287,29 @@ class TestMatrixFiles:
         assert got_ids == ids
         assert np.array_equal(got, vals.astype(np.float32).astype(np.float64))
 
+    @staticmethod
+    def _write_tsv(path, role, ids, body):
+        # the program writes binary only; TSV bodies come from outside it
+        header = json.dumps({"role": role, "n": len(ids), "dtype": "float32",
+                             "layout": "row-major", "ids": ids})
+        path.write_text(header + "\n" + body, encoding="utf-8")
+
     def test_tsv_round_trip(self, tmp_path):
         vals, ids = self._matrix(4, seed=1)
         path = tmp_path / "m.tsv"
-        write_score_matrix(path, "similarity", vals, ids, fmt="tsv")
+        body = "".join("\t".join(repr(float(x)) for x in row) + "\n"
+                       for row in vals.astype("<f4"))
+        self._write_tsv(path, "similarity", ids, body)
         role, got, got_ids = read_score_matrix(path)
         assert role == "similarity"
+        assert got_ids == ids
         assert np.array_equal(got, vals.astype(np.float32).astype(np.float64))
 
     def test_tsv_size_cap(self, tmp_path):
-        vals = np.zeros((1001, 1001))
+        path = tmp_path / "m.tsv"
+        self._write_tsv(path, "relevance", [str(i) for i in range(1001)], "0.5\n")
         with pytest.raises(ScoringError, match="1000"):
-            write_score_matrix(tmp_path / "m.tsv", "relevance", vals,
-                               [str(i) for i in range(1001)], fmt="tsv")
+            read_score_matrix(path)
 
     def test_header_errors(self, tmp_path):
         path = tmp_path / "bad.scm"

@@ -18,8 +18,8 @@ from .corpus import (CorpusError, FoldPlan, Record, Token, ValidationReport,
 from .diagnostics import (SweepRow, frequency_prior_probe, lambda_sweep,
                           machine_accuracy, overlap_attacker)
 from .matcher import (DistractorSet, MatchConfig, MatchingError, MCQItem,
-                      effective_similarity, export_mcq, parse_items, run_rounds,
-                      weight_matrix, write_items)
+                      export_mcq, parse_items, run_rounds, weight_matrix,
+                      write_items)
 from .pipeline import PipelineError, RunResult, plan_buckets, run_match
 from .remap import CandidateTable, RemapError
 from .scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
@@ -40,8 +40,8 @@ __all__ = [
     "SweepRow", "frequency_prior_probe", "lambda_sweep", "machine_accuracy",
     "overlap_attacker",
     "DistractorSet", "MatchConfig", "MatchingError", "MCQItem",
-    "effective_similarity", "export_mcq", "parse_items", "run_rounds",
-    "weight_matrix", "write_items",
+    "export_mcq", "parse_items", "run_rounds", "weight_matrix",
+    "write_items",
     "PipelineError", "RunResult", "plan_buckets", "run_match",
     "CandidateTable", "RemapError",
     "ScoreMatrix", "ScorerSpec", "ScoringError", "clamp_prob",

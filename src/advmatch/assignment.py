@@ -10,6 +10,11 @@ shortest-augmenting-path solver happens to find:
   float64, so co-optimality is decided exactly on the Q grid;
 * forbidden entries are an explicit mask, handed to scipy as +inf costs;
   scipy raises exactly when no perfect matching avoids them;
+* the costs are column-reduced before scipy sees them: each column's
+  smallest allowed cost is subtracted, as in the initialisation of Jonker
+  and Volgenant's solver.  That moves every perfect matching's total by the
+  same constant, so the optimal mappings stay the same, and the costs stay
+  integers that never grow;
 * from the solver's optimum, dual potentials are recovered by Bellman-Ford.
   The tight edges that lie on an alternating cycle are exactly the edges of
   the optimal mappings, and the lexicographically smallest perfect matching
@@ -133,11 +138,15 @@ def _quantize(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
 
 
 def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-    """max(Q) - Q, the solver's integer costs, with +inf on forbidden entries."""
+    """The solver's integer costs, with +inf on forbidden entries.
+
+    max(Q) - Q less each column's smallest allowed entry is each column's
+    largest allowed Q minus Q.  Every column keeps an allowed entry, so the
+    reduced costs of each column are finite, >= 0 and 0 somewhere.
+    """
     q = _quantize(values, forbidden)
-    cost = np.subtract(q.max(), q, out=q)
-    cost[forbidden] = np.inf
-    return cost
+    q[forbidden] = -np.inf
+    return np.subtract(q.max(axis=0), q, out=q)
 
 
 def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
@@ -248,6 +257,8 @@ def solve_lap_max(w: WeightMatrix) -> Assignment:
     mapping is the lexicographically smallest of the maximum-total mappings
     of the quantized weights (see module docstring).
     """
+    if w.n == 0:
+        return Assignment(mapping=(), total_weight=0.0)
     cost = _grid_cost(w.values, w.forbidden)
     try:
         mapping = linear_sum_assignment(cost)[1]

@@ -87,27 +87,6 @@ class MatchConfig:
         return replace(self, lambda_=lambda_)
 
 
-def effective_similarity(sim: np.ndarray, assigned: Sequence[set[int]]) -> np.ndarray:
-    """Per-pair similarity against the gold response and everything assigned.
-
-    ``eff[i][j] = max(sim[a][j] for a in {i} | assigned[i])``; with nothing
-    assigned this is just ``sim`` itself.  Already-assigned responses hit
-    the unit diagonal and come out as exactly 1.0, which downstream turns
-    into a forbidden pair.  The rows are folded in one ``np.maximum`` per
-    assignment depth: the d-th assigned response of every row at once.
-    """
-    eff = sim.copy()
-    extra = [(i, sorted(cols)) for i, cols in enumerate(assigned) if cols]
-    depth = 0
-    while extra:
-        rows = [i for i, _ in extra]
-        cols = [c[depth] for _, c in extra]
-        eff[rows] = np.maximum(eff[rows], sim[cols])
-        depth += 1
-        extra = [(i, c) for i, c in extra if len(c) > depth]
-    return eff
-
-
 def weight_matrix(rel: np.ndarray, eff_sim: np.ndarray, lambda_: float) -> WeightMatrix:
     """Tradeoff weights with self-pairs and saturated pairs forbidden."""
     if rel.shape != eff_sim.shape:
@@ -144,10 +123,11 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
     """K matching rounds over one bucket; returns one DistractorSet per record.
 
     ``candidates`` is a ``remap.CandidateTable`` or anything with
-    ``get(pairs)``: given a round's ``(query, response)`` index pairs, it
-    returns the distractor text of each, in order.  It is called once per
-    round, so a table can decode the round's substreams in one batch.
-    Without it the raw gold responses are used.
+    ``get(pairs)``: given ``(query, response)`` index pairs, it returns the
+    distractor text of each, in order.  It is called once per bucket, after
+    the last round, with every round's pairs in round order, so a table can
+    decode all of the bucket's substreams in one batch.  Without it the raw
+    gold responses are used.
     """
     n = len(bucket)
     k = config.rounds
@@ -160,31 +140,37 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
     mode = config.mode or bucket[0].task_mode
     lam = config.resolved_lambda(mode)
 
-    assigned: list[set[int]] = [set() for _ in range(n)]
-    picks: list[list[Distractor]] = [[] for _ in range(n)]
+    # eff[i][j]: the largest sim[a][j] over a = i and every response
+    # assigned to i so far; an assigned response meets the unit diagonal,
+    # so its pair saturates at 1.0 and is forbidden from then on
+    eff = sim_values.copy()
+    rows = np.arange(n)
+    mappings = np.empty((k, n), dtype=np.intp)
     for t in range(1, k + 1):
-        eff = effective_similarity(sim_values, assigned)
         try:
             result = solve_lap_max(weight_matrix(rel_values, eff, lam))
         except AssignmentError as exc:
             raise MatchingError(f"round {t}: {exc}") from exc
-        pairs = list(enumerate(result.mapping))
-        for i, j in pairs:
-            if j == i or j in assigned[i]:
-                raise MatchingError(
-                    f"round {t}: invalid assignment {i} -> {j} (self or repeat)")
-        texts = (candidates.get(pairs) if candidates is not None
-                 else [tokens_to_text(bucket[j].gold) for _, j in pairs])
-        for (i, j), text in zip(pairs, texts):
-            picks[i].append(Distractor(bucket[j].id, text, t))
-            assigned[i].add(j)
+        mapping = mappings[t - 1]
+        mapping[:] = result.mapping
+        bad = np.flatnonzero((mapping == rows) | (mappings[:t - 1] == mapping).any(axis=0))
+        if bad.size:
+            i = int(bad[0])
+            raise MatchingError(
+                f"round {t}: invalid assignment {i} -> {mapping[i]} (self or repeat)")
+        np.maximum(eff, sim_values[mapping], out=eff)
 
+    pairs = [(i, j) for mapping in mappings.tolist() for i, j in enumerate(mapping)]
+    texts = (candidates.get(pairs) if candidates is not None
+             else [tokens_to_text(bucket[j].gold) for _, j in pairs])
     sets = []
-    for i, row in enumerate(picks):
+    for i, cols in enumerate(mappings.T.tolist()):
+        row = tuple(Distractor(bucket[j].id, texts[t * n + i], t + 1)
+                    for t, j in enumerate(cols))
         sources = [d.source_id for d in row]
         if bucket[i].id in sources or len(set(sources)) != len(sources):
             raise MatchingError(f"distractor invariants violated for {bucket[i].id}")
-        sets.append(DistractorSet(query_id=bucket[i].id, distractors=tuple(row)))
+        sets.append(DistractorSet(query_id=bucket[i].id, distractors=row))
     return sets
 
 

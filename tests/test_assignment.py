@@ -9,9 +9,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from advmatch.assignment import (FORBIDDEN, GRID_BITS, AssignmentError,
-                                 WeightMatrix, _grid_cost, _lexicalize,
-                                 _quantize, brute_force_lap, solve_lap_max)
+from advmatch.assignment import (FORBIDDEN, GRID_BITS, Assignment,
+                                 AssignmentError, WeightMatrix, _grid_cost,
+                                 _lexicalize, _quantize, brute_force_lap,
+                                 solve_lap_max)
 
 
 def dense(rows):
@@ -62,6 +63,11 @@ class TestExamples:
             a = solver(w)
             assert a.mapping == (0, 1)
             assert a.total_weight == 0.9 + 0.05
+
+    def test_empty_matrix(self):
+        w = dense([])
+        assert solve_lap_max(w) == brute_force_lap(w) == Assignment(
+            mapping=(), total_weight=0.0)
 
     def test_oracle_size_cap(self):
         w = WeightMatrix(values=np.zeros((11, 11)),
@@ -145,17 +151,22 @@ class TestOracleAgreement:
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
-           st.integers(-8, 8))
-    def test_row_shift_invariance(self, n, seed, shift_units):
-        # dyadic values keep the shifted sums exact
+           st.integers(-8, 8), st.sampled_from(["row", "column"]))
+    def test_row_shift_invariance(self, n, seed, shift_units, axis):
+        # one row or one column shifted by c moves every perfect matching's
+        # total by c, which is what the solver's column reduction relies
+        # on; dyadic values keep the shifted sums exact
         rng = np.random.default_rng(seed)
         values = rng.integers(-64, 64, size=(n, n)) / 16.0
         w = WeightMatrix(values=values, forbidden=np.zeros((n, n), dtype=bool))
         base = solve_lap_max(w)
         c = shift_units / 4.0
-        row = int(rng.integers(n))
+        line = int(rng.integers(n))
         shifted_values = values.copy()
-        shifted_values[row] += c
+        if axis == "row":
+            shifted_values[line] += c
+        else:
+            shifted_values[:, line] += c
         shifted = solve_lap_max(WeightMatrix(values=shifted_values,
                                              forbidden=np.zeros((n, n), dtype=bool)))
         assert shifted.mapping == base.mapping

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from advmatch import matcher
 from advmatch.assignment import brute_force_lap
 from advmatch.corpus import Record, Token, parse_token_stream
-from advmatch.matcher import (MatchConfig, MatchingError, effective_similarity,
-                              export_mcq, parse_items, run_rounds, weight_matrix,
-                              write_items)
+from advmatch.matcher import (MatchConfig, MatchingError, export_mcq, parse_items,
+                              run_rounds, weight_matrix, write_items)
 from advmatch.remap import CandidateTable
 from advmatch.scoring import ScorerSpec, score_bucket
 
@@ -30,6 +30,32 @@ def random_scores(n, seed):
     sim = np.minimum(sim, sim.T)
     np.fill_diagonal(sim, 1.0)
     return rel, sim
+
+
+def effective_similarity(sim, assigned):
+    """The reference for the similarity ``run_rounds`` carries across rounds.
+
+    ``eff[i][j] = max(sim[a][j] for a in {i} | assigned[i])``, computed from
+    scratch; with nothing assigned this is ``sim`` itself.  An assigned
+    response meets the unit diagonal and comes out as exactly 1.0.
+    """
+    eff = sim.copy()
+    for i, cols in enumerate(assigned):
+        for a in cols:
+            eff[i] = np.maximum(eff[i], sim[a])
+    return eff
+
+
+class _CountingTable:
+    """A candidate table that records the pairs of every ``get``."""
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def get(self, pairs):
+        self.calls.append(list(pairs))
+        return self.table.get(pairs)
 
 
 class TestConfig:
@@ -191,6 +217,42 @@ class TestRunRounds:
         for i, ds in enumerate(sets):
             for d in ds.distractors:
                 assert d.text == candidates.get([(i, index[d.source_id])])[0]
+
+    def test_one_get_per_bucket_in_round_order(self):
+        n, k = 9, 3
+        bucket = simple_bucket_corpus(n, seed=16)
+        rel, sim = random_scores(n, 17)
+        table = _CountingTable(CandidateTable(bucket, p_reuse=0.5, seed=4))
+        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k), table)
+        assert len(table.calls) == 1
+        index = {r.id: j for j, r in enumerate(bucket)}
+        # round 1's pairs for rows 0..n-1, then round 2's, and so on
+        want = [(i, index[ds.distractors[t].source_id])
+                for t in range(k) for i, ds in enumerate(sets)]
+        assert len(want) == k * n
+        assert table.calls[0] == want
+
+    def test_carried_similarity_equals_the_reference(self, monkeypatch):
+        seen = []
+        original = matcher.weight_matrix
+
+        def spy(rel, eff, lam):
+            seen.append(eff.copy())  # run_rounds updates eff in place
+            return original(rel, eff, lam)
+
+        monkeypatch.setattr(matcher, "weight_matrix", spy)
+        for n, k, seed in [(5, 4, 20), (12, 3, 21), (30, 5, 22)]:
+            seen.clear()
+            bucket = simple_bucket_corpus(n, seed=seed)
+            rel, sim = random_scores(n, seed)
+            sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k))
+            index = {r.id: j for j, r in enumerate(bucket)}
+            assigned = [set() for _ in range(n)]
+            assert len(seen) == k
+            for t, eff in enumerate(seen):
+                assert np.array_equal(eff, effective_similarity(sim, assigned))
+                for i, ds in enumerate(sets):
+                    assigned[i].add(index[ds.distractors[t].source_id])
 
 
 class TestLambdaTradeoff:

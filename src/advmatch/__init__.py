@@ -16,7 +16,7 @@ from .corpus import (CorpusError, FoldPlan, Record, Token, ValidationReport,
                      serialize_records, split_folds, tokens_to_text,
                      validate_record)
 from .diagnostics import (SweepRow, frequency_prior_probe, lambda_sweep,
-                          machine_accuracy, overlap_attacker)
+                          machine_accuracy)
 from .matcher import (DistractorSet, MatchConfig, MatchingError, MCQItem,
                       export_mcq, parse_items, run_rounds, weight_matrix,
                       write_items)
@@ -38,7 +38,6 @@ __all__ = [
     "parse_records", "parse_token_stream", "record_to_json",
     "serialize_records", "split_folds", "tokens_to_text", "validate_record",
     "SweepRow", "frequency_prior_probe", "lambda_sweep", "machine_accuracy",
-    "overlap_attacker",
     "DistractorSet", "MatchConfig", "MatchingError", "MCQItem",
     "export_mcq", "parse_items", "run_rounds", "weight_matrix",
     "write_items",

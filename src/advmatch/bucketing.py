@@ -182,7 +182,8 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
             f"target_size must be at least n_distractors + 1 = {min_size}")
     if len(records) < min_size:
         raise BucketingError(
-            f"fold has {len(records)} records; need at least {min_size}")
+            f"{_fold_label(fold, records)} has {len(records)} records; "
+            f"need at least {min_size}")
     if mode not in ("qa", "qar"):
         raise BucketingError(f"mode must be 'qa' or 'qar', got {mode!r}")
 
@@ -230,6 +231,12 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
     return _merge_small(buckets, min_size)
 
 
+def _fold_label(fold: int, records: Sequence[Record]) -> str:
+    """``fold F (ids a, b, c, ...)``: the fold and its first record ids."""
+    ids = sorted(r.id for r in records)
+    return f"fold {fold} (ids {', '.join(ids[:3])}{', ...' if len(ids) > 3 else ''})"
+
+
 def _merge_small(buckets: list[Bucket], min_size: int) -> list[Bucket]:
     work = list(buckets)
     while len(work) > 1:
@@ -246,6 +253,8 @@ def _merge_small(buckets: list[Bucket], min_size: int) -> list[Bucket]:
                                      key=lambda r: r.id)))
         work[work.index(target)] = merged
     if any(len(b.members) < min_size for b in work):
+        records = [r for b in work for r in b.members]
         raise BucketingError(
-            f"fold cannot form a bucket of at least {min_size} records")
+            f"{_fold_label(work[0].fold, records)} cannot form a bucket of "
+            f"at least {min_size} records")
     return sorted(work, key=lambda b: b.bucket_id)

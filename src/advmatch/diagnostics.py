@@ -6,10 +6,12 @@ Three probes stand in for human evaluation at desk scale:
   attacker, picks the gold choice by argmax (ties count as incorrect);
 * lambda_sweep: rerun the whole pipeline across a tradeoff grid and
   report attacker accuracy plus the matched relevance/similarity means.
-  The attacker runs in the workers, next to the matching: each bucket
-  returns its hit count (``pipeline.attack_hits``, the count behind
-  machine_accuracy too), and the sweep divides their sum by the item
-  count, so no item is parsed back in the parent;
+  The attacker is the overlap relevance scorer at the config's eps.  Each
+  bucket counts its hits in the worker that matched it, from the
+  relevance matrix it scored (``BucketResult.attack_hits``), and the sweep
+  divides their sum by the item count, so no item is parsed back in the
+  parent.  ``machine_accuracy`` with ``relevance_overlap`` gives the same
+  number from parsed items;
 * frequency_prior_probe: predict from per-response gold rates alone,
   without ever reading the query.  On well-matched output every response
   is gold once and a distractor K times, so the probe converges to
@@ -19,14 +21,13 @@ Three probes stand in for human evaluation at desk scale:
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .matcher import MCQItem, MatchConfig
-from .pipeline import Attacker, RunResult, attack_hits, run_match
-from .scoring import ScorerSpec, relevance_overlap
+from .pipeline import RunResult, run_match
+from .scoring import ScorerSpec
 from .corpus import Token
 
 
@@ -34,24 +35,21 @@ class DiagnosticsError(ValueError):
     """Raised for unusable probe inputs."""
 
 
-def overlap_attacker(eps: float = 1e-6) -> Attacker:
-    """The pipeline's own built-in relevance scorer as an attacker.
+def machine_accuracy(items: Sequence[MCQItem], scorer: Callable[..., float]) -> float:
+    """Fraction of items where the scorer's strict argmax choice is gold.
 
-    A ``functools.partial``, not a lambda, so that it pickles and can run
-    in pool workers under every start method.
-    """
-    return functools.partial(relevance_overlap, eps=eps)
-
-
-def machine_accuracy(items: Sequence[MCQItem], scorer: Attacker) -> float:
-    """Fraction of items where the scorer's argmax choice is gold.
-
-    Ties never count as correct (see ``attack_hits``).
+    Ties never count as correct: a scorer with no opinion must score zero,
+    not chance.
     """
     if not items:
         raise DiagnosticsError("machine_accuracy needs at least one item")
-    questions = ((item.query, item.choices, item.gold_index) for item in items)
-    return attack_hits(questions, scorer) / len(items)
+    hits = 0
+    for item in items:
+        scores = [scorer(item.query, choice) for choice in item.choices]
+        top = max(scores)
+        if scores.count(top) == 1 and scores.index(top) == item.gold_index:
+            hits += 1
+    return hits / len(items)
 
 
 def canonical_choice_text(tokens: Sequence[Token]) -> str:
@@ -110,25 +108,22 @@ def _matched_means(result: RunResult) -> tuple[float, float]:
 def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
                  rel_spec: ScorerSpec | None = None,
                  sim_spec: ScorerSpec | None = None,
-                 attacker: Attacker | None = None,
                  jobs: int = 1) -> list[SweepRow]:
     """Full pipeline rerun per lambda (same seed); one row per grid point.
 
-    The attacker scores each bucket's items in the worker that matched
-    them, so with ``jobs > 1`` it must pickle (see ``run_match``); its
-    accuracy equals ``machine_accuracy(result.items, attacker)``.  A grid
-    point's run is dropped before the next point runs, so only one run's
-    texts are held at a time.
+    A row's accuracy is the sum of the run's ``attack_hits`` over its item
+    count, which equals ``machine_accuracy(result.items,
+    functools.partial(relevance_overlap, eps=config.eps))`` for any
+    ``rel_spec``.  A grid point's run is dropped before the next point
+    runs, so only one run's texts are held at a time.
     """
     if not grid:
         raise DiagnosticsError("lambda grid is empty")
-    attacker = attacker or overlap_attacker(config.eps)
     rows = []
     for lam in grid:
         try:
             result = run_match(records, config.with_lambda(lam),
-                               rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs,
-                               attacker=attacker)
+                               rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs)
         except ValueError as exc:
             raise DiagnosticsError(f"lambda={lam}: {exc}") from exc
         sim_mean, rel_mean = _matched_means(result)

@@ -8,10 +8,10 @@ degree of parallelism.
 
 The pool receives the planned buckets once, when each worker starts, and
 then each bucket by its index.  A worker sends back the bucket's finished
-JSONL text, the scores of its matched pairs and, when the run has an
-attacker, how many of its items the attacker answers; no item object and
-no score matrix leaves the worker.  The parent writes the texts out bucket
-by bucket, in order.
+JSONL text, the scores of its matched pairs and how many of its items the
+attacker (the overlap relevance scorer at the run's eps) answers; no item
+object and no score matrix leaves the worker.  The parent writes the texts
+out bucket by bucket, in order.
 """
 
 from __future__ import annotations
@@ -21,51 +21,19 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .bucketing import Bucket, build_buckets
-from .corpus import FoldPlan, Record, Token, parse_token_stream, split_folds
-from .matcher import (DistractorSet, MatchConfig, MCQItem, export_mcq, parse_items,
-                      run_rounds)
+from .corpus import FoldPlan, Record, split_folds
+from .matcher import MatchConfig, MCQItem, export_mcq, parse_items, run_rounds
 from .remap import CandidateTable
-from .scoring import ExternalMatrixStore, ScorerSpec, score_bucket
+from .scoring import ExternalMatrixStore, ScorerSpec, relevance_values, score_bucket
 
 
 class PipelineError(ValueError):
     """Raised for corpus/config combinations the pipeline cannot run."""
-
-
-# A relevance scorer standing in for the machine solving the items.
-Attacker = Callable[[Sequence[Token], Sequence[Token]], float]
-
-
-# What an attacker sees of one item: query, choices and the gold's position.
-Question = tuple[Sequence[Token], Sequence[Sequence[Token]], int]
-
-
-def attack_hits(questions: Iterable[Question], attacker: Attacker) -> int:
-    """Number of questions whose strict argmax choice under ``attacker`` is gold.
-
-    Ties never count as hits: a scorer with no opinion must score zero,
-    not chance.
-    """
-    hits = 0
-    for query, choices, gold_index in questions:
-        scores = [attacker(query, choice) for choice in choices]
-        top = max(scores)
-        if scores.count(top) == 1 and scores.index(top) == gold_index:
-            hits += 1
-    return hits
-
-
-def _questions(dsets: Sequence[DistractorSet],
-               members: Sequence[Record]) -> Iterable[Question]:
-    """Each set's question, gold first, with the distractors read from their text."""
-    by_id = {r.id: r for r in members}
-    for dset in dsets:
-        record = by_id[dset.query_id]
-        choices = [record.gold, *(parse_token_stream(d.text) for d in dset.distractors)]
-        yield record.query, choices, 0
 
 
 @dataclass(frozen=True)
@@ -77,14 +45,16 @@ class BucketResult:
     ``(relevance, similarity)`` for every (query, distractor) pair, queries
     in member order and each query's distractors in round order.  The
     score matrices are not kept: ``score_bucket`` on ``bucket.members`` (or
-    ``advmatch score``) recomputes them.  ``attack_hits`` is the function's
-    count for the run's attacker, or None when the run had no attacker.
+    ``advmatch score``) recomputes them.  ``attack_hits`` counts the items
+    whose gold the attacker, overlap relevance at the run's eps, scores
+    strictly above every distractor (``machine_accuracy`` with
+    ``relevance_overlap`` counts the same over parsed items).
     """
 
     bucket: Bucket
     text: str
     matched: tuple[tuple[float, float], ...]
-    attack_hits: int | None = None
+    attack_hits: int
 
 
 @dataclass(frozen=True)
@@ -135,25 +105,31 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
     return plan, buckets
 
 
-def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int | None]:
-    """Match one bucket; return ``BucketResult``'s text, matched and attack_hits."""
-    bucket, config, rel_spec, sim_spec, store, attacker = args
+def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int]:
+    """Match one bucket; return ``BucketResult``'s text, matched and attack_hits.
+
+    Row i of a relevance matrix scores every choice of record i's item as
+    remapped onto record i, gold on the diagonal: the attacker reads it.
+    """
+    bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
     rel, sim = score_bucket(members, rel_spec, sim_spec, store)
     dsets = run_rounds(members, rel, sim, config, candidates)
     lines = export_mcq(dsets, members, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
+    # dsets come in member order; cols[i] is record i's distractors by round
     index = {r.id: pos for pos, r in enumerate(members)}
-    matched = []
-    for dset in dsets:
-        i = index[dset.query_id]
-        for d in dset.distractors:
-            j = index[d.source_id]
-            matched.append((float(rel.values[i, j]), float(sim.values[i, j])))
-    hits = None if attacker is None else attack_hits(_questions(dsets, members),
-                                                       attacker)
-    return "".join(lines), tuple(matched), hits
+    cols = np.array([[index[d.source_id] for d in dset.distractors]
+                     for dset in dsets])
+    rows = np.arange(len(members))[:, None]
+    matched = tuple(zip(rel.values[rows, cols].ravel().tolist(),
+                        sim.values[rows, cols].ravel().tolist()))
+    attacker = ScorerSpec("overlap", eps=config.eps)
+    att = (rel.values if rel_spec == attacker
+           else relevance_values(members, attacker, store))
+    hits = int((np.diag(att) > att[rows, cols].max(axis=1)).sum())
+    return "".join(lines), matched, hits
 
 
 # The planned tasks of the run a pool worker serves, set once per worker.
@@ -172,7 +148,7 @@ def _run_task(index: int):
 def run_match(records: Sequence[Record], config: MatchConfig,
               rel_spec: ScorerSpec | None = None,
               sim_spec: ScorerSpec | None = None,
-              jobs: int = 1, attacker: Attacker | None = None) -> RunResult:
+              jobs: int = 1) -> RunResult:
     """Run the full matching pipeline over a corpus.
 
     External score matrices are referenced by path inside the specs,
@@ -180,10 +156,9 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     match, so they must have been computed on the same remapped candidates
     this pipeline produces.  Each bucket reads only its own files.
 
-    With an ``attacker``, each bucket also counts its ``attack_hits`` where
-    it is matched.  Under the spawn and forkserver start methods the
-    attacker is pickled, so it must be a module-level function or a
-    ``functools.partial`` of one, not a lambda.
+    Each bucket also counts its ``attack_hits`` where it is matched, from
+    the relevance matrix it already holds when ``rel_spec`` is the
+    attacker's overlap spec, else from the attacker's own matrix.
     """
     if not records:
         raise PipelineError("corpus is empty")
@@ -197,7 +172,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     store_paths = [s.path for s in (rel_spec, sim_spec)
                    if s.kind == "external_matrix" and s.path]
     store = ExternalMatrixStore(store_paths) if store_paths else None
-    tasks = [(b, config, rel_spec, sim_spec, store, attacker) for b in buckets]
+    tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
     if jobs > 1 and len(tasks) > 1:
         # fork inherits the tasks; spawn and forkserver pickle them once
         # per worker, not once per bucket

@@ -15,7 +15,7 @@ deterministic stand-ins so the pipeline is exercisable end to end.
 Score-matrix files carry a one-line JSON header ``{role, n, dtype,
 layout, ids}`` followed by n*n little-endian float32 values (row-major).
 The reader also takes a TSV body for n <= 1000, one row per line, from
-scorers outside this program.
+scorers outside this program; a body that parses as TSV is read as TSV.
 """
 
 from __future__ import annotations
@@ -283,8 +283,9 @@ def _remapped_overlap(bucket: Sequence[Record]) -> np.ndarray:
     return _cosine(inter, _sizes(queries), size)
 
 
-def _relevance_values(bucket: Sequence[Record], spec: ScorerSpec,
-                      store: "ExternalMatrixStore | None") -> np.ndarray:
+def relevance_values(bucket: Sequence[Record], spec: ScorerSpec,
+                     store: "ExternalMatrixStore | None") -> np.ndarray:
+    """The relevance half of :func:`score_bucket`, as a bare array."""
     if spec.kind == "overlap":
         vals = _remapped_overlap(bucket)
     elif spec.kind == "embedding_cosine":
@@ -352,7 +353,7 @@ def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
     """
     if not bucket:
         raise ScoringError("bucket is empty")
-    rel = _relevance_values(bucket, rel_spec, matrix_store)
+    rel = relevance_values(bucket, rel_spec, matrix_store)
     sim = _similarity_values(bucket, sim_spec, matrix_store)
     return ScoreMatrix(ROLE_RELEVANCE, rel), ScoreMatrix(ROLE_SIMILARITY, sim)
 
@@ -406,32 +407,44 @@ def _read_header(f: IO[bytes], path: Path) -> tuple[str, list[str]]:
     return role, ids
 
 
+def _read_tsv(body: bytes, n: int, path: Path) -> np.ndarray:
+    """The n x n values of a TSV body, at float32 precision."""
+    if n > TSV_MAX_N:
+        raise ScoringError(f"{path}: TSV body only accepted for n <= {TSV_MAX_N}")
+    try:
+        rows = [[float(c) for c in ln.split("\t")]
+                for ln in body.decode("utf-8").splitlines() if ln.strip()]
+    except ValueError as exc:  # not UTF-8, or a cell that is not a number
+        raise ScoringError(f"{path}: body is neither {4 * n * n} float32 bytes "
+                           f"nor TSV ({exc})") from None
+    if len(rows) != n:
+        raise ScoringError(f"{path}: expected {n} TSV rows, got {len(rows)}")
+    for row in rows:
+        if len(row) != n:
+            raise ScoringError(f"{path}: TSV row has {len(row)} cells, expected {n}")
+    return np.asarray(rows, dtype="<f4").reshape(n, n).astype(np.float64)
+
+
 def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[str]]:
     """Read a score-matrix file; returns (role, float64 values, record ids).
 
-    Values are returned as stored (float32 precision); validation against a
-    bucket happens at use time in :func:`score_bucket`.
+    A body that reads as n lines of n tab-separated numbers is TSV, even
+    when it happens to be 4*n*n bytes long; any other body of that length
+    is the float32 payload.  Values are returned as stored (float32
+    precision); validation against a bucket happens at use time in
+    :func:`score_bucket`.
     """
     path = Path(path)
     with open(path, "rb") as f:
         role, ids = _read_header(f, path)
         body = f.read()
     n = len(ids)
-    if len(body) == 4 * n * n:
+    try:
+        vals = _read_tsv(body, n, path)
+    except ScoringError:
+        if len(body) != 4 * n * n:
+            raise
         vals = np.frombuffer(body, dtype="<f4").reshape(n, n).astype(np.float64)
-    else:
-        if n > TSV_MAX_N:
-            raise ScoringError(f"{path}: TSV body only accepted for n <= {TSV_MAX_N}")
-        lines = [ln for ln in body.decode("utf-8").splitlines() if ln.strip()]
-        if len(lines) != n:
-            raise ScoringError(f"{path}: expected {n} TSV rows, got {len(lines)}")
-        rows = []
-        for ln in lines:
-            cells = ln.split("\t")
-            if len(cells) != n:
-                raise ScoringError(f"{path}: TSV row has {len(cells)} cells, expected {n}")
-            rows.append([float(c) for c in cells])
-        vals = np.asarray(rows, dtype="<f4").astype(np.float64)
     if not np.isfinite(vals).all() or (vals < 0.0).any() or (vals > 1.0).any():
         raise ScoringError(f"{path}: values outside [0, 1]")
     return role, vals, ids

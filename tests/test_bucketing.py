@@ -187,6 +187,11 @@ class TestBuildBuckets:
         with pytest.raises(BucketingError, match="at least 4"):
             build_buckets(_qa_records(3), "qa", 3000, seed=0)
 
+    def test_fold_too_small_names_the_fold(self):
+        with pytest.raises(BucketingError,
+                           match=r"fold 2 \(ids r0000, r0001, r0002\) has 3 records"):
+            build_buckets(_qa_records(3), "qa", 3000, seed=0, fold=2)
+
     def test_target_size_validates(self):
         with pytest.raises(BucketingError, match="target_size"):
             build_buckets(_qa_records(10), "qa", 3, seed=0)

@@ -3,6 +3,7 @@ and what the workers send back (text, attacker hits) is exact."""
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 import advmatch
 from advmatch.corpus import serialize_records
 from advmatch.diagnostics import (format_sweep_csv, format_sweep_table, lambda_sweep,
-                                  machine_accuracy, overlap_attacker)
+                                  machine_accuracy)
 from advmatch.matcher import MatchConfig, write_items
 from advmatch.pipeline import PipelineError, run_match
+from advmatch.scoring import ScorerSpec, relevance_overlap
 
 from conftest import make_record, multi_fold_corpus
 
@@ -81,7 +83,6 @@ def test_pool_items_identical_under_start_method(tmp_path, method):
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_sweep_identical_under_start_method(tmp_path, method):
-    # the attacker travels to the workers with the tasks, so it must pickle
     records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
     pooled = _run_pooled(_POOLED_SWEEP, method, records, tmp_path)
     rows = lambda_sweep(records, [1.0, 0.01], MatchConfig(seed=5, n_folds=3), jobs=1)
@@ -122,7 +123,7 @@ def _tagged_corpus(draw):
        seed=st.integers(0, 2 ** 16), target_size=st.integers(4, 8))
 def test_lazy_items_and_worker_accuracy_are_exact(records, lam, seed, target_size):
     config = MatchConfig(seed=seed, n_folds=1, target_size=target_size)
-    attacker = overlap_attacker(config.eps)
+    attacker = functools.partial(relevance_overlap, eps=config.eps)
     texts = set()
     for jobs in (1, 2):
         result = run_match(records, config.with_lambda(lam), jobs=jobs)
@@ -135,6 +136,25 @@ def test_lazy_items_and_worker_accuracy_are_exact(records, lam, seed, target_siz
         assert (row.machine_accuracy, repr(row.machine_accuracy)) == \
             (expected, repr(expected))
     assert len(texts) == 1
+
+
+@pytest.mark.parametrize("rel_spec", [ScorerSpec("embedding_cosine"),
+                                      ScorerSpec("overlap", eps=1e-3)],
+                         ids=["embedding_cosine", "overlap-1e-3"])
+def test_attacker_is_overlap_whatever_the_relevance_scorer(rel_spec):
+    # the attacker is scored apart from the relevance that drives matching
+    records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+    config = MatchConfig(seed=5, n_folds=3, lambda_=0.5)
+    attacker = functools.partial(relevance_overlap, eps=config.eps)
+    for jobs in (1, 2):
+        result = run_match(records, config, rel_spec=rel_spec, jobs=jobs)
+        assert len(result.buckets) > 1  # the pool is used
+        expected = machine_accuracy(result.items, attacker)
+        hits = sum(br.attack_hits for br in result.buckets)
+        assert hits / result.item_count == expected
+        [row] = lambda_sweep(records, [0.5], config, rel_spec=rel_spec, jobs=jobs)
+        assert (row.machine_accuracy, repr(row.machine_accuracy)) == \
+            (expected, repr(expected))
 
 
 def test_jobs_below_one_rejected():

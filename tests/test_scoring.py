@@ -305,6 +305,13 @@ class TestMatrixFiles:
         assert got_ids == ids
         assert np.array_equal(got, vals.astype(np.float32).astype(np.float64))
 
+    def test_tsv_body_of_binary_length(self, tmp_path):
+        # 16 bytes, 4 * n * n for n = 2: still TSV, not float32
+        path = tmp_path / "m.tsv"
+        self._write_tsv(path, "relevance", ["a", "b"], "0.5\t0.5\n0.5\t1.0\n")
+        _, got, _ = read_score_matrix(path)
+        assert np.array_equal(got, [[0.5, 0.5], [0.5, 1.0]])
+
     def test_tsv_size_cap(self, tmp_path):
         path = tmp_path / "m.tsv"
         self._write_tsv(path, "relevance", [str(i) for i in range(1001)], "0.5\n")

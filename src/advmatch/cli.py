@@ -10,12 +10,14 @@ seed must be pinned in one of the two, never taken from the clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from .bucketing import BucketingError
 from .corpus import (CorpusError, parse_records, scan_records, serialize_records,
@@ -26,7 +28,8 @@ from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items
 from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
                        digest_file, plan_buckets, resolve_mode, run_match)
 from .remap import RemapError
-from .scoring import ScorerSpec, ScoringError, score_bucket, write_score_matrix
+from .scoring import (ScorerSpec, ScoringError, external_store, score_bucket,
+                      write_score_matrix)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -194,9 +197,10 @@ def cmd_score(args) -> int:
     _, buckets = plan_buckets(records, config, resolve_mode(records, config))
     outdir = Path(args.out or "scores")
     outdir.mkdir(parents=True, exist_ok=True)
+    store = external_store(rel_spec, sim_spec)
     written = []
     for b in buckets:
-        rel, sim = score_bucket(b.members, rel_spec, sim_spec)
+        rel, sim = score_bucket(b.members, rel_spec, sim_spec, store)
         ids = [r.id for r in b.members]
         safe = b.bucket_id.replace(":", "_").replace("/", "-")
         for role, matrix in (("relevance", rel), ("similarity", sim)):
@@ -211,23 +215,23 @@ def cmd_match(args) -> int:
     config, rel_spec, sim_spec = _load_config(args)
     manifest = PipelineManifest(config={**_config_snapshot(config, rel_spec, sim_spec),
                                         "jobs": args.jobs})
-    with open(args.input, "rb") as f:
-        data = f.read()
-    manifest.inputs[str(args.input)] = digest_bytes(data)
+    digest = hashlib.sha256()
+    with open(args.input, "rb") as f, StageTimer(manifest, "parse"):
+        records = parse_records(_hashed_lines(f, digest))
+    manifest.inputs[str(args.input)] = digest.hexdigest()
     for spec in (rel_spec, sim_spec):
         if spec.kind == "external_matrix" and spec.path:
             p = Path(spec.path)
             for f in sorted(p.iterdir()) if p.is_dir() else [p]:
                 if f.is_file():
                     manifest.inputs[str(f)] = digest_file(f)
-    with StageTimer(manifest, "parse"):
-        records = parse_records(data.split(b"\n"))  # lines as a file yields them
-    with StageTimer(manifest, "match"):
-        result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs)
     out = Path(args.out or "items.jsonl")
-    with StageTimer(manifest, "export"):
-        texts = (br.text for br in result.buckets)
-        manifest.outputs[str(out)] = _write_out(out, texts)
+    # run_match writes each bucket's items once the buckets before it are
+    # written, so the run's output is never held whole
+    with StageTimer(manifest, "match"), _open_out(out) as write:
+        result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs,
+                           write=write)
+    manifest.outputs[str(out)] = write.hexdigest()
     fold_text = json.dumps(result.fold_plan.assignment, sort_keys=True)
     manifest.outputs["fold_plan"] = digest_bytes(fold_text.encode("utf-8"))
     bucket_text = json.dumps([(br.bucket.bucket_id,
@@ -287,24 +291,63 @@ def _is_stdout(path) -> bool:
     return path is None or str(path) == "-"
 
 
-def _write_out(path, chunks: Iterable[str]) -> str:
-    """Write the chunks as UTF-8, in order, to ``path`` or stdout.
+def _hashed_lines(stream: BinaryIO, digest) -> Iterator[bytes]:
+    """The stream's lines, each fed to ``digest`` as it is read."""
+    for line in stream:
+        digest.update(line)
+        yield line
 
-    Returns the SHA-256 of the bytes written, fed chunk by chunk, so the
-    whole output is never held as one string.
+
+class _Sink:
+    """Writes str chunks to a binary stream as UTF-8 and hashes those bytes."""
+
+    def __init__(self, stream: BinaryIO):
+        self._stream = stream
+        self._digest = hashlib.sha256()
+
+    def __call__(self, chunk: str) -> None:
+        data = chunk.encode("utf-8")
+        self._stream.write(data)
+        self._digest.update(data)
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _open_out(path) -> Iterator[_Sink]:
+    """A ``_Sink`` on ``path``, or on stdout's bytes for ``-``.
+
+    A file is written under a temporary name beside ``path`` and renamed
+    onto it when the block ends without error; otherwise the temporary
+    file is removed, so a failed command leaves no output file and an
+    existing one untouched.  On stdout, whatever the encoding of its text
+    layer, the bytes are UTF-8, and what was written before an error stays.
     """
-    digest = hashlib.sha256()
     if _is_stdout(path):
+        sys.stdout.flush()  # text printed earlier goes first
+        try:
+            yield _Sink(sys.stdout.buffer)
+        finally:
+            sys.stdout.buffer.flush()
+        return
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield _Sink(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_out(path, chunks: Iterable[str]) -> str:
+    """Write the chunks with ``_open_out``; return their bytes' SHA-256."""
+    with _open_out(path) as write:
         for chunk in chunks:
-            sys.stdout.write(chunk)
-            digest.update(chunk.encode("utf-8"))
-    else:
-        with open(path, "wb") as f:
-            for chunk in chunks:
-                data = chunk.encode("utf-8")
-                f.write(data)
-                digest.update(data)
-    return digest.hexdigest()
+            write(chunk)
+    return write.hexdigest()
 
 
 def build_parser() -> argparse.ArgumentParser:

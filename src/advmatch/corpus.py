@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -225,15 +226,15 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
                 isinstance(x, (int, float)) for x in embedding):
             raise CorpusError(f"line {lineno}: embedding must be a list of numbers")
         embedding = tuple(float(x) for x in embedding)
-    mode = str(obj["task_mode"]).lower()
+    # strings that many records repeat are held once, as tokens are
     return Record(
         id=str(obj["id"]),
-        source_key=str(obj["source_key"]),
+        source_key=sys.intern(str(obj["source_key"])),
         query=parse_token_stream(str(obj["query"])),
         gold=parse_token_stream(str(obj["gold"])),
-        objects=tuple(objects),
+        objects=tuple(map(sys.intern, objects)),
         embedding=embedding,
-        task_mode=mode,
+        task_mode=sys.intern(str(obj["task_mode"]).lower()),
     )
 
 

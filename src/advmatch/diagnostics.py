@@ -98,7 +98,9 @@ def _matched_means(result: RunResult) -> tuple[float, float]:
     sim_sum = rel_sum = 0.0
     count = 0
     for br in result.buckets:
-        for rel, sim in br.matched:
+        # Python floats in pair order; numpy's pairwise sum would move
+        # the means' last digits
+        for rel, sim in br.matched.tolist():
             sim_sum += sim
             rel_sum += rel
             count += 1

@@ -2,16 +2,19 @@
 
 Stages: fold split -> per-fold bucketing -> per-bucket tag remapping,
 scoring, matching rounds, and choice export.  Buckets are independent, so
-they can be processed by a worker pool; results are keyed by bucket id and
-assembled in sorted order, which makes the output byte-identical for any
-degree of parallelism.
+they can be processed by a worker pool.  ``plan_buckets`` puts them in
+(fold, bucket id) order and their results are taken in that order, as
+each one is ready, which makes the output byte-identical for any degree
+of parallelism.
 
 The pool receives the planned buckets once, when each worker starts, and
 then each bucket by its index.  A worker sends back the bucket's finished
 JSONL text, the scores of its matched pairs and how many of its items the
 attacker (the overlap relevance scorer at the run's eps) answers; no item
-object and no score matrix leaves the worker.  The parent writes the texts
-out bucket by bucket, in order.
+object and no score matrix leaves the worker.  ``run_match`` hands each
+bucket's text to its ``write`` callable as soon as the buckets before it
+are done, so ``advmatch match`` holds only the texts of buckets that
+finished ahead of the one it waits for, not the run's.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .bucketing import Bucket, build_buckets
 from .corpus import FoldPlan, Record, split_folds
 from .matcher import MatchConfig, MCQItem, export_mcq, parse_items, run_rounds
 from .remap import CandidateTable
-from .scoring import ExternalMatrixStore, ScorerSpec, relevance_values, score_bucket
+from .scoring import ScorerSpec, external_store, relevance_values, score_bucket
 
 
 class PipelineError(ValueError):
@@ -41,9 +45,11 @@ class BucketResult:
     """One bucket's serialized items and the scores of its matched pairs.
 
     ``text`` is ``write_items`` of the bucket's items, one per member, and
-    ``parse_items`` reads them back.  ``matched`` holds
-    ``(relevance, similarity)`` for every (query, distractor) pair, queries
-    in member order and each query's distractors in round order.  The
+    ``parse_items`` reads them back; it is empty when the run handed the
+    text to a ``write`` callable instead.  ``matched`` is a ``(K * n, 2)``
+    float64 array of ``(relevance, similarity)`` for every (query,
+    distractor) pair, queries in member order and each query's distractors
+    in round order.  The
     score matrices are not kept: ``score_bucket`` on ``bucket.members`` (or
     ``advmatch score``) recomputes them.  ``attack_hits`` counts the items
     whose gold the attacker, overlap relevance at the run's eps, scores
@@ -53,12 +59,18 @@ class BucketResult:
 
     bucket: Bucket
     text: str
-    matched: tuple[tuple[float, float], ...]
+    matched: np.ndarray
     attack_hits: int
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's mode, fold plan and one ``BucketResult`` per bucket.
+
+    Buckets are in (fold, bucket id) order.  ``text`` and ``items`` are
+    empty for a run that handed its texts to a ``write`` callable.
+    """
+
     mode: str
     config: MatchConfig
     fold_plan: FoldPlan
@@ -105,7 +117,7 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
     return plan, buckets
 
 
-def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int]:
+def _process_bucket(args) -> tuple[str, np.ndarray, int]:
     """Match one bucket; return ``BucketResult``'s text, matched and attack_hits.
 
     Row i of a relevance matrix scores every choice of record i's item as
@@ -123,8 +135,8 @@ def _process_bucket(args) -> tuple[str, tuple[tuple[float, float], ...], int]:
     cols = np.array([[index[d.source_id] for d in dset.distractors]
                      for dset in dsets])
     rows = np.arange(len(members))[:, None]
-    matched = tuple(zip(rel.values[rows, cols].ravel().tolist(),
-                        sim.values[rows, cols].ravel().tolist()))
+    matched = np.column_stack((rel.values[rows, cols].ravel(),
+                               sim.values[rows, cols].ravel()))
     attacker = ScorerSpec("overlap", eps=config.eps)
     att = (rel.values if rel_spec == attacker
            else relevance_values(members, attacker, store))
@@ -145,11 +157,38 @@ def _run_task(index: int):
     return _process_bucket(_worker_tasks[index])
 
 
+def _outputs(tasks: list, jobs: int) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each task's ``_process_bucket`` output, in task order, as it is ready.
+
+    Closing the iterator early cancels the tasks no worker has started.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        # fork inherits the tasks; spawn and forkserver pickle them once
+        # per worker, not once per bucket
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_init_worker,
+                                 initargs=(tasks,)) as pool:
+            yield from pool.map(_run_task, range(len(tasks)))
+    else:
+        yield from map(_process_bucket, tasks)
+
+
 def run_match(records: Sequence[Record], config: MatchConfig,
               rel_spec: ScorerSpec | None = None,
               sim_spec: ScorerSpec | None = None,
-              jobs: int = 1) -> RunResult:
+              jobs: int = 1,
+              write: Callable[[str], object] | None = None) -> RunResult:
     """Run the full matching pipeline over a corpus.
+
+    Buckets are taken in (fold, bucket id) order, each as soon as it and
+    every bucket before it are matched.  With ``write``, each bucket's
+    JSONL text is passed to it then and not kept, so the texts' memory is
+    bounded by a bucket, not by the corpus, and the result's texts are
+    empty; without it, each text stays on its ``BucketResult``.  The
+    ``write`` calls concatenate to the ``text`` of the same run without
+    ``write``.  If a bucket fails, or ``write`` raises, the buckets no
+    worker has started are cancelled and the error propagates; what was
+    written stays written.
 
     External score matrices are referenced by path inside the specs,
     indexed once by their headers, and resolved per bucket by record-id
@@ -169,22 +208,15 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     mode = resolve_mode(records, config)
 
     plan, buckets = plan_buckets(records, config, mode)
-    store_paths = [s.path for s in (rel_spec, sim_spec)
-                   if s.kind == "external_matrix" and s.path]
-    store = ExternalMatrixStore(store_paths) if store_paths else None
+    store = external_store(rel_spec, sim_spec)
     tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
-    if jobs > 1 and len(tasks) > 1:
-        # fork inherits the tasks; spawn and forkserver pickle them once
-        # per worker, not once per bucket
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 initializer=_init_worker,
-                                 initargs=(tasks,)) as pool:
-            outputs = list(pool.map(_run_task, range(len(tasks))))
-    else:
-        outputs = [_process_bucket(t) for t in tasks]
-
-    results = [BucketResult(b, *output) for b, output in zip(buckets, outputs)]
-    results.sort(key=lambda br: (br.bucket.fold, br.bucket.bucket_id))
+    results = []
+    with closing(_outputs(tasks, jobs)) as outputs:
+        for bucket, (text, matched, hits) in zip(buckets, outputs):
+            if write is not None:
+                write(text)
+                text = ""
+            results.append(BucketResult(bucket, text, matched, hits))
     return RunResult(mode=mode, config=config, fold_plan=plan,
                      buckets=tuple(results))
 

@@ -483,3 +483,13 @@ class ExternalMatrixStore:
                 f"(ids {ids[0]}..{ids[-1]}); found {role} matrices have sizes {sizes}"
             ) from None
         return read_score_matrix(path)[1]
+
+
+def external_store(*specs: ScorerSpec) -> ExternalMatrixStore | None:
+    """One store over every external matrix path among ``specs``, or None.
+
+    Build it once per run and pass it to every :func:`score_bucket` call:
+    without one, each call indexes its spec's files again.
+    """
+    paths = [s.path for s in specs if s.kind == "external_matrix" and s.path]
+    return ExternalMatrixStore(paths) if paths else None

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from advmatch.cli import main
 from advmatch.corpus import CorpusError, parse_records, serialize_records
-from advmatch.matcher import MatchConfig, parse_items
+from advmatch.matcher import MatchConfig, MatchingError, parse_items
 from advmatch import pipeline
-from advmatch.pipeline import digest_bytes, run_match
+from advmatch.pipeline import digest_bytes, plan_buckets, run_match
 from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
@@ -188,6 +191,21 @@ class TestMatch:
         assert captured.err == "wrote 8 items to -\n"
         assert not list(tmp.glob("-*"))  # no manifest named after stdout
 
+    @pytest.mark.parametrize("command", ["match", "split"])
+    def test_out_dash_writes_utf8_to_an_ascii_stdout(self, workspace, monkeypatch,
+                                                     command):
+        tmp, corpus, config = workspace
+        text = corpus.read_text(encoding="utf-8").replace(' ."', ' café ."')
+        assert "café" in text
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp / "out.jsonl"
+        argv = [command, str(corpus), "--config", str(config)]
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([*argv, "--out", "-"]) == 0
+        assert stdout.buffer.getvalue() == out.read_bytes()
+
     def test_manifest_config_pinned(self, workspace):
         tmp, corpus, _ = workspace
         config = tmp / "every_key.json"
@@ -350,6 +368,43 @@ class TestMatch:
         m1 = json.loads((tmp / "l1.jsonl.manifest.json").read_text())
         assert m1["config"]["lambda"] == 5.0
 
+    def test_failed_last_bucket_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        _, buckets = plan_buckets(records, MatchConfig(seed=5, n_folds=3), "qa")
+        assert len(buckets) > 1
+        calls = []
+        real_rounds = pipeline.run_rounds
+
+        def fail_last(members, *args):
+            calls.append(members)
+            if len(calls) == len(buckets):
+                raise MatchingError("planted failure in the last bucket")
+            return real_rounds(members, *args)
+
+        monkeypatch.setattr(pipeline, "run_rounds", fail_last)
+        out = tmp_path / "items.jsonl"
+        argv = ["match", str(corpus), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        assert "planted failure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "cfg.json"]
+        # an earlier output at that path stays as it was
+        out.write_bytes(b"earlier output\n")
+        calls.clear()
+        assert main(argv) == 1
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.jsonl", "cfg.json", "items.jsonl"]
+        # on stdout the buckets written before the failure stay
+        calls.clear()
+        capsys.readouterr()
+        assert main([*argv[:-1], "-"]) == 1
+        written = parse_items(capsys.readouterr().out.splitlines())
+        assert len(written) == sum(len(b.members) for b in buckets[:-1])
+
     def test_infeasible_corpus_exit_one(self, tmp_path, capsys):
         records = simple_bucket_corpus(3, seed=0)  # below rounds + 1
         corpus = tmp_path / "small.jsonl"
@@ -462,6 +517,41 @@ class TestScoreAndExternalMatrices:
         assert len(set(reads)) == len(reads)
         assert sorted(role for role, _ in reads) == (
             ["relevance"] * buckets + ["similarity"] * buckets)
+
+    def test_score_indexes_external_matrices_once(self, tmp_path, monkeypatch):
+        import advmatch.scoring
+
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        scores = tmp_path / "scores"
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        files = sorted(scores.iterdir())
+        assert len(files) > 2
+        headers, reads = Counter(), Counter()
+        real_header = advmatch.scoring._read_header
+        real_read = advmatch.scoring.read_score_matrix
+
+        def header(f, path):
+            headers[Path(path)] += 1
+            return real_header(f, path)
+
+        def read(path):
+            reads[Path(path)] += 1
+            return real_read(path)
+
+        monkeypatch.setattr(advmatch.scoring, "_read_header", header)
+        monkeypatch.setattr(advmatch.scoring, "read_score_matrix", read)
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(tmp_path / "rescored"),
+                     "--rel-matrix", str(scores), "--sim-matrix", str(scores)]) == 0
+        # each header is read once to index the run's one store, and once
+        # more where its bucket reads the values
+        assert set(reads) == set(files)
+        assert {f: headers[f] - reads[f] for f in files} == {f: 1 for f in files}
 
     def test_mismatched_external_exit_one(self, workspace, tmp_path):
         tmp, corpus, config = workspace

@@ -218,6 +218,17 @@ class TestInterning:
                         else Token.word(t.text))
             assert t is expected
 
+    def test_parsed_records_share_repeated_strings(self):
+        lines = [json.dumps({"id": f"r{i}", "source_key": "movie007",
+                             "task_mode": "qa", "query": "why is [person:1] here ?",
+                             "gold": "[person:1] waits .",
+                             "objects": ["person", "umbrella"]})
+                 for i in range(2)]
+        a, b = parse_records(lines)
+        assert a.source_key is b.source_key
+        assert a.objects[1] is b.objects[1]
+        assert a.task_mode is b.task_mode
+
     def test_items_survive_pickling_as_interned_tokens(self):
         records = multi_fold_corpus(n_keys=12, per_key=3, seed=2)
         items = run_match(records, MatchConfig(seed=5, n_folds=3)).items

@@ -1,5 +1,6 @@
 """Worker pool of run_match: every start method gives the serial items,
-and what the workers send back (text, attacker hits) is exact."""
+what the workers send back (text, attacker hits) is exact, and each
+bucket's text reaches ``write`` as soon as the buckets before it are done."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import advmatch
+from advmatch import pipeline
 from advmatch.corpus import serialize_records
 from advmatch.diagnostics import (format_sweep_csv, format_sweep_table, lambda_sweep,
                                   machine_accuracy)
@@ -161,3 +164,37 @@ def test_jobs_below_one_rejected():
     records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
     with pytest.raises(PipelineError, match="jobs"):
         run_match(records, MatchConfig(seed=5, n_folds=3), jobs=0)
+
+
+def test_first_bucket_is_written_before_the_last_is_matched(monkeypatch):
+    records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+    events = []
+    real_rounds = pipeline.run_rounds
+
+    def recorded(members, *args):
+        events.append("rounds")
+        return real_rounds(members, *args)
+
+    monkeypatch.setattr(pipeline, "run_rounds", recorded)
+    result = run_match(records, MatchConfig(seed=5, n_folds=3), jobs=1,
+                       write=lambda text: events.append("write"))
+    assert len(result.buckets) > 1
+    assert events == ["rounds", "write"] * len(result.buckets)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_written_texts_concatenate_to_the_kept_text(jobs):
+    records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+    config = MatchConfig(seed=5, n_folds=3)
+    kept = run_match(records, config, jobs=jobs)
+    written = []
+    streamed = run_match(records, config, jobs=jobs, write=written.append)
+    assert len(written) == len(kept.buckets) > 1
+    assert "".join(written) == kept.text
+    assert streamed.text == "" and streamed.items == []
+    assert [br.bucket for br in streamed.buckets] == [br.bucket for br in kept.buckets]
+    for a, b in zip(streamed.buckets, kept.buckets):
+        assert a.matched.dtype == np.float64
+        assert a.matched.shape == (config.rounds * len(a.bucket.members), 2)
+        assert np.array_equal(a.matched, b.matched)
+        assert a.attack_hits == b.attack_hits

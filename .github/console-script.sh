@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Runs every advmatch command through the installed console script, which
+# no test reaches, and checks that a pool writes the same bytes as one
+# process.  Run from the root of a checkout after `pip install -e .`
+# (or with `src` on PYTHONPATH and an `advmatch` on PATH that runs
+# `advmatch.cli.main`):
+#
+#     bash .github/console-script.sh [WORK_DIR]
+#
+# WORK_DIR defaults to a fresh temporary directory.
+set -euo pipefail
+
+work="${1:-$(mktemp -d)}"
+mkdir -p "$work"
+
+PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "from conftest import simple_bucket_corpus; from advmatch.corpus import serialize_records; open('$work/corpus.jsonl', 'w').write(serialize_records(simple_bucket_corpus(8)))"
+# two buckets of 4, so that --jobs 2 starts a pool
+echo '{"seed": 1, "n_folds": 1, "target_size": 4}' > "$work/config.json"
+advmatch validate "$work/corpus.jsonl"
+advmatch match "$work/corpus.jsonl" --config "$work/config.json" --jobs 1 --out "$work/items.jsonl"
+advmatch probe "$work/items.jsonl"
+# a pool of two workers writes the same bytes as one process
+advmatch match "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --out "$work/items2.jsonl"
+cmp "$work/items.jsonl" "$work/items2.jsonl"
+advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --grid 1.0,0.1 --out "$work/sweep.txt"
+# and so does a sweep: its table and its CSV
+advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 1 --grid 1.0,0.1 --out "$work/sweep1.txt"
+cmp "$work/sweep.txt" "$work/sweep1.txt"
+cmp "$work/sweep.txt.csv" "$work/sweep1.txt.csv"
+# probe fails unless stdout carried nothing but the items
+advmatch match "$work/corpus.jsonl" --config "$work/config.json" --out - > "$work/stdout.jsonl"
+advmatch probe "$work/stdout.jsonl"
+# stdout carries the same UTF-8 bytes as a file, even when its
+# text encoding cannot spell the corpus's words
+PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "from conftest import simple_bucket_corpus; from advmatch.corpus import serialize_records; open('$work/cafe.jsonl', 'w', encoding='utf-8').write(serialize_records(simple_bucket_corpus(8)).replace(' .\"', ' café .\"'))"
+grep -q café "$work/cafe.jsonl"
+advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out "$work/cafe_items.jsonl"
+PYTHONIOENCODING=ascii advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out - > "$work/cafe_stdout.jsonl"
+cmp "$work/cafe_items.jsonl" "$work/cafe_stdout.jsonl"
+advmatch split "$work/corpus.jsonl" --config "$work/config.json" --out "$work/folds.jsonl"
+advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
+# score files written by one command, read back as external matrices
+advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores"
+advmatch match "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --sim-matrix "$work/scores" --jobs 2 --out "$work/external.jsonl"
+advmatch probe "$work/external.jsonl"
+# a sweep on external relevance scores its overlap attacker apart;
+# its table and CSV are the same for one process and a pool
+advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --jobs 1 --grid 1.0,0.1 --out "$work/xsweep1.txt"
+advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --jobs 2 --grid 1.0,0.1 --out "$work/xsweep2.txt"
+cmp "$work/xsweep1.txt" "$work/xsweep2.txt"
+cmp "$work/xsweep1.txt.csv" "$work/xsweep2.txt.csv"
+echo "console script ok"

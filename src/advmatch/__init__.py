@@ -17,9 +17,8 @@ from .corpus import (CorpusError, FoldPlan, Record, Token, ValidationReport,
                      validate_record)
 from .diagnostics import (SweepRow, frequency_prior_probe, lambda_sweep,
                           machine_accuracy)
-from .matcher import (DistractorSet, MatchConfig, MatchingError, MCQItem,
-                      export_mcq, parse_items, run_rounds, weight_matrix,
-                      write_items)
+from .matcher import (MatchConfig, MatchingError, MCQItem, export_mcq,
+                      parse_items, run_rounds, weight_matrix, write_items)
 from .pipeline import PipelineError, RunResult, plan_buckets, run_match
 from .remap import CandidateTable, RemapError
 from .scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
@@ -38,7 +37,7 @@ __all__ = [
     "parse_records", "parse_token_stream", "record_to_json",
     "serialize_records", "split_folds", "tokens_to_text", "validate_record",
     "SweepRow", "frequency_prior_probe", "lambda_sweep", "machine_accuracy",
-    "DistractorSet", "MatchConfig", "MatchingError", "MCQItem",
+    "MatchConfig", "MatchingError", "MCQItem",
     "export_mcq", "parse_items", "run_rounds", "weight_matrix",
     "write_items",
     "PipelineError", "RunResult", "plan_buckets", "run_match",

@@ -193,6 +193,9 @@ def cmd_buckets(args) -> int:
 
 def cmd_score(args) -> int:
     config, rel_spec, sim_spec = _load_config(args)
+    if args.out == "-":
+        raise ConfigError("score writes a directory of matrix files, not stdout; "
+                          "give --out a directory")
     records = _read_corpus(args.input)
     _, buckets = plan_buckets(records, config, resolve_mode(records, config))
     outdir = Path(args.out or "scores")

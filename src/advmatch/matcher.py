@@ -13,6 +13,9 @@ query.  Diversity across rounds comes from replacing the similarity term
 with the maximum similarity against everything already assigned to the
 query (the gold response included, which is what makes round one the plain
 formula above).
+
+``run_rounds`` returns the rounds as a ``(K, n)`` index array plus their
+texts, and ``export_mcq`` writes them out as one JSONL item line per query.
 """
 
 from __future__ import annotations
@@ -102,25 +105,14 @@ def weight_matrix(rel: np.ndarray, eff_sim: np.ndarray, lambda_: float) -> Weigh
     return WeightMatrix(values=values, forbidden=forbidden)
 
 
-@dataclass(frozen=True)
-class Distractor:
-    source_id: str
-    text: str  # the remapped response, as ``tokens_to_text`` writes it
-    round_index: int
-
-
-@dataclass(frozen=True)
-class DistractorSet:
-    """The K wrong answers matched to one query, in round order."""
-
-    query_id: str
-    distractors: tuple[Distractor, ...]
-
-
 def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
                sim: ScoreMatrix | np.ndarray, config: MatchConfig,
-               candidates=None) -> list[DistractorSet]:
-    """K matching rounds over one bucket; returns one DistractorSet per record.
+               candidates=None) -> tuple[np.ndarray, list[str]]:
+    """K matching rounds over one bucket; returns ``(mappings, texts)``.
+
+    ``mappings`` is a ``(K, n)`` intp array: ``mappings[t, i]`` is the
+    index of the response served to query ``i`` in round ``t + 1``.
+    ``texts[t * n + i]`` is that distractor's text, round-major.
 
     ``candidates`` is a ``remap.CandidateTable`` or anything with
     ``get(pairs)``: given ``(query, response)`` index pairs, it returns the
@@ -157,21 +149,14 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
         if bad.size:
             i = int(bad[0])
             raise MatchingError(
-                f"round {t}: invalid assignment {i} -> {mapping[i]} (self or repeat)")
+                f"round {t}: invalid assignment {bucket[i].id} -> "
+                f"{bucket[mapping[i]].id} (self or repeat)")
         np.maximum(eff, sim_values[mapping], out=eff)
 
     pairs = [(i, j) for mapping in mappings.tolist() for i, j in enumerate(mapping)]
     texts = (candidates.get(pairs) if candidates is not None
              else [tokens_to_text(bucket[j].gold) for _, j in pairs])
-    sets = []
-    for i, cols in enumerate(mappings.T.tolist()):
-        row = tuple(Distractor(bucket[j].id, texts[t * n + i], t + 1)
-                    for t, j in enumerate(cols))
-        sources = [d.source_id for d in row]
-        if bucket[i].id in sources or len(set(sources)) != len(sources):
-            raise MatchingError(f"distractor invariants violated for {bucket[i].id}")
-        sets.append(DistractorSet(query_id=bucket[i].id, distractors=row))
-    return sets
+    return mappings, texts
 
 
 @dataclass(frozen=True)
@@ -229,31 +214,30 @@ def _item_line(item_id, fold, bucket_id, task_mode, query: str,
             f',"gold_index":{_json_value(gold_index)},"provenance":[{prov}]}}\n')
 
 
-def export_mcq(distractor_sets: Sequence[DistractorSet], bucket: Sequence[Record],
+def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[str],
                seed: int, fold: int | None = None, bucket_id: str | None = None,
                ) -> list[str]:
     """Shuffle gold + distractors into choices; one JSONL item line per query.
 
-    Each line ends in a newline and is written straight from the texts by
-    the same encoder as :func:`write_items`, so ``"".join`` of the lines is
-    ``write_items`` of the items and ``parse_items`` reads them back.  A
-    query's choice order is ``derive_rng(seed, "shuffle",
-    query_id).permutation(K + 1)`` over (gold, distractors in round
-    order); the orders of all queries are decoded in one batch.
+    ``mappings`` and ``texts`` are what :func:`run_rounds` returns for the
+    bucket; the lines come in member order.  Each line ends in a newline
+    and is written straight from the texts by the same encoder as
+    :func:`write_items`, so ``"".join`` of the lines is ``write_items`` of
+    the items and ``parse_items`` reads them back.  A query's choice order
+    is ``derive_rng(seed, "shuffle", query_id).permutation(K + 1)`` over
+    (gold, distractors in round order); the orders of all queries are
+    decoded in one batch.
     """
-    by_id = {r.id: r for r in bucket}
-    streams = Substreams(seed, [("shuffle", d.query_id) for d in distractor_sets])
-    sizes = [len(d.distractors) + 1 for d in distractor_sets]
-    orders: list = [None] * len(sizes)
-    for size in set(sizes):
-        rows = [k for k, n in enumerate(sizes) if n == size]
-        for row, order in zip(rows, streams.permutation(size, rows).tolist()):
-            orders[row] = order
+    k, n = mappings.shape
+    if n != len(bucket) or len(texts) != k * n:
+        raise MatchingError(f"{k} rounds of {n} queries do not fit a bucket of "
+                            f"{len(bucket)} records and {len(texts)} texts")
+    orders = Substreams(seed, [("shuffle", r.id) for r in bucket]).permutation(k + 1)
     lines = []
-    for dset, order in zip(distractor_sets, orders):
-        record = by_id[dset.query_id]
-        choices = [tokens_to_text(record.gold), *(d.text for d in dset.distractors)]
-        prov = [None, *((d.source_id, d.round_index) for d in dset.distractors)]
+    for i, (record, cols, order) in enumerate(zip(bucket, mappings.T.tolist(),
+                                                  orders.tolist())):
+        choices = [tokens_to_text(record.gold), *texts[i::n]]
+        prov = [None, *((bucket[j].id, t) for t, j in enumerate(cols, start=1))]
         lines.append(_item_line(
             record.id, fold, bucket_id, record.task_mode, tokens_to_text(record.query),
             [choices[p] for p in order], order.index(0), [prov[p] for p in order]))

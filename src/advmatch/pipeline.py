@@ -7,6 +7,9 @@ they can be processed by a worker pool.  ``plan_buckets`` puts them in
 each one is ready, which makes the output byte-identical for any degree
 of parallelism.
 
+Inside a worker the K matching rounds stay one ``(K, n)`` array of member
+indices, from the solver to the item lines and the matched scores.
+
 The pool receives the planned buckets once, when each worker starts, and
 then each bucket by its index.  A worker sends back the bucket's finished
 JSONL text, the scores of its matched pairs and how many of its items the
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -104,7 +108,14 @@ def resolve_mode(records: Sequence[Record], config: MatchConfig) -> str:
 
 def plan_buckets(records: Sequence[Record], config: MatchConfig,
                  mode: str) -> tuple[FoldPlan, list[Bucket]]:
-    """Split records into folds, then each fold into buckets, in fold order."""
+    """Split records into folds, then each fold into buckets, in fold order.
+
+    Raises :class:`PipelineError` naming the first ten repeated record ids.
+    """
+    repeated = [rid for rid, c in Counter(r.id for r in records).items() if c > 1]
+    if repeated:
+        raise PipelineError(f"{len(repeated)} record id(s) occur more than once: "
+                            f"{', '.join(map(repr, repeated[:10]))}")
     plan = split_folds(records, config.n_folds, config.seed)
     by_fold: dict[int, list[Record]] = {}
     for r in records:
@@ -120,20 +131,19 @@ def plan_buckets(records: Sequence[Record], config: MatchConfig,
 def _process_bucket(args) -> tuple[str, np.ndarray, int]:
     """Match one bucket; return ``BucketResult``'s text, matched and attack_hits.
 
-    Row i of a relevance matrix scores every choice of record i's item as
-    remapped onto record i, gold on the diagonal: the attacker reads it.
+    ``args`` is ``(bucket, config, rel_spec, sim_spec, store)``.  Row i of
+    ``mappings.T`` holds record i's distractors in round order.  Row i of a
+    relevance matrix scores every choice of record i's item as remapped
+    onto record i, gold on the diagonal: the attacker reads it.
     """
     bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
     rel, sim = score_bucket(members, rel_spec, sim_spec, store)
-    dsets = run_rounds(members, rel, sim, config, candidates)
-    lines = export_mcq(dsets, members, config.seed, fold=bucket.fold,
+    mappings, texts = run_rounds(members, rel, sim, config, candidates)
+    lines = export_mcq(members, mappings, texts, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
-    # dsets come in member order; cols[i] is record i's distractors by round
-    index = {r.id: pos for pos, r in enumerate(members)}
-    cols = np.array([[index[d.source_id] for d in dset.distractors]
-                     for dset in dsets])
+    cols = mappings.T
     rows = np.arange(len(members))[:, None]
     matched = np.column_stack((rel.values[rows, cols].ravel(),
                                sim.values[rows, cols].ravel()))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -66,18 +65,18 @@ def test_criterion_2_recycling_and_prior():
     candidates = CandidateTable(bucket, p_reuse=0.5, seed=5)
     rel, sim = score_bucket(bucket, rel_spec, sim_spec)
     config = MatchConfig(seed=5, rounds=3, n_folds=1)
-    dsets = run_rounds(bucket, rel, sim, config, candidates)
+    mappings, texts = run_rounds(bucket, rel, sim, config, candidates)
 
-    counts = Counter(d.source_id for ds in dsets for d in ds.distractors)
-    assert set(counts.values()) == {3}, "every response must serve exactly 3 times"
-    for ds in dsets:
-        sources = [d.source_id for d in ds.distractors]
-        assert ds.query_id not in sources, "no self-assignments"
-        assert len(set(sources)) == 3, "no duplicate distractors per item"
+    assert mappings.shape == (3, 100)
+    counts = np.bincount(mappings.ravel(), minlength=100)
+    assert set(counts.tolist()) == {3}, "every response must serve exactly 3 times"
+    for i, cols in enumerate(mappings.T.tolist()):
+        assert i not in cols, "no self-assignments"
+        assert len(set(cols)) == 3, "no duplicate distractors per item"
 
     items = []
     for shuffle_seed in range(50):
-        items.extend(parse_items(export_mcq(dsets, bucket, seed=shuffle_seed)))
+        items.extend(parse_items(export_mcq(bucket, mappings, texts, seed=shuffle_seed)))
     assert len(items) >= 5000
     accuracy = frequency_prior_probe(items, items)
     assert abs(accuracy - 0.25) <= 0.02, f"prior probe at {accuracy:.4f}"
@@ -213,10 +212,10 @@ def test_criterion_8_throughput_3000():
     bucket = simple_bucket_corpus(n, seed=8)
     config = MatchConfig(seed=0, rounds=3, n_folds=1)
     start = time.monotonic()
-    dsets = run_rounds(bucket, rel, sim, config)
+    mappings, _ = run_rounds(bucket, rel, sim, config)
     elapsed = time.monotonic() - start
-    assert len(dsets) == n
-    counts = Counter(d.source_id for ds in dsets for d in ds.distractors)
-    assert set(counts.values()) == {3}
+    assert mappings.shape == (3, n)
+    counts = np.bincount(mappings.ravel(), minlength=n)
+    assert set(counts.tolist()) == {3}
     assert elapsed < 60.0, f"3 rounds over 3000 records took {elapsed:.1f}s"
     _report("criterion 8", f"3000-record bucket, K=3 in {elapsed:.1f}s (< 60s)")

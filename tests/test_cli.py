@@ -487,6 +487,15 @@ class TestScoreAndExternalMatrices:
         items = parse_items(out.read_text(encoding="utf-8").splitlines())
         assert len(items) == 8
 
+    def test_score_out_dash_is_a_config_error(self, workspace, monkeypatch, capsys):
+        # every other command reads "-" as stdout; score writes a directory
+        tmp, corpus, config = workspace
+        monkeypatch.chdir(tmp)
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", "-"]) == 2
+        assert not (tmp / "-").exists()
+        assert "directory" in capsys.readouterr().err
+
     def test_each_bucket_reads_only_its_own_matrices(self, tmp_path, monkeypatch):
         import advmatch.scoring
 

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch import matcher
-from advmatch.assignment import brute_force_lap
-from advmatch.corpus import Record, Token, parse_token_stream
+from advmatch.assignment import Assignment, brute_force_lap
+from advmatch.corpus import Record, Token, parse_token_stream, tokens_to_text
 from advmatch.matcher import (MatchConfig, MatchingError, export_mcq, parse_items,
                               run_rounds, weight_matrix, write_items)
 from advmatch.remap import CandidateTable
 from advmatch.scoring import ScorerSpec, score_bucket
+from advmatch.seeding import derive_rng
 
 from conftest import simple_bucket_corpus
 
@@ -147,28 +148,32 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(4, seed=4)
         rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
                                 ScorerSpec("overlap", eps=EPS))
-        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
-        for i, dset in enumerate(sets):
-            others = {r.id for r in bucket} - {bucket[i].id}
-            assert {d.source_id for d in dset.distractors} == others
+        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+        for i, cols in enumerate(mappings.T.tolist()):
+            assert set(cols) == set(range(len(bucket))) - {i}
 
     def test_recycling_exact_on_100(self):
         bucket = simple_bucket_corpus(100, seed=5)
         rel, sim = random_scores(100, 6)
-        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
-        counts = Counter(d.source_id for ds in sets for d in ds.distractors)
-        assert set(counts.values()) == {3}
-        for ds in sets:
-            sources = [d.source_id for d in ds.distractors]
-            assert ds.query_id not in sources
-            assert len(set(sources)) == 3
+        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+        assert mappings.shape == (3, 100)
+        assert set(np.bincount(mappings.ravel(), minlength=100).tolist()) == {3}
+        for i, cols in enumerate(mappings.T.tolist()):
+            assert i not in cols
+            assert len(set(cols)) == 3
 
     def test_rounds_are_sequentially_disjoint(self):
         bucket = simple_bucket_corpus(12, seed=7)
         rel, sim = random_scores(12, 8)
-        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=5))
-        for ds in sets:
-            assert [d.round_index for d in ds.distractors] == [1, 2, 3, 4, 5]
+        mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=5))
+        assert mappings.shape == (5, 12)
+        items = parse_items(export_mcq(bucket, mappings, texts, seed=0))
+        for i, item in enumerate(items):
+            picks = sorted((p.round_index, p.source_id)
+                           for p in item.provenance if p.kind == "distractor")
+            assert picks == [(t + 1, bucket[j].id)
+                             for t, j in enumerate(mappings[:, i].tolist())]
+            assert [t for t, _ in picks] == [1, 2, 3, 4, 5]
 
     def test_bucket_too_small(self):
         bucket = simple_bucket_corpus(3, seed=9)
@@ -187,6 +192,15 @@ class TestRunRounds:
         with pytest.raises(MatchingError, match="round 2"):
             run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
 
+    def test_invalid_assignment_names_the_records(self, monkeypatch):
+        bucket = simple_bucket_corpus(5, seed=18)
+        rel, sim = random_scores(5, 18)
+        identity = Assignment(mapping=tuple(range(5)), total_weight=0.0)
+        monkeypatch.setattr(matcher, "solve_lap_max", lambda w: identity)
+        with pytest.raises(MatchingError,
+                           match=r"round 1: invalid assignment r0000 -> r0000"):
+            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 14), k=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), lam=st.sampled_from([0.01, 0.1, 1.0]))
@@ -198,39 +212,39 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(n, seed=seed % 1000)
         rel, sim = random_scores(n, seed)
         cfg = MatchConfig(seed=0, rounds=k, lambda_=lam)
-        sets = run_rounds(bucket, rel, sim, cfg)
-        counts = Counter(d.source_id for ds in sets for d in ds.distractors)
-        assert set(counts.values()) == {k}
-        for ds in sets:
-            sources = [d.source_id for d in ds.distractors]
-            assert ds.query_id not in sources
-            assert len(set(sources)) == k
+        mappings, _ = run_rounds(bucket, rel, sim, cfg)
+        assert mappings.shape == (k, n)
+        assert set(np.bincount(mappings.ravel(), minlength=n).tolist()) == {k}
+        for i, cols in enumerate(mappings.T.tolist()):
+            assert i not in cols
+            assert len(set(cols)) == k
 
     def test_candidate_table_texts_used(self):
         bucket = simple_bucket_corpus(5, seed=11)
         candidates = CandidateTable(bucket, p_reuse=0.5, seed=3)
         rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
                                 ScorerSpec("overlap", eps=EPS))
-        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
-                          candidates)
-        index = {r.id: k for k, r in enumerate(bucket)}
-        for i, ds in enumerate(sets):
-            for d in ds.distractors:
-                assert d.text == candidates.get([(i, index[d.source_id])])[0]
+        mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
+                                     candidates)
+        n = len(bucket)
+        assert len(texts) == 2 * n
+        for t, mapping in enumerate(mappings.tolist()):
+            for i, j in enumerate(mapping):
+                assert texts[t * n + i] == candidates.get([(i, j)])[0]
 
     def test_one_get_per_bucket_in_round_order(self):
         n, k = 9, 3
         bucket = simple_bucket_corpus(n, seed=16)
         rel, sim = random_scores(n, 17)
         table = _CountingTable(CandidateTable(bucket, p_reuse=0.5, seed=4))
-        sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k), table)
+        mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
+                                     table)
         assert len(table.calls) == 1
-        index = {r.id: j for j, r in enumerate(bucket)}
         # round 1's pairs for rows 0..n-1, then round 2's, and so on
-        want = [(i, index[ds.distractors[t].source_id])
-                for t in range(k) for i, ds in enumerate(sets)]
+        want = [(i, int(mappings[t, i])) for t in range(k) for i in range(n)]
         assert len(want) == k * n
         assert table.calls[0] == want
+        assert texts == table.table.get(want)
 
     def test_carried_similarity_equals_the_reference(self, monkeypatch):
         seen = []
@@ -245,14 +259,13 @@ class TestRunRounds:
             seen.clear()
             bucket = simple_bucket_corpus(n, seed=seed)
             rel, sim = random_scores(n, seed)
-            sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k))
-            index = {r.id: j for j, r in enumerate(bucket)}
+            mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k))
             assigned = [set() for _ in range(n)]
             assert len(seen) == k
             for t, eff in enumerate(seen):
                 assert np.array_equal(eff, effective_similarity(sim, assigned))
-                for i, ds in enumerate(sets):
-                    assigned[i].add(index[ds.distractors[t].source_id])
+                for i, j in enumerate(mappings[t].tolist()):
+                    assigned[i].add(j)
 
 
 class TestLambdaTradeoff:
@@ -278,42 +291,43 @@ class TestLambdaTradeoff:
 
 
 class TestExport:
-    def _sets(self, n=20, seed=13, rounds=3):
+    def _rounds(self, n=20, seed=13, rounds=3):
         bucket = simple_bucket_corpus(n, seed=seed)
         rel, sim = random_scores(n, seed + 1)
         cfg = MatchConfig(seed=0, rounds=rounds)
         return bucket, run_rounds(bucket, rel, sim, cfg)
 
     @staticmethod
-    def _items(sets, bucket, **kwargs):
-        return parse_items(export_mcq(sets, bucket, **kwargs))
+    def _items(rounds, bucket, **kwargs):
+        mappings, texts = rounds
+        return parse_items(export_mcq(bucket, mappings, texts, **kwargs))
 
     def test_four_choices(self):
-        bucket, sets = self._sets()
-        items = self._items(sets, bucket, seed=21)
+        bucket, rounds = self._rounds()
+        items = self._items(rounds, bucket, seed=21)
         assert all(len(it.choices) == 4 for it in items)
         assert all(len(it.provenance) == 4 for it in items)
 
     def test_same_seed_same_gold_indices(self):
-        bucket, sets = self._sets()
-        a = self._items(sets, bucket, seed=21)
-        b = self._items(sets, bucket, seed=21)
+        bucket, rounds = self._rounds()
+        a = self._items(rounds, bucket, seed=21)
+        b = self._items(rounds, bucket, seed=21)
         assert [i.gold_index for i in a] == [i.gold_index for i in b]
         assert a == b
 
     def test_gold_matches_provenance(self):
-        bucket, sets = self._sets()
-        for item in self._items(sets, bucket, seed=22):
+        bucket, rounds = self._rounds()
+        for item in self._items(rounds, bucket, seed=22):
             assert item.provenance[item.gold_index].kind == "gold"
             others = [p for k, p in enumerate(item.provenance) if k != item.gold_index]
             assert all(p.kind == "distractor" for p in others)
 
     def test_gold_index_uniform_chi_squared(self):
         # 10k items across seeds; chi^2 with 3 dof at p=0.01 is 11.345
-        bucket, sets = self._sets(n=100, seed=14)
+        bucket, rounds = self._rounds(n=100, seed=14)
         counts = Counter()
         for seed in range(100):
-            for item in self._items(sets, bucket, seed=seed):
+            for item in self._items(rounds, bucket, seed=seed):
                 counts[item.gold_index] += 1
         total = sum(counts.values())
         assert total == 10_000
@@ -321,9 +335,26 @@ class TestExport:
         chi2 = sum((counts[k] - expected) ** 2 / expected for k in range(4))
         assert chi2 < 11.345
 
+    def test_choice_order_is_each_querys_shuffle_stream(self):
+        bucket, (mappings, texts) = self._rounds(n=8, seed=16)
+        n = len(bucket)
+        items = self._items((mappings, texts), bucket, seed=5)
+        assert [it.id for it in items] == [r.id for r in bucket]
+        for i, item in enumerate(items):
+            order = derive_rng(5, "shuffle", bucket[i].id).permutation(4).tolist()
+            unshuffled = [tokens_to_text(bucket[i].gold), *texts[i::n]]
+            assert [tokens_to_text(c) for c in item.choices] == [unshuffled[p] for p in order]
+
+    def test_rounds_that_do_not_fit_the_bucket(self):
+        bucket, (mappings, texts) = self._rounds(n=8, seed=17)
+        with pytest.raises(MatchingError, match="bucket of 7 records"):
+            export_mcq(bucket[:7], mappings, texts, seed=0)
+        with pytest.raises(MatchingError, match="23 texts"):
+            export_mcq(bucket, mappings, texts[:-1], seed=0)
+
     def test_items_round_trip_jsonl(self):
-        bucket, sets = self._sets(n=8, seed=15)
-        lines = export_mcq(sets, bucket, seed=9, fold=2, bucket_id="f2:x:0")
+        bucket, rounds = self._rounds(n=8, seed=15)
+        lines = export_mcq(bucket, *rounds, seed=9, fold=2, bucket_id="f2:x:0")
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
         items = parse_items(lines)
         assert write_items(items) == "".join(lines)
@@ -367,9 +398,9 @@ def _export_bucket(draw):
 def test_item_lines_are_compact_json_and_round_trip(bucket_k, fold, bucket_id, seed):
     bucket, k = bucket_k
     rel, sim = random_scores(len(bucket), seed)
-    sets = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
-                      CandidateTable(bucket, p_reuse=0.5, seed=seed))
-    lines = export_mcq(sets, bucket, seed, fold=fold, bucket_id=bucket_id)
+    mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
+                                 CandidateTable(bucket, p_reuse=0.5, seed=seed))
+    lines = export_mcq(bucket, mappings, texts, seed, fold=fold, bucket_id=bucket_id)
     assert write_items(parse_items(lines)) == "".join(lines)
     # the reference: compact json.dumps of each line's object
     for line in lines:

@@ -4,6 +4,7 @@ bucket's text reaches ``write`` as soon as the buckets before it are done."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -20,11 +21,11 @@ from advmatch import pipeline
 from advmatch.corpus import serialize_records
 from advmatch.diagnostics import (format_sweep_csv, format_sweep_table, lambda_sweep,
                                   machine_accuracy)
-from advmatch.matcher import MatchConfig, write_items
-from advmatch.pipeline import PipelineError, run_match
-from advmatch.scoring import ScorerSpec, relevance_overlap
+from advmatch.matcher import MatchConfig, parse_items, write_items
+from advmatch.pipeline import PipelineError, plan_buckets, run_match
+from advmatch.scoring import ScorerSpec, relevance_overlap, score_bucket
 
-from conftest import make_record, multi_fold_corpus
+from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
 
 # Runs run_match at jobs=2 under the start method given as argv[1], on the
 # corpus file argv[2], and prints the items.
@@ -198,3 +199,39 @@ def test_written_texts_concatenate_to_the_kept_text(jobs):
         assert a.matched.shape == (config.rounds * len(a.bucket.members), 2)
         assert np.array_equal(a.matched, b.matched)
         assert a.attack_hits == b.attack_hits
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_repeated_record_id_is_named(seed):
+    # record 5 takes record 2's id; every planning path rejects it by name
+    records = simple_bucket_corpus(12, seed=seed)
+    records[5] = dataclasses.replace(records[5], id=records[2].id)
+    config = MatchConfig(seed=seed, n_folds=1)
+    with pytest.raises(PipelineError, match=r"more than once: 'r0002'$"):
+        plan_buckets(records, config, "qa")
+    with pytest.raises(PipelineError, match="'r0002'"):
+        run_match(records, config)
+
+
+def test_matched_rows_equal_score_matrices_at_provenance():
+    # row by row: queries in member order, each query's distractors in the
+    # round order its item's provenance gives
+    records = multi_fold_corpus(n_keys=12, per_key=3, seed=8)
+    config = MatchConfig(seed=6, n_folds=3, target_size=100)
+    rel_spec = ScorerSpec("overlap", eps=config.eps)
+    sim_spec = ScorerSpec("embedding_cosine", eps=config.eps)
+    result = run_match(records, config, sim_spec=sim_spec, jobs=2)
+    assert len(result.buckets) > 1
+    for br in result.buckets:
+        members = br.bucket.members
+        rel, sim = score_bucket(members, rel_spec, sim_spec)
+        index = {r.id: pos for pos, r in enumerate(members)}
+        items = parse_items(br.text.splitlines())
+        assert [it.id for it in items] == [r.id for r in members]
+        want = []
+        for i, item in enumerate(items):
+            picks = sorted((p.round_index, index[p.source_id])
+                           for p in item.provenance if p.kind == "distractor")
+            assert [t for t, _ in picks] == list(range(1, config.rounds + 1))
+            want.extend((rel.values[i, j], sim.values[i, j]) for _, j in picks)
+        assert np.array_equal(br.matched, np.array(want))

@@ -27,6 +27,10 @@ advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --grid
 advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 1 --grid 1.0,0.1 --out "$work/sweep1.txt"
 cmp "$work/sweep.txt" "$work/sweep1.txt"
 cmp "$work/sweep.txt.csv" "$work/sweep1.txt.csv"
+# without --grid a sweep runs the one lambda the match would
+advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --lambda 0.5 --out "$work/lsweep.txt"
+[ "$(wc -l < "$work/lsweep.txt")" -eq 2 ]
+[ "$(sed -n 2p "$work/lsweep.txt" | cut -f1)" = 0.5 ]
 # probe fails unless stdout carried nothing but the items
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --out - > "$work/stdout.jsonl"
 advmatch probe "$work/stdout.jsonl"
@@ -38,6 +42,12 @@ advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out "$work/cafe
 PYTHONIOENCODING=ascii advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out - > "$work/cafe_stdout.jsonl"
 cmp "$work/cafe_items.jsonl" "$work/cafe_stdout.jsonl"
 advmatch split "$work/corpus.jsonl" --config "$work/config.json" --out "$work/folds.jsonl"
+# a command takes only the flags it reads: split matches nothing
+if advmatch split "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --out "$work/folds2.jsonl" 2> "$work/split_jobs.err"; then
+    echo "advmatch split took --jobs" >&2
+    exit 1
+fi
+grep -q "unrecognized arguments: --jobs" "$work/split_jobs.err"
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
 # score files written by one command, read back as external matrices
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores"

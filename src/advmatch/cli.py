@@ -4,7 +4,11 @@ Commands: validate, split, buckets, score, match, sweep, probe.
 Exit codes: 0 success, 1 data/validation failure, 2 I/O or config failure.
 
 Configuration comes from a JSON file (--config) with flag overrides; the
-seed must be pinned in one of the two, never taken from the clock.
+seed must be pinned in one of the two, never taken from the clock.  Every
+config command reads every config key, but takes only the flags of the
+values it reads: each command in split, buckets, score, match, sweep takes
+the flags of the one before it and adds its own.  ``match`` also writes
+the run's manifest, which it builds here.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -24,9 +29,8 @@ from .corpus import (CorpusError, parse_records, scan_records, serialize_records
                      split_folds)
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
-from .matcher import LAMBDA_DEFAULTS, MatchConfig, MatchingError, parse_items
-from .pipeline import (PipelineError, PipelineManifest, StageTimer, digest_bytes,
-                       digest_file, plan_buckets, resolve_mode, run_match)
+from .matcher import MatchConfig, MatchingError, parse_items
+from .pipeline import PipelineError, plan_buckets, resolve_mode, run_match
 from .remap import RemapError
 from .scoring import (ScorerSpec, ScoringError, external_store, score_bucket,
                       write_score_matrix)
@@ -81,6 +85,10 @@ def _folds(key: str, value) -> tuple[int, ...]:
 def _scorer(key: str, value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise _bad(key, "an object with a 'kind'", value)
+    unknown = sorted(set(value) - {"kind", "eps", "path"})
+    if unknown:
+        raise ConfigError(f"config {key!r} has unknown keys {unknown}; "
+                          "a scorer takes 'kind', 'eps' and 'path'")
     if value.get("eps") is not None:
         _number(f"{key}.eps", value["eps"])
     if value.get("path") is not None:
@@ -111,7 +119,7 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
                 raw = json.load(f)
@@ -215,35 +223,50 @@ def cmd_score(args) -> int:
 
 
 def cmd_match(args) -> int:
+    """Write the items and, beside a file output, the run's manifest.
+
+    The manifest records the value of every config key and ``--jobs``, the
+    SHA-256 of the corpus, of each external matrix file and of the outputs
+    (the items, the fold plan and the bucket plan), and the seconds spent
+    parsing and matching.
+    """
     config, rel_spec, sim_spec = _load_config(args)
-    manifest = PipelineManifest(config={**_config_snapshot(config, rel_spec, sim_spec),
-                                        "jobs": args.jobs})
     digest = hashlib.sha256()
-    with open(args.input, "rb") as f, StageTimer(manifest, "parse"):
+    with open(args.input, "rb") as f:
+        start = time.monotonic()
         records = parse_records(_hashed_lines(f, digest))
-    manifest.inputs[str(args.input)] = digest.hexdigest()
+        parse_s = time.monotonic() - start
+    inputs = {str(args.input): digest.hexdigest()}
     for spec in (rel_spec, sim_spec):
-        if spec.kind == "external_matrix" and spec.path:
+        if spec.kind == "external_matrix":
             p = Path(spec.path)
             for f in sorted(p.iterdir()) if p.is_dir() else [p]:
                 if f.is_file():
-                    manifest.inputs[str(f)] = digest_file(f)
+                    inputs[str(f)] = digest_file(f)
     out = Path(args.out or "items.jsonl")
     # run_match writes each bucket's items once the buckets before it are
     # written, so the run's output is never held whole
-    with StageTimer(manifest, "match"), _open_out(out) as write:
+    start = time.monotonic()
+    with _open_out(out) as write:
         result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs,
                            write=write)
-    manifest.outputs[str(out)] = write.hexdigest()
+    match_s = time.monotonic() - start
     fold_text = json.dumps(result.fold_plan.assignment, sort_keys=True)
-    manifest.outputs["fold_plan"] = digest_bytes(fold_text.encode("utf-8"))
     bucket_text = json.dumps([(br.bucket.bucket_id,
                                [r.id for r in br.bucket.members])
                               for br in result.buckets])
-    manifest.outputs["buckets"] = digest_bytes(bucket_text.encode("utf-8"))
+    manifest = {
+        "config": {**_config_snapshot(config, rel_spec, sim_spec), "jobs": args.jobs},
+        "inputs": inputs,
+        "outputs": {str(out): write.hexdigest(),
+                    "fold_plan": hashlib.sha256(fold_text.encode("utf-8")).hexdigest(),
+                    "buckets": hashlib.sha256(bucket_text.encode("utf-8")).hexdigest()},
+        "timings": {"parse": parse_s, "match": match_s},
+    }
     if not _is_stdout(out):
-        Path(str(out) + ".manifest.json").write_text(manifest.to_json(),
-                                                     encoding="utf-8")
+        Path(str(out) + ".manifest.json").write_text(
+            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
     # stdout may be the items themselves, so the status line goes to stderr
     print(f"wrote {result.item_count} items to {out}", file=sys.stderr)
     return EXIT_OK
@@ -265,7 +288,7 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"bad --grid value: {exc}") from exc
     records = _read_corpus(args.input)
     if args.grid is None:
-        grid = [LAMBDA_DEFAULTS[resolve_mode(records, config)]]
+        grid = [config.resolved_lambda(resolve_mode(records, config))]
     rows = lambda_sweep(records, grid, config, rel_spec, sim_spec, jobs=args.jobs)
     table = format_sweep_table(rows)
     out = Path(args.out or "sweep.txt")
@@ -292,6 +315,18 @@ def cmd_probe(args) -> int:
 
 def _is_stdout(path) -> bool:
     return path is None or str(path) == "-"
+
+
+DIGEST_CHUNK = 1 << 20
+
+
+def digest_file(path) -> str:
+    """The SHA-256 of a file's content, read in DIGEST_CHUNK pieces."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(DIGEST_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _hashed_lines(stream: BinaryIO, digest) -> Iterator[bytes]:
@@ -353,6 +388,21 @@ def _write_out(path, chunks: Iterable[str]) -> str:
     return write.hexdigest()
 
 
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--seed": dict(type=int, help="root seed (mandatory here or in config)"),
+    "--out": dict(help="output path (default stdout or command default)"),
+    "--rounds": dict(type=int, help="distractors per item"),
+    "--mode": dict(choices=("qa", "qar"), help="task mode override"),
+    "--rel-matrix": dict(help="external relevance matrix file/dir"),
+    "--sim-matrix": dict(help="external similarity matrix file/dir"),
+    "--lambda": dict(dest="lambda_", type=float,
+                     help="relevance/similarity tradeoff (>0)"),
+    "--jobs": dict(type=int, default=1, help="parallel bucket workers"),
+    "--grid": dict(help="comma-separated lambda values (overrides lambda)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advmatch",
@@ -360,44 +410,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "matching of gold responses across queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        p.add_argument("input", help="corpus JSONL file")
-        if config:
-            p.add_argument("--config", help="JSON config file")
-            p.add_argument("--lambda", dest="lambda_", type=float,
-                           help="relevance/similarity tradeoff (>0)")
-            p.add_argument("--rounds", type=int, help="distractors per item")
-            p.add_argument("--seed", type=int, help="root seed (mandatory here or in config)")
-            p.add_argument("--mode", choices=("qa", "qar"), help="task mode override")
-            p.add_argument("--jobs", type=int, default=1, help="parallel bucket workers")
-            p.add_argument("--rel-matrix", help="external relevance matrix file/dir")
-            p.add_argument("--sim-matrix", help="external similarity matrix file/dir")
-        p.add_argument("--out", help="output path (default stdout or command default)")
-
     p = sub.add_parser("validate", help="check corpus records and exit nonzero on problems")
     p.add_argument("input")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("split", help="assign fold indices by source key")
-    common(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("buckets", help="emit the bucket manifest")
-    common(p)
-    p.set_defaults(func=cmd_buckets)
-
-    p = sub.add_parser("score", help="write per-bucket score matrices")
-    common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("match", help="run the full pipeline and write MCQ items")
-    common(p)
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("sweep", help="rerun matching across a lambda grid")
-    common(p)
-    p.add_argument("--grid", help="comma-separated lambda values")
-    p.set_defaults(func=cmd_sweep)
+    # each config command takes the flags of the one before it and its own
+    flags: list[str] = ["--config", "--seed", "--out"]
+    for name, func, added, help in (
+            ("split", cmd_split, (), "assign fold indices by source key"),
+            ("buckets", cmd_buckets, ("--rounds", "--mode"), "emit the bucket manifest"),
+            ("score", cmd_score, ("--rel-matrix", "--sim-matrix"),
+             "write per-bucket score matrices"),
+            ("match", cmd_match, ("--lambda", "--jobs"),
+             "run the full pipeline and write MCQ items"),
+            ("sweep", cmd_sweep, ("--grid",), "rerun matching across a lambda grid")):
+        flags += added
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input", help="corpus JSONL file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("probe", help="frequency-prior probe over MCQ items")
     p.add_argument("input", help="MCQ items JSONL (eval set)")

@@ -20,8 +20,6 @@ Three probes stand in for human evaluation at desk scale:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,23 +142,21 @@ SWEEP_COLUMNS = ("lambda", "machine_accuracy",
                  "mean_gold_distractor_similarity", "mean_distractor_relevance")
 
 
-def format_sweep_table(rows: Sequence[SweepRow]) -> str:
-    """Plain-text report, one row per sweep point."""
-    lines = ["\t".join(SWEEP_COLUMNS)]
+def _format_sweep(rows: Sequence[SweepRow], sep: str) -> str:
+    lines = [sep.join(SWEEP_COLUMNS)]
     for r in rows:
-        lines.append("\t".join([
+        lines.append(sep.join([
             repr(r.lambda_), repr(r.machine_accuracy),
             repr(r.mean_gold_distractor_similarity),
             repr(r.mean_distractor_relevance)]))
     return "\n".join(lines) + "\n"
 
 
+def format_sweep_table(rows: Sequence[SweepRow]) -> str:
+    """Plain-text report, one row per sweep point."""
+    return _format_sweep(rows, "\t")
+
+
 def format_sweep_csv(rows: Sequence[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow([r.lambda_, r.machine_accuracy,
-                         r.mean_gold_distractor_similarity,
-                         r.mean_distractor_relevance])
-    return buf.getvalue()
+    """The table's rows joined with ``,``; no cell needs CSV quoting."""
+    return _format_sweep(rows, ",")

@@ -18,17 +18,17 @@ object and no score matrix leaves the worker.  ``run_match`` hands each
 bucket's text to its ``write`` callable as soon as the buckets before it
 are done, so ``advmatch match`` holds only the texts of buckets that
 finished ahead of the one it waits for, not the run's.
+
+This module only orchestrates: the command line, its config and the
+manifest ``advmatch match`` writes live in ``cli``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,13 +69,12 @@ class BucketResult:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's mode, fold plan and one ``BucketResult`` per bucket.
+    """A run's config, fold plan and one ``BucketResult`` per bucket.
 
     Buckets are in (fold, bucket id) order.  ``text`` and ``items`` are
     empty for a run that handed its texts to a ``write`` callable.
     """
 
-    mode: str
     config: MatchConfig
     fold_plan: FoldPlan
     buckets: tuple[BucketResult, ...]
@@ -215,9 +214,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
         raise PipelineError(f"jobs must be >= 1, got {jobs}")
     rel_spec = rel_spec or ScorerSpec("overlap", eps=config.eps)
     sim_spec = sim_spec or ScorerSpec("overlap", eps=config.eps)
-    mode = resolve_mode(records, config)
-
-    plan, buckets = plan_buckets(records, config, mode)
+    plan, buckets = plan_buckets(records, config, resolve_mode(records, config))
     store = external_store(rel_spec, sim_spec)
     tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
     results = []
@@ -227,54 +224,4 @@ def run_match(records: Sequence[Record], config: MatchConfig,
                 write(text)
                 text = ""
             results.append(BucketResult(bucket, text, matched, hits))
-    return RunResult(mode=mode, config=config, fold_plan=plan,
-                     buckets=tuple(results))
-
-
-# -- manifests ---------------------------------------------------------------
-
-
-DIGEST_CHUNK = 1 << 20
-
-
-def digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def digest_file(path) -> str:
-    """``digest_bytes`` of a file's content, read in DIGEST_CHUNK pieces."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while chunk := f.read(DIGEST_CHUNK):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-@dataclass
-class PipelineManifest:
-    """Reproducibility sidecar: config snapshot, content digests, timings."""
-
-    config: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"config": self.config, "inputs": self.inputs,
-             "outputs": self.outputs, "timings": self.timings},
-            ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
-class StageTimer:
-    def __init__(self, manifest: PipelineManifest, name: str):
-        self._manifest = manifest
-        self._name = name
-
-    def __enter__(self):
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self._manifest.timings[self._name] = time.monotonic() - self._start
-        return False
+    return RunResult(config=config, fold_plan=plan, buckets=tuple(results))

@@ -159,6 +159,8 @@ class ScorerSpec:
             raise ScoringError(f"eps must be in (0, 0.5), got {self.eps}")
         if self.kind == "external_matrix" and not self.path:
             raise ScoringError("external_matrix scorer needs a path")
+        if self.kind != "external_matrix" and self.path is not None:
+            raise ScoringError(f"{self.kind} scorer takes no path, got {self.path!r}")
 
 
 def symmetrize_entailment(directed: np.ndarray | Sequence[Sequence[float]],
@@ -454,11 +456,13 @@ class ExternalMatrixStore:
     """Index of score-matrix files keyed by (role, record-id tuple).
 
     ``paths`` may name files or directories; directories are scanned
-    non-recursively and a path named twice is scanned once.  Only the
-    header lines are read up front: a file's values are read when
-    :meth:`for_bucket` asks for them, so a run holds the matrices of the
-    buckets it is scoring, not the corpus's.  Looking a bucket up by its
-    member ids also catches provenance mismatches.
+    non-recursively and a file reached twice is indexed once.  Two files
+    holding the same role for the same record ids raise
+    :class:`ScoringError` naming both.  Only the header lines are read up
+    front: a file's values are read when :meth:`for_bucket` asks for them,
+    so a run holds the matrices of the buckets it is scoring, not the
+    corpus's.  Looking a bucket up by its member ids also catches
+    provenance mismatches.
     """
 
     def __init__(self, paths: str | os.PathLike | Iterable[str | os.PathLike]):
@@ -471,7 +475,12 @@ class ExternalMatrixStore:
                     continue
                 with open(f, "rb") as stream:
                     role, ids = _read_header(stream, f)
-                self._files[(role, tuple(ids))] = f
+                key = (role, tuple(ids))
+                seen = self._files.setdefault(key, f)
+                if seen != f and not seen.samefile(f):
+                    raise ScoringError(
+                        f"{seen} and {f} both hold the {role} matrix of the same "
+                        f"{len(ids)} record ids")
 
     def for_bucket(self, role: str, ids: tuple[str, ...]) -> np.ndarray:
         try:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -13,14 +15,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advmatch.cli import main
+from advmatch import cli
+from advmatch.cli import build_parser, digest_file, main
 from advmatch.corpus import CorpusError, parse_records, serialize_records
 from advmatch.matcher import MatchConfig, MatchingError, parse_items
 from advmatch import pipeline
-from advmatch.pipeline import digest_bytes, plan_buckets, run_match
+from advmatch.pipeline import plan_buckets, run_match
 from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
+
+
+def digest_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture
@@ -60,6 +67,65 @@ class TestValidate:
         corpus.write_text(serialize_records([r, r]), encoding="utf-8")
         assert main(["validate", str(corpus)]) == 1
         assert "duplicate id" in capsys.readouterr().out
+
+
+# The flags of each config command: those of the command before it and the
+# flags of the values it reads.
+COMMAND_FLAGS = {
+    "split": ("--config", "--seed", "--out"),
+    "buckets": ("--config", "--seed", "--out", "--rounds", "--mode"),
+    "score": ("--config", "--seed", "--out", "--rounds", "--mode",
+              "--rel-matrix", "--sim-matrix"),
+    "match": ("--config", "--seed", "--out", "--rounds", "--mode",
+              "--rel-matrix", "--sim-matrix", "--lambda", "--jobs"),
+    "sweep": ("--config", "--seed", "--out", "--rounds", "--mode",
+              "--rel-matrix", "--sim-matrix", "--lambda", "--jobs", "--grid"),
+}
+FLAG_VALUES = {"--config": "c.json", "--seed": "1", "--out": "o", "--rounds": "2",
+               "--mode": "qar", "--rel-matrix": "m", "--sim-matrix": "m",
+               "--lambda": "5", "--jobs": "8", "--grid": "0.5"}
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """Every command's option strings, read from the parser itself."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        flags = _parser_flags()
+        assert {c: flags[c] for c in COMMAND_FLAGS} == {
+            c: set(f) for c, f in COMMAND_FLAGS.items()}
+        assert flags["validate"] == set()
+        assert flags["probe"] == {"--train"}
+        assert sum(map(len, flags.values())) == 35
+
+    @pytest.mark.parametrize("command, flag", [
+        (c, f) for c in COMMAND_FLAGS for f in FLAG_VALUES if f not in COMMAND_FLAGS[c]])
+    def test_flag_the_command_does_not_read_exits_two(self, workspace, capsys,
+                                                      command, flag):
+        tmp, corpus, config = workspace
+        out = tmp / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(corpus), "--config", str(config), "--out", str(out),
+                  flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (c, f) for c, flags in COMMAND_FLAGS.items() for f in flags])
+    def test_flag_the_command_reads_is_taken(self, command, flag):
+        parser = build_parser()
+        bare = parser.parse_args([command, "corpus.jsonl"])
+        args = parser.parse_args([command, "corpus.jsonl", flag, FLAG_VALUES[flag]])
+        assert args.func is getattr(cli, f"cmd_{command}")
+        changed = {k for k, v in vars(args).items() if v != vars(bare)[k]}
+        assert len(changed) == 1
 
 
 def test_every_command_splits_lines_alike(workspace):
@@ -264,11 +330,11 @@ class TestMatch:
                 reads.append(size)
                 return self.f.read(size)
 
-        monkeypatch.setattr(pipeline, "DIGEST_CHUNK", 1000)
-        monkeypatch.setattr(pipeline, "open",
+        monkeypatch.setattr(cli, "DIGEST_CHUNK", 1000)
+        monkeypatch.setattr(cli, "open",
                             lambda *a, **k: Recording(real_open(*a, **k)),
                             raising=False)
-        assert pipeline.digest_file(path) == digest_bytes(data)
+        assert digest_file(path) == digest_bytes(data)
         assert reads and all(0 < size <= 1000 for size in reads)
 
     def test_seed_required(self, workspace, capsys):
@@ -350,6 +416,24 @@ class TestMatch:
         manifest = json.loads((tmp / "items.jsonl.manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
         assert manifest["config"]["rounds"] == 2
+
+    @pytest.mark.parametrize("scorer, message", [
+        ({"kind": "overlap", "epss": 0.3},
+         "config 'relevance_scorer' has unknown keys ['epss']"),
+        ({"kind": "overlap", "path": "scores"}, "overlap scorer takes no path"),
+        ({"kind": "embedding_cosine", "path": "scores"},
+         "embedding_cosine scorer takes no path"),
+    ])
+    def test_scorer_takes_only_what_it_reads(self, workspace, capsys, scorer,
+                                             message):
+        tmp, corpus, _ = workspace
+        config = tmp / "scorer.json"
+        config.write_text(json.dumps({"seed": 1, "n_folds": 1,
+                                      "relevance_scorer": scorer}), encoding="utf-8")
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "x").exists()
 
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, corpus, _ = workspace
@@ -562,6 +646,22 @@ class TestScoreAndExternalMatrices:
         assert set(reads) == set(files)
         assert {f: headers[f] - reads[f] for f in files} == {f: 1 for f in files}
 
+    def test_two_matrices_for_one_bucket_exit_one_naming_both(self, workspace,
+                                                               capsys):
+        tmp, corpus, config = workspace
+        scores = tmp / "scores"
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        (written,) = scores.glob("*.relevance.scm")
+        copy = scores / "copy.relevance.scm"
+        copy.write_bytes(written.read_bytes())
+        capsys.readouterr()
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--rel-matrix", str(scores), "--out", str(tmp / "x.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert str(written) in err and str(copy) in err
+        assert not (tmp / "x.jsonl").exists()
+
     def test_mismatched_external_exit_one(self, workspace, tmp_path):
         tmp, corpus, config = workspace
         other = tmp_path / "other.jsonl"
@@ -604,6 +704,19 @@ class TestSweepAndProbe:
                      "--out", str(out)]) == 0
         rows = out.read_text().splitlines()
         assert rows[1].split("\t")[0] == "0.1"  # qa default
+
+    def test_sweep_without_grid_sweeps_the_lambda_flag(self, workspace):
+        tmp, corpus, config = workspace
+        out = tmp / "sweep.txt"
+        argv = ["sweep", str(corpus), "--config", str(config), "--out", str(out),
+                "--lambda", "0.5"]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].split("\t")[0] == "0.5"
+        # --grid overrides lambda
+        assert main([*argv, "--grid", "1.0"]) == 0
+        assert [r.split("\t")[0] for r in out.read_text().splitlines()[1:]] == ["1.0"]
 
     def test_probe_command(self, workspace, capsys):
         tmp, corpus, config = workspace

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.remap import CandidateTable
-from advmatch.scoring import (ScoreMatrix, ScorerSpec, ScoringError, clamp_prob,
-                              content, read_score_matrix, relevance_overlap,
+from advmatch.scoring import (ExternalMatrixStore, ScoreMatrix, ScorerSpec,
+                              ScoringError, clamp_prob, content, read_score_matrix, relevance_overlap,
                               score_bucket, similarity_cosine,
                               symmetrize_entailment, write_score_matrix)
 
@@ -353,3 +353,21 @@ class TestMatrixFiles:
 
         with pytest.raises(ScoringError, match="no external relevance matrix"):
             score_bucket(bucket[:4], rel_spec, sim_spec)
+
+    def test_two_files_for_one_role_and_ids_name_both(self, tmp_path):
+        ids = [r.id for r in simple_bucket_corpus(4, seed=2)]
+        first, second = tmp_path / "a.scm", tmp_path / "b.scm"
+        write_score_matrix(first, "relevance", np.full((4, 4), 0.25), ids)
+        write_score_matrix(second, "relevance", np.full((4, 4), 0.5), ids)
+        with pytest.raises(ScoringError) as exc:
+            ExternalMatrixStore(tmp_path)
+        assert str(first) in str(exc.value) and str(second) in str(exc.value)
+        # one file reached through its directory and by name is no clash
+        second.unlink()
+        store = ExternalMatrixStore([tmp_path, first])
+        assert (store.for_bucket("relevance", tuple(ids)) == 0.25).all()
+
+    @pytest.mark.parametrize("kind", ["overlap", "embedding_cosine"])
+    def test_builtin_scorer_takes_no_path(self, kind):
+        with pytest.raises(ScoringError, match=f"{kind} scorer takes no path"):
+            ScorerSpec(kind, path="scores")

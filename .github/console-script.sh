@@ -22,6 +22,25 @@ advmatch probe "$work/items.jsonl"
 # a pool of two workers writes the same bytes as one process
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --out "$work/items2.jsonl"
 cmp "$work/items.jsonl" "$work/items2.jsonl"
+# and the same manifest, but for --jobs, the timings and the output's name
+python - "$work/items.jsonl" "$work/items2.jsonl" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+
+def comparable(out):
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    del manifest["config"]["jobs"], manifest["timings"]
+    del manifest["outputs"][str(Path(out))]
+    return manifest
+
+
+one, two = map(comparable, sys.argv[1:])
+if one != two:
+    sys.exit(f"--jobs 1 and --jobs 2 manifests differ:\n{one}\n{two}")
+PY
 advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --grid 1.0,0.1 --out "$work/sweep.txt"
 # and so does a sweep: its table and its CSV
 advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --jobs 1 --grid 1.0,0.1 --out "$work/sweep1.txt"

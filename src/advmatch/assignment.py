@@ -1,4 +1,4 @@
-"""Maximum-weight linear assignment with forbidden pairs, plus a brute-force oracle.
+"""Maximum-weight linear assignment with forbidden pairs.
 
 The solver returns the lexicographically smallest of the maximum-total
 mappings of an integer grid copy of the weights, whichever optimum scipy's
@@ -25,16 +25,12 @@ shortest-augmenting-path solver happens to find:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-
-BRUTE_FORCE_MAX = 10
 
 # n * max|Q| <= 2**GRID_BITS keeps every cost, potential and reduced cost an
 # integer below 2**52 in magnitude, so float64 holds each one exactly
@@ -43,23 +39,6 @@ GRID_BITS = 50
 
 class AssignmentError(ValueError):
     """Raised for infeasible matrices or misuse of the solver contract."""
-
-
-class _ForbiddenType:
-    """Sentinel for pairs that must never be assigned (conceptually -inf)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FORBIDDEN"
-
-
-FORBIDDEN = _ForbiddenType()
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,22 +72,6 @@ class WeightMatrix:
     def n(self) -> int:
         return int(self.values.shape[0])
 
-    @classmethod
-    def from_rows(cls, rows) -> "WeightMatrix":
-        """Build from nested lists whose entries may be the FORBIDDEN sentinel."""
-        n = len(rows)
-        values = np.zeros((n, n), dtype=np.float64)
-        mask = np.zeros((n, n), dtype=np.bool_)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise AssignmentError(f"row {i} has {len(row)} entries, expected {n}")
-            for j, x in enumerate(row):
-                if x is FORBIDDEN:
-                    mask[i, j] = True
-                else:
-                    values[i, j] = float(x)
-        return cls(values=values, forbidden=mask)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -116,10 +79,6 @@ class Assignment:
 
     mapping: tuple[int, ...]
     total_weight: float
-
-
-def _total(values: np.ndarray, mapping: np.ndarray) -> float:
-    return float(values[np.arange(len(mapping)), mapping].sum())
 
 
 def _quantize(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
@@ -266,42 +225,4 @@ def solve_lap_max(w: WeightMatrix) -> Assignment:
         raise AssignmentError("no perfect matching avoids the forbidden entries") from exc
     mapping = _lexicalize(cost, mapping)
     return Assignment(mapping=tuple(int(c) for c in mapping),
-                      total_weight=_total(w.values, mapping))
-
-
-def brute_force_lap(w: WeightMatrix) -> Assignment:
-    """Exhaustive oracle: enumerate every permutation, same tie-break.
-
-    Permutations are generated in lexicographic order and only strictly
-    better totals win, so the first of any co-optimal set (the
-    lexicographically smallest mapping) is returned.  Totals are float sums
-    of the given weights, so ties are exact only for weights whose sums are
-    exact, such as the solver's quantized ones; on those the oracle returns
-    the solver's mapping.  Capped at n <= BRUTE_FORCE_MAX; work is
-    chunked so peak memory stays modest even at the cap (10! rows).
-    """
-    n = w.n
-    if n > BRUTE_FORCE_MAX:
-        raise AssignmentError(f"oracle size cap is n <= {BRUTE_FORCE_MAX}, got {n}")
-    rows = np.arange(n)
-    stream = itertools.permutations(range(n))
-    chunk_size = 200_000
-    remaining = math.factorial(n)
-    best_total = -np.inf
-    best_mapping: np.ndarray | None = None
-    while remaining:
-        take = min(chunk_size, remaining)
-        perms = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(stream, take)), dtype=np.int8,
-            count=take * n).reshape(take, n)
-        remaining -= take
-        totals = w.values[rows, perms].sum(axis=1)
-        totals[w.forbidden[rows, perms].any(axis=1)] = -np.inf
-        top = int(np.argmax(totals))
-        if totals[top] > best_total:
-            best_total = float(totals[top])
-            best_mapping = perms[top].astype(np.int64)
-    if best_mapping is None or best_total == -np.inf:
-        raise AssignmentError("no perfect matching avoids the forbidden entries")
-    return Assignment(mapping=tuple(int(c) for c in best_mapping),
-                      total_weight=_total(w.values, best_mapping))
+                      total_weight=float(w.values[np.arange(w.n), mapping].sum()))

@@ -216,7 +216,7 @@ def cmd_score(args) -> int:
         safe = b.bucket_id.replace(":", "_").replace("/", "-")
         for role, matrix in (("relevance", rel), ("similarity", sim)):
             path = outdir / f"{safe}.{role}.scm"
-            write_score_matrix(path, role, matrix, ids)
+            write_score_matrix(path, role, matrix.values, ids)
             written.append(str(path))
     print("\n".join(written))
     return EXIT_OK
@@ -241,7 +241,7 @@ def cmd_match(args) -> int:
         if spec.kind == "external_matrix":
             p = Path(spec.path)
             for f in sorted(p.iterdir()) if p.is_dir() else [p]:
-                if f.is_file():
+                if f.is_file() and str(f) not in inputs:
                     inputs[str(f)] = digest_file(f)
     out = Path(args.out or "items.jsonl")
     # run_match writes each bucket's items once the buckets before it are

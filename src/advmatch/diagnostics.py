@@ -1,17 +1,15 @@
 """Machine-difficulty and bias measurement over exported MCQ items.
 
-Three probes stand in for human evaluation at desk scale:
+Two probes stand in for human evaluation at desk scale:
 
-* machine_accuracy: how often a relevance scorer, acting as the
-  attacker, picks the gold choice by argmax (ties count as incorrect);
 * lambda_sweep: rerun the whole pipeline across a tradeoff grid and
   report attacker accuracy plus the matched relevance/similarity means.
-  The attacker is the overlap relevance scorer at the config's eps.  Each
-  bucket counts its hits in the worker that matched it, from the
-  relevance matrix it scored (``BucketResult.attack_hits``), and the sweep
-  divides their sum by the item count, so no item is parsed back in the
-  parent.  ``machine_accuracy`` with ``relevance_overlap`` gives the same
-  number from parsed items;
+  The attacker is the overlap relevance scorer at the config's eps; its
+  accuracy is how often it scores the gold strictly above every
+  distractor.  Each bucket counts its hits in the worker that matched it,
+  from the relevance matrix it scored (``BucketResult.attack_hits``), and
+  the sweep divides their sum by the item count, so no item is parsed
+  back in the parent;
 * frequency_prior_probe: predict from per-response gold rates alone,
   without ever reading the query.  On well-matched output every response
   is gold once and a distractor K times, so the probe converges to
@@ -31,23 +29,6 @@ from .corpus import Token
 
 class DiagnosticsError(ValueError):
     """Raised for unusable probe inputs."""
-
-
-def machine_accuracy(items: Sequence[MCQItem], scorer: Callable[..., float]) -> float:
-    """Fraction of items where the scorer's strict argmax choice is gold.
-
-    Ties never count as correct: a scorer with no opinion must score zero,
-    not chance.
-    """
-    if not items:
-        raise DiagnosticsError("machine_accuracy needs at least one item")
-    hits = 0
-    for item in items:
-        scores = [scorer(item.query, choice) for choice in item.choices]
-        top = max(scores)
-        if scores.count(top) == 1 and scores.index(top) == item.gold_index:
-            hits += 1
-    return hits / len(items)
 
 
 def canonical_choice_text(tokens: Sequence[Token]) -> str:
@@ -112,10 +93,8 @@ def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
     """Full pipeline rerun per lambda (same seed); one row per grid point.
 
     A row's accuracy is the sum of the run's ``attack_hits`` over its item
-    count, which equals ``machine_accuracy(result.items,
-    functools.partial(relevance_overlap, eps=config.eps))`` for any
-    ``rel_spec``.  A grid point's run is dropped before the next point
-    runs, so only one run's texts are held at a time.
+    count, for any ``rel_spec``.  A grid point's run is dropped before the
+    next point runs, so only one run's texts are held at a time.
     """
     if not grid:
         raise DiagnosticsError("lambda grid is empty")

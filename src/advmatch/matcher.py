@@ -29,7 +29,7 @@ import numpy as np
 
 from .assignment import AssignmentError, WeightMatrix, solve_lap_max
 from .corpus import Record, Token, parse_token_stream, tokens_to_text
-from .scoring import DEFAULT_EPS, ScoreMatrix
+from .scoring import DEFAULT_EPS
 from .seeding import Substreams
 
 LAMBDA_DEFAULTS = {"qa": 0.1, "qar": 0.01}
@@ -105,29 +105,26 @@ def weight_matrix(rel: np.ndarray, eff_sim: np.ndarray, lambda_: float) -> Weigh
     return WeightMatrix(values=values, forbidden=forbidden)
 
 
-def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
-               sim: ScoreMatrix | np.ndarray, config: MatchConfig,
-               candidates=None) -> tuple[np.ndarray, list[str]]:
+def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
+               config: MatchConfig, candidates) -> tuple[np.ndarray, list[str]]:
     """K matching rounds over one bucket; returns ``(mappings, texts)``.
 
     ``mappings`` is a ``(K, n)`` intp array: ``mappings[t, i]`` is the
     index of the response served to query ``i`` in round ``t + 1``.
     ``texts[t * n + i]`` is that distractor's text, round-major.
 
+    ``rel`` and ``sim`` are the bucket's ``(n, n)`` score arrays.
     ``candidates`` is a ``remap.CandidateTable`` or anything with
     ``get(pairs)``: given ``(query, response)`` index pairs, it returns the
     distractor text of each, in order.  It is called once per bucket, after
     the last round, with every round's pairs in round order, so a table can
-    decode all of the bucket's substreams in one batch.  Without it the raw
-    gold responses are used.
+    decode all of the bucket's substreams in one batch.
     """
     n = len(bucket)
     k = config.rounds
     if n < k + 1:
         raise MatchingError(f"bucket of {n} records cannot support {k} rounds")
-    rel_values = rel.values if isinstance(rel, ScoreMatrix) else np.asarray(rel)
-    sim_values = sim.values if isinstance(sim, ScoreMatrix) else np.asarray(sim)
-    if rel_values.shape != (n, n) or sim_values.shape != (n, n):
+    if rel.shape != (n, n) or sim.shape != (n, n):
         raise MatchingError("score matrices must match the bucket size")
     mode = config.mode or bucket[0].task_mode
     lam = config.resolved_lambda(mode)
@@ -135,12 +132,12 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
     # eff[i][j]: the largest sim[a][j] over a = i and every response
     # assigned to i so far; an assigned response meets the unit diagonal,
     # so its pair saturates at 1.0 and is forbidden from then on
-    eff = sim_values.copy()
+    eff = sim.copy()
     rows = np.arange(n)
     mappings = np.empty((k, n), dtype=np.intp)
     for t in range(1, k + 1):
         try:
-            result = solve_lap_max(weight_matrix(rel_values, eff, lam))
+            result = solve_lap_max(weight_matrix(rel, eff, lam))
         except AssignmentError as exc:
             raise MatchingError(f"round {t}: {exc}") from exc
         mapping = mappings[t - 1]
@@ -151,12 +148,10 @@ def run_rounds(bucket: Sequence[Record], rel: ScoreMatrix | np.ndarray,
             raise MatchingError(
                 f"round {t}: invalid assignment {bucket[i].id} -> "
                 f"{bucket[mapping[i]].id} (self or repeat)")
-        np.maximum(eff, sim_values[mapping], out=eff)
+        np.maximum(eff, sim[mapping], out=eff)
 
     pairs = [(i, j) for mapping in mappings.tolist() for i, j in enumerate(mapping)]
-    texts = (candidates.get(pairs) if candidates is not None
-             else [tokens_to_text(bucket[j].gold) for _, j in pairs])
-    return mappings, texts
+    return mappings, candidates.get(pairs)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,7 @@ class BucketResult:
     score matrices are not kept: ``score_bucket`` on ``bucket.members`` (or
     ``advmatch score``) recomputes them.  ``attack_hits`` counts the items
     whose gold the attacker, overlap relevance at the run's eps, scores
-    strictly above every distractor (``machine_accuracy`` with
-    ``relevance_overlap`` counts the same over parsed items).
+    strictly above every distractor.
     """
 
     bucket: Bucket
@@ -138,16 +137,15 @@ def _process_bucket(args) -> tuple[str, np.ndarray, int]:
     bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
-    rel, sim = score_bucket(members, rel_spec, sim_spec, store)
+    rel, sim = (m.values for m in score_bucket(members, rel_spec, sim_spec, store))
     mappings, texts = run_rounds(members, rel, sim, config, candidates)
     lines = export_mcq(members, mappings, texts, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
     cols = mappings.T
     rows = np.arange(len(members))[:, None]
-    matched = np.column_stack((rel.values[rows, cols].ravel(),
-                               sim.values[rows, cols].ravel()))
+    matched = np.column_stack((rel[rows, cols].ravel(), sim[rows, cols].ravel()))
     attacker = ScorerSpec("overlap", eps=config.eps)
-    att = (rel.values if rel_spec == attacker
+    att = (rel if rel_spec == attacker
            else relevance_values(members, attacker, store))
     hits = int((np.diag(att) > att[rows, cols].max(axis=1)).sum())
     return "".join(lines), matched, hits

@@ -21,7 +21,6 @@ scorers outside this program; a body that parses as TSV is read as TSV.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -68,48 +67,6 @@ def content(tokens: Sequence[Token]) -> frozenset[str]:
         elif t.text not in STOPWORDS:
             out.add(t.text)
     return frozenset(out)
-
-
-def clamp_prob(p: float, eps: float = DEFAULT_EPS) -> float:
-    """Pull a probability into [eps, 1-eps] so its logarithms stay finite."""
-    if not 0.0 < eps < 0.5:
-        raise ScoringError(f"eps must be in (0, 0.5), got {eps}")
-    if not (-1e-9 <= p <= 1.0 + 1e-9):
-        raise ScoringError(f"not a probability: {p}")
-    return min(max(p, eps), 1.0 - eps)
-
-
-def _overlap_score(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a or not b:
-        return 0.0
-    return len(a & b) / math.sqrt(len(a) * len(b))
-
-
-def relevance_overlap(query: Sequence[Token], response: Sequence[Token],
-                      eps: float = DEFAULT_EPS) -> float:
-    """Cosine-style content overlap between a query and a response.
-
-    Words are lowercased and stopword-filtered; tags count as their class
-    label.  Returns ``|Q & R| / sqrt(|Q| * |R|)`` clamped to [eps, 1-eps].
-    """
-    if not query or not response:
-        raise ScoringError("relevance_overlap requires non-empty token sequences")
-    return clamp_prob(_overlap_score(content(query), content(response)), eps)
-
-
-def similarity_cosine(u: Sequence[float], v: Sequence[float],
-                      eps: float = DEFAULT_EPS) -> float:
-    """Cosine of two vectors rescaled from [-1, 1] to a clamped probability."""
-    ua = np.asarray(u, dtype=np.float64)
-    va = np.asarray(v, dtype=np.float64)
-    if ua.shape != va.shape or ua.ndim != 1:
-        raise ScoringError("vectors must be 1-d and the same length")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        raise ScoringError("zero vector has no direction")
-    cos = min(1.0, max(-1.0, float(np.dot(ua, va)) / (nu * nv)))
-    return clamp_prob((cos + 1.0) / 2.0, eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +165,8 @@ def _intersections(row_contents: Sequence[AbstractSet[str]],
 def _cosine(inter: np.ndarray, row_sizes: np.ndarray,
             col_sizes: np.ndarray) -> np.ndarray:
     """``inter / sqrt(row_size * col_size)`` computed in place of ``inter``,
-    bit-identical to the per-pair formula; 0 where a side is empty.
-    ``col_sizes`` holds one size per column or one per entry.
+    bit-identical per pair to that formula in Python floats; 0 where a side
+    is empty.  ``col_sizes`` holds one size per column or one per entry.
     """
     denom = row_sizes[:, None] * col_sizes
     np.sqrt(denom, out=denom)
@@ -223,7 +180,7 @@ def _sizes(contents: Sequence[AbstractSet[str]]) -> np.ndarray:
 
 def _overlap_matrix(row_contents: Sequence[frozenset[str]],
                     col_contents: Sequence[frozenset[str]]) -> np.ndarray:
-    """All-pairs overlap scores, bit-identical to the per-pair formula."""
+    """All-pairs ``|a & b| / sqrt(|a| * |b|)``, bit-identical per pair."""
     return _cosine(_intersections(row_contents, col_contents),
                    _sizes(row_contents), _sizes(col_contents))
 
@@ -366,10 +323,8 @@ TSV_MAX_N = 1000
 
 
 def write_score_matrix(path: str | os.PathLike, role: str,
-                       values: np.ndarray | ScoreMatrix, ids: Sequence[str]) -> None:
+                       values: np.ndarray, ids: Sequence[str]) -> None:
     """Write a score matrix file: the header line, then the float32 payload."""
-    if isinstance(values, ScoreMatrix):
-        role, values = values.role, values.values
     if role not in _ROLES:
         raise ScoringError(f"role must be one of {_ROLES}, got {role!r}")
     vals = np.asarray(values, dtype=np.float64)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from advmatch.assignment import WeightMatrix, brute_force_lap, solve_lap_max
+from advmatch.assignment import WeightMatrix, solve_lap_max
 from advmatch.cli import main
 from advmatch.corpus import serialize_records, split_folds
 from advmatch.diagnostics import frequency_prior_probe, lambda_sweep
@@ -23,6 +23,7 @@ from advmatch.pipeline import run_match
 from advmatch.scoring import ScorerSpec
 
 from conftest import multi_fold_corpus, simple_bucket_corpus, trend_corpus
+from oracles import GoldTexts, brute_force_lap
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -63,7 +64,7 @@ def test_criterion_2_recycling_and_prior():
     from advmatch.scoring import score_bucket
 
     candidates = CandidateTable(bucket, p_reuse=0.5, seed=5)
-    rel, sim = score_bucket(bucket, rel_spec, sim_spec)
+    rel, sim = (m.values for m in score_bucket(bucket, rel_spec, sim_spec))
     config = MatchConfig(seed=5, rounds=3, n_folds=1)
     mappings, texts = run_rounds(bucket, rel, sim, config, candidates)
 
@@ -212,7 +213,7 @@ def test_criterion_8_throughput_3000():
     bucket = simple_bucket_corpus(n, seed=8)
     config = MatchConfig(seed=0, rounds=3, n_folds=1)
     start = time.monotonic()
-    mappings, _ = run_rounds(bucket, rel, sim, config)
+    mappings, _ = run_rounds(bucket, rel, sim, config, GoldTexts(bucket))
     elapsed = time.monotonic() - start
     assert mappings.shape == (3, n)
     counts = np.bincount(mappings.ravel(), minlength=n)

@@ -309,6 +309,30 @@ class TestMatch:
             assert manifest["inputs"][str(f)] == digest_bytes(f.read_bytes())
         assert manifest["config"]["relevance_scorer"]["path"] == str(scores)
 
+    def test_directory_named_by_both_flags_is_hashed_once(self, workspace,
+                                                          monkeypatch):
+        tmp, corpus, config = workspace
+        scores = tmp / "scores"
+        main(["score", str(corpus), "--config", str(config), "--out", str(scores)])
+        calls = Counter()
+        real_digest = cli.digest_file
+
+        def counted(path):
+            calls[str(path)] += 1
+            return real_digest(path)
+
+        monkeypatch.setattr(cli, "digest_file", counted)
+        out = tmp / "ext.jsonl"
+        assert main(["match", str(corpus), "--config", str(config), "--out", str(out),
+                     "--rel-matrix", str(scores), "--sim-matrix", str(scores)]) == 0
+        matrix_files = sorted(scores.iterdir())
+        assert len(matrix_files) == 2
+        assert calls == {str(f): 1 for f in matrix_files}
+        # the corpus and every matrix file, each with the digest of its bytes
+        manifest = json.loads((tmp / "ext.jsonl.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(f): digest_bytes(f.read_bytes()) for f in [corpus, *matrix_files]}
+
     def test_file_digest_reads_in_chunks(self, tmp_path, monkeypatch):
         data = bytes(range(256)) * 9
         path = tmp_path / "matrix.npy"

@@ -9,12 +9,13 @@ from advmatch.corpus import parse_token_stream as pts
 from advmatch.diagnostics import (DiagnosticsError, _matched_means,
                                   canonical_choice_text, format_sweep_csv,
                                   format_sweep_table, frequency_prior_probe,
-                                  lambda_sweep, machine_accuracy)
+                                  lambda_sweep)
 from advmatch.matcher import MatchConfig, MCQItem, Provenance, parse_items
 from advmatch.pipeline import run_match
 from advmatch.scoring import ScorerSpec, score_bucket
 
 from conftest import multi_fold_corpus, simple_bucket_corpus, trend_corpus
+from oracles import machine_accuracy
 
 
 def make_item(i, gold_index=0, choice_texts=None, query="why is [person:1] busy ?"):

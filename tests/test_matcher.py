@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch import matcher
-from advmatch.assignment import Assignment, brute_force_lap
+from advmatch.assignment import Assignment
 from advmatch.corpus import Record, Token, parse_token_stream, tokens_to_text
 from advmatch.matcher import (MatchConfig, MatchingError, export_mcq, parse_items,
                               run_rounds, weight_matrix, write_items)
@@ -20,6 +20,7 @@ from advmatch.scoring import ScorerSpec, score_bucket
 from advmatch.seeding import derive_rng
 
 from conftest import simple_bucket_corpus
+from oracles import GoldTexts, brute_force_lap
 
 EPS = 1e-6
 
@@ -146,16 +147,18 @@ class TestWeightMatrix:
 class TestRunRounds:
     def test_minimal_bucket_forces_all_golds(self):
         bucket = simple_bucket_corpus(4, seed=4)
-        rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
-                                ScorerSpec("overlap", eps=EPS))
-        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+        rel, sim = (m.values for m in score_bucket(
+            bucket, ScorerSpec("overlap", eps=EPS), ScorerSpec("overlap", eps=EPS)))
+        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
+                                 GoldTexts(bucket))
         for i, cols in enumerate(mappings.T.tolist()):
             assert set(cols) == set(range(len(bucket))) - {i}
 
     def test_recycling_exact_on_100(self):
         bucket = simple_bucket_corpus(100, seed=5)
         rel, sim = random_scores(100, 6)
-        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+        mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
+                                 GoldTexts(bucket))
         assert mappings.shape == (3, 100)
         assert set(np.bincount(mappings.ravel(), minlength=100).tolist()) == {3}
         for i, cols in enumerate(mappings.T.tolist()):
@@ -165,7 +168,8 @@ class TestRunRounds:
     def test_rounds_are_sequentially_disjoint(self):
         bucket = simple_bucket_corpus(12, seed=7)
         rel, sim = random_scores(12, 8)
-        mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=5))
+        mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=5),
+                                     GoldTexts(bucket))
         assert mappings.shape == (5, 12)
         items = parse_items(export_mcq(bucket, mappings, texts, seed=0))
         for i, item in enumerate(items):
@@ -179,7 +183,8 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(3, seed=9)
         rel, sim = random_scores(3, 9)
         with pytest.raises(MatchingError, match="3 records"):
-            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
+                       GoldTexts(bucket))
 
     def test_infeasible_round_is_named(self):
         # the saturated (0, 1) pair restricts columns 0 and 1 to rows 2/3;
@@ -190,7 +195,8 @@ class TestRunRounds:
         sim[0, 1] = sim[1, 0] = 1.0
         np.fill_diagonal(sim, 1.0)
         with pytest.raises(MatchingError, match="round 2"):
-            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
+                       GoldTexts(bucket))
 
     def test_invalid_assignment_names_the_records(self, monkeypatch):
         bucket = simple_bucket_corpus(5, seed=18)
@@ -199,7 +205,8 @@ class TestRunRounds:
         monkeypatch.setattr(matcher, "solve_lap_max", lambda w: identity)
         with pytest.raises(MatchingError,
                            match=r"round 1: invalid assignment r0000 -> r0000"):
-            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3))
+            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
+                       GoldTexts(bucket))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 14), k=st.integers(1, 4),
@@ -212,7 +219,7 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(n, seed=seed % 1000)
         rel, sim = random_scores(n, seed)
         cfg = MatchConfig(seed=0, rounds=k, lambda_=lam)
-        mappings, _ = run_rounds(bucket, rel, sim, cfg)
+        mappings, _ = run_rounds(bucket, rel, sim, cfg, GoldTexts(bucket))
         assert mappings.shape == (k, n)
         assert set(np.bincount(mappings.ravel(), minlength=n).tolist()) == {k}
         for i, cols in enumerate(mappings.T.tolist()):
@@ -222,8 +229,8 @@ class TestRunRounds:
     def test_candidate_table_texts_used(self):
         bucket = simple_bucket_corpus(5, seed=11)
         candidates = CandidateTable(bucket, p_reuse=0.5, seed=3)
-        rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
-                                ScorerSpec("overlap", eps=EPS))
+        rel, sim = (m.values for m in score_bucket(
+            bucket, ScorerSpec("overlap", eps=EPS), ScorerSpec("overlap", eps=EPS)))
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
                                      candidates)
         n = len(bucket)
@@ -259,7 +266,8 @@ class TestRunRounds:
             seen.clear()
             bucket = simple_bucket_corpus(n, seed=seed)
             rel, sim = random_scores(n, seed)
-            mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k))
+            mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
+                                     GoldTexts(bucket))
             assigned = [set() for _ in range(n)]
             assert len(seen) == k
             for t, eff in enumerate(seen):
@@ -295,7 +303,7 @@ class TestExport:
         bucket = simple_bucket_corpus(n, seed=seed)
         rel, sim = random_scores(n, seed + 1)
         cfg = MatchConfig(seed=0, rounds=rounds)
-        return bucket, run_rounds(bucket, rel, sim, cfg)
+        return bucket, run_rounds(bucket, rel, sim, cfg, GoldTexts(bucket))
 
     @staticmethod
     def _items(rounds, bucket, **kwargs):

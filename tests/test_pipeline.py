@@ -19,13 +19,13 @@ from hypothesis import given, settings, strategies as st
 import advmatch
 from advmatch import pipeline
 from advmatch.corpus import serialize_records
-from advmatch.diagnostics import (format_sweep_csv, format_sweep_table, lambda_sweep,
-                                  machine_accuracy)
+from advmatch.diagnostics import format_sweep_csv, format_sweep_table, lambda_sweep
 from advmatch.matcher import MatchConfig, parse_items, write_items
 from advmatch.pipeline import PipelineError, plan_buckets, run_match
-from advmatch.scoring import ScorerSpec, relevance_overlap, score_bucket
+from advmatch.scoring import ScorerSpec, score_bucket
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
+from oracles import machine_accuracy, relevance_overlap
 
 # Runs run_match at jobs=2 under the start method given as argv[1], on the
 # corpus file argv[2], and prints the items.

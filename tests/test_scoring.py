@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.remap import CandidateTable
 from advmatch.scoring import (ExternalMatrixStore, ScoreMatrix, ScorerSpec,
-                              ScoringError, clamp_prob, content, read_score_matrix, relevance_overlap,
-                              score_bucket, similarity_cosine,
+                              ScoringError, content, read_score_matrix, score_bucket,
                               symmetrize_entailment, write_score_matrix)
 
 from conftest import make_record, simple_bucket_corpus
+from oracles import clamp_prob, relevance_overlap, similarity_cosine
 
 EPS = 1e-6
 

@@ -21,16 +21,52 @@ shortest-augmenting-path solver happens to find:
   among them is built row by row;
 * the reported total is always the plain sum of the selected original
   entries.
+
+scipy's ``linear_sum_assignment`` is the one scipy routine used.  It is
+loaded from its compiled module alone (:func:`_load_lsap`), so that no
+command pays for ``scipy.optimize``'s package init.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+
+
+def _load_lsap() -> Callable:
+    """scipy's ``linear_sum_assignment``, without importing ``scipy.optimize``.
+
+    ``scipy.optimize/__init__.py`` also loads scipy.linalg, scipy.sparse and
+    the array-API shims, which take most of a command's start-up time and
+    memory.  Where the solver is a compiled module of its own
+    (``scipy/optimize/_lsap``, an extension module on recent scipy), that
+    module is loaded directly and registered under its own name, so a later
+    ``import scipy.optimize`` reuses it and exports the same function.  On
+    any other layout the public import is used.
+    """
+    import scipy
+
+    name = "scipy.optimize._lsap"
+    spec = PathFinder.find_spec(
+        name, [os.path.join(p, "optimize") for p in scipy.__path__])
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment as public
+        return public
+    module = sys.modules.get(name)
+    if module is None:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 # n * max|Q| <= 2**GRID_BITS keeps every cost, potential and reduced cost an
 # integer below 2**52 in magnitude, so float64 holds each one exactly
@@ -108,6 +144,54 @@ def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     return np.subtract(q.max(axis=0), q, out=q)
 
 
+def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Label the nodes 0..n-1 of a digraph by strong component.
+
+    The edges are ``src[e] -> dst[e]`` with ``src`` sorted ascending.  Two
+    nodes get the same label exactly when each reaches the other.  Tarjan's
+    (1972) search, iterative: ``low[v]`` is the earliest node still on the
+    stack that v's subtree reaches, and v roots a component when that is v.
+    """
+    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
+    heads = dst.tolist()
+    order = [-1] * n  # visiting order, -1 before the visit
+    low = [0] * n
+    label = [-1] * n  # -1 while visited nodes sit on the stack
+    stack: list[int] = []
+    visited = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [[root, starts[root]]]  # each node and its next edge
+        while path:
+            top = path[-1]
+            v, e = top
+            if e < starts[v + 1]:
+                top[1] = e + 1
+                w = heads[e]
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append([w, starts[w]])
+                elif label[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1][0]]:
+                low[path[-1][0]] = low[v]
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    label[w] = v
+                    if w == v:
+                        break
+    return np.array(label, dtype=np.int64)
+
+
 def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
     """allowed[r, c]: row r takes column c in some minimum-cost mapping.
 
@@ -142,10 +226,9 @@ def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
         raise AssignmentError("internal error: the solver's mapping is not optimal")
     tight = cost + (dist - own)[:, None] == dist[pos]
     src, col = np.nonzero(tight)
-    _, label = connected_components(
-        csr_matrix((np.ones(len(src), dtype=np.bool_), (src, pos[col])), shape=(n, n)),
-        directed=True, connection="strong")
-    cut = label[src] != label[pos[col]]
+    dst = pos[col]
+    label = _strong_components(n, src, dst)
+    cut = label[src] != label[dst]
     tight[src[cut], col[cut]] = False
     return tight
 

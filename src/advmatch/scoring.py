@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import IO, AbstractSet, Iterable, Sequence
 
@@ -142,24 +141,21 @@ def _intersections(row_contents: Sequence[AbstractSet[str]],
                    col_contents: Sequence[AbstractSet[str]]) -> np.ndarray:
     """``len(row & col)`` for every pair.
 
-    Sparse row incidence times dense column incidence, both over the words
-    the two sides share (no other word can be counted).
+    Row incidence times column incidence, both 0/1 matrices over the words
+    the two sides share (no other word can be counted); the products are
+    small integer counts, so float64 holds them exactly.
     """
-    from scipy.sparse import csr_matrix
-
     shared = set().union(*row_contents) & set().union(*col_contents)
     vocab = {w: k for k, w in enumerate(shared)}
-    hits = [c & shared for c in row_contents]
-    indptr = np.cumsum([0, *map(len, hits)])
-    indices = np.fromiter(map(vocab.__getitem__, chain.from_iterable(hits)),
-                          dtype=np.int32, count=indptr[-1])
-    rows = csr_matrix((np.ones(len(indices)), indices, indptr),
-                      shape=(len(row_contents), len(vocab)))
-    n = len(col_contents)
-    cols = np.zeros((len(vocab), n))
-    cols.reshape(-1)[[vocab[w] * n + j for j, c in enumerate(col_contents)
-                      for w in c & shared]] = 1.0
-    return rows @ cols
+    m = len(vocab)
+
+    def incidence(contents: Sequence[AbstractSet[str]]) -> np.ndarray:
+        out = np.zeros((len(contents), m))
+        out.reshape(-1)[[i * m + vocab[w] for i, c in enumerate(contents)
+                         for w in c & shared]] = 1.0
+        return out
+
+    return np.dot(incidence(row_contents), incidence(col_contents).T)
 
 
 def _cosine(inter: np.ndarray, row_sizes: np.ndarray,

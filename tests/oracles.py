@@ -2,6 +2,10 @@
 
 * ``brute_force_lap`` enumerates every permutation, where
   ``assignment.solve_lap_max`` solves on an integer grid;
+* ``strong_components`` is scipy's ``connected_components``, where
+  ``assignment._strong_components`` runs its own Tarjan search;
+* ``sparse_intersections`` counts shared words with a scipy sparse
+  product, where ``scoring._intersections`` multiplies dense arrays;
 * ``relevance_overlap`` and ``similarity_cosine`` score one pair at a
   time, where ``scoring.score_bucket`` scores a bucket as arrays;
 * ``machine_accuracy`` scores parsed items choice by choice, where a
@@ -17,6 +21,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from advmatch.assignment import Assignment, AssignmentError, WeightMatrix
 from advmatch.corpus import Record, Token, tokens_to_text
@@ -63,6 +69,26 @@ def brute_force_lap(w: WeightMatrix) -> Assignment:
         raise AssignmentError("no perfect matching avoids the forbidden entries")
     return Assignment(mapping=tuple(int(c) for c in best_mapping),
                       total_weight=float(w.values[rows, best_mapping].sum()))
+
+
+def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strong-component labels of the digraph ``src[e] -> dst[e]``."""
+    graph = csr_matrix((np.ones(len(src), dtype=np.bool_), (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")[1]
+
+
+def sparse_intersections(row_contents: Sequence[frozenset[str]],
+                         col_contents: Sequence[frozenset[str]]) -> np.ndarray:
+    """``len(row & col)`` for every pair, as a sparse-by-dense product."""
+    vocab = {w: k for k, w in enumerate(sorted(set().union(*row_contents, *col_contents)))}
+    indptr = np.cumsum([0, *map(len, row_contents)])
+    indices = np.array([vocab[w] for c in row_contents for w in sorted(c)], dtype=np.int32)
+    rows = csr_matrix((np.ones(len(indices)), indices, indptr),
+                      shape=(len(row_contents), len(vocab)))
+    cols = np.zeros((len(vocab), len(col_contents)))
+    for j, c in enumerate(col_contents):
+        cols[[vocab[w] for w in c], j] = 1.0
+    return rows @ cols
 
 
 def clamp_prob(p: float, eps: float = DEFAULT_EPS) -> float:

@@ -1,6 +1,13 @@
-"""Solver/oracle agreement, tie-breaking, and forbidden-pair handling."""
+"""Solver/oracle agreement, tie-breaking, forbidden-pair handling, and how
+scipy's assignment kernel is loaded."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +16,15 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import advmatch
+from advmatch import assignment
 from advmatch.assignment import (GRID_BITS, Assignment, AssignmentError,
                                  WeightMatrix, _grid_cost, _lexicalize,
-                                 _quantize, solve_lap_max)
+                                 _quantize, _strong_components, solve_lap_max)
+from advmatch.corpus import serialize_records
 
-from oracles import brute_force_lap
+from conftest import multi_fold_corpus
+from oracles import brute_force_lap, strong_components
 
 
 def dense(rows):
@@ -316,3 +327,92 @@ class TestExactTieBreak:
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(AssignmentError, match="not optimal"):
             _lexicalize(cost, np.array([1, 0]))
+
+
+def _partition(label):
+    """Each node's smallest fellow member: equal exactly for equal partitions."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+def _components_agree(n, edges):
+    edges = sorted(edges)
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    got = _strong_components(n, src, dst)
+    assert got.shape == (n,)
+    assert _partition(got).tolist() == _partition(strong_components(n, src, dst)).tolist()
+
+
+class TestStrongComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n))))
+    def test_partition_matches_scipy(self, graph):
+        # random digraphs, with repeated edges, self-loops and isolated nodes
+        _components_agree(*graph)
+
+    @pytest.mark.parametrize("n, edges", [
+        (5, []),  # isolated nodes only
+        (4, [(i, i) for i in range(4)]),  # self-loops only
+        # deep enough that a recursive search would pass Python's limit
+        (5000, [(i, (i + 1) % 5000) for i in range(5000)]),  # one long cycle
+        (3000, [(i, i + 1) for i in range(2999)] + [(2000, 1000)]),
+    ], ids=["isolated", "self-loops", "long-cycle", "chain-with-back-edge"])
+    def test_partition_matches_scipy_on(self, n, edges):
+        _components_agree(n, edges)
+
+
+# Imports advmatch and runs a small match at jobs 1 and 2 on the corpus
+# file argv[1], then prints which of scipy's heavy subpackages are loaded.
+_LEAN_RUN = """
+import sys
+import advmatch
+from advmatch.corpus import parse_records
+from advmatch.matcher import MatchConfig
+
+with open(sys.argv[1], "rb") as f:
+    records = parse_records(f)
+for jobs in (1, 2):
+    advmatch.run_match(records, MatchConfig(seed=5, n_folds=3), jobs=jobs)
+print(" ".join(m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg")
+               if m in sys.modules))
+"""
+
+
+class TestKernelLoad:
+    def test_is_scipys_public_function(self):
+        import scipy.optimize
+
+        assert assignment.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+    def test_falls_back_to_the_public_import(self, monkeypatch):
+        import scipy.optimize
+
+        real = PathFinder.find_spec
+
+        def find_spec(name, path=None, target=None):
+            return None if name == "scipy.optimize._lsap" else real(name, path, target)
+
+        monkeypatch.setattr(PathFinder, "find_spec", find_spec)
+        assert assignment._load_lsap() is scipy.optimize.linear_sum_assignment
+
+    def test_match_leaves_scipy_optimize_unloaded(self, tmp_path):
+        import scipy
+
+        spec = PathFinder.find_spec(
+            "scipy.optimize._lsap", [os.path.join(p, "optimize") for p in scipy.__path__])
+        if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+            pytest.skip(f"scipy {scipy.__version__} has no compiled _lsap module, "
+                        "so the solver comes from the scipy.optimize import")
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(multi_fold_corpus(n_keys=24)),
+                          encoding="utf-8")
+        src = str(Path(advmatch.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _LEAN_RUN, str(corpus)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

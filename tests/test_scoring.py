@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.remap import CandidateTable
 from advmatch.scoring import (ExternalMatrixStore, ScoreMatrix, ScorerSpec,
-                              ScoringError, content, read_score_matrix, score_bucket,
+                              ScoringError, _intersections, content,
+                              read_score_matrix, score_bucket,
                               symmetrize_entailment, write_score_matrix)
 
 from conftest import make_record, simple_bucket_corpus
-from oracles import clamp_prob, relevance_overlap, similarity_cosine
+from oracles import (clamp_prob, relevance_overlap, similarity_cosine,
+                     sparse_intersections)
 
 EPS = 1e-6
 
@@ -163,6 +165,35 @@ def _scored_record(draw, i):
 
     return Record(id=f"r{i}", source_key="m", query=stream(1), gold=stream(1),
                   objects=objects)
+
+
+_contents = st.lists(st.frozensets(st.sampled_from(_WORDS + ("a", "b", "c"))),
+                    max_size=8)
+
+
+class TestIntersections:
+    @settings(max_examples=200, deadline=None)
+    @given(_contents, _contents)
+    def test_equals_sparse_product(self, rows, cols):
+        # empty sets and empty sides included
+        got = _intersections(rows, cols)
+        assert got.dtype == np.float64
+        assert got.shape == (len(rows), len(cols))
+        assert np.array_equal(got, sparse_intersections(rows, cols))
+
+    def test_no_shared_word(self):
+        # an (n, 0) @ (0, m) product
+        rows = [frozenset({"a", "b"}), frozenset()]
+        cols = [frozenset({"c"}), frozenset({"d", "e"}), frozenset()]
+        got = _intersections(rows, cols)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, sparse_intersections(rows, cols))
+        assert not got.any()
+
+    def test_counts_shared_words(self):
+        rows = [frozenset({"a", "b", "c"}), frozenset({"b"})]
+        cols = [frozenset({"b", "c", "d"}), frozenset({"a"})]
+        assert _intersections(rows, cols).tolist() == [[2.0, 1.0], [1.0, 0.0]]
 
 
 class TestScoreBucket:

@@ -22,6 +22,20 @@ shortest-augmenting-path solver happens to find:
 * the reported total is always the plain sum of the selected original
   entries.
 
+A solve may start from the previous solve's duals (:class:`Duals`, which
+``matcher.run_rounds`` hands from one round to the next).  scipy then sees
+the grid costs less the old row potentials, rescaled to this grid by
+``2**(s_new - s_old)`` and floored, and column-reduced again.  Only the row
+potentials carry over: the column reduction subtracts, for those rows, the
+best column potentials there are, whatever the old ones were.  Row and
+column constants move every perfect matching's total by the same amount,
+so scipy's optimal mappings are the cold costs' optimal mappings, only
+nearer the start of its search when the weights changed little.  Bellman-
+Ford and the tie-break still run on the cold costs, so the mapping is the
+same as from a cold solve.  The warm costs are integers >= 0; where their
+largest allowed entry would break ``n * max <= 2**GRID_BITS``, the cold
+costs are handed to scipy instead.
+
 scipy's ``linear_sum_assignment`` is the one scipy routine used.  It is
 loaded from its compiled module alone (:func:`_load_lsap`), so that no
 command pays for ``scipy.optimize``'s package init.
@@ -31,7 +45,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec
 from typing import Callable
@@ -109,16 +123,34 @@ class WeightMatrix:
         return int(self.values.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class Duals:
+    """Row potentials of an optimal dual of one solve's grid costs.
+
+    ``rows`` is in units of ``2**-scale``, the grid the solve quantized its
+    weights on; a later solve of the same rows rescales it to its own grid.
+    """
+
+    scale: int
+    rows: np.ndarray
+
+
 @dataclass(frozen=True)
 class Assignment:
-    """A perfect matching: mapping[i] is the column assigned to row i."""
+    """A perfect matching: mapping[i] is the column assigned to row i.
+
+    ``duals`` (None from a 0x0 matrix) can start the next solve of the same
+    rows; it takes no part in equality.
+    """
 
     mapping: tuple[int, ...]
     total_weight: float
+    duals: Duals | None = field(default=None, compare=False, repr=False)
 
 
-def _quantize(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-    """Q = rint(W * 2**s) over the allowed entries (forbidden ones are 0).
+def _quantize(values: np.ndarray, forbidden: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(Q, s)``: Q = rint(W * 2**s) over the allowed entries (forbidden
+    ones are 0), and s, which is 0 when every allowed weight is.
 
     n < 2**n.bit_length() and max|W| < 2**e, so s = GRID_BITS - both
     exponents gives n * max|Q| <= 2**GRID_BITS.  ``ldexp`` applies s without
@@ -127,21 +159,42 @@ def _quantize(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
     q = np.where(forbidden, 0.0, values)
     top = float(np.abs(q).max())
     if top == 0.0:
-        return q
+        return q, 0
     s = GRID_BITS - values.shape[0].bit_length() - int(np.frexp(top)[1])
-    return np.rint(np.ldexp(q, s, out=q), out=q)
+    return np.rint(np.ldexp(q, s, out=q), out=q), s
 
 
-def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-    """The solver's integer costs, with +inf on forbidden entries.
+def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> tuple[np.ndarray, int]:
+    """The solver's integer costs, with +inf on forbidden entries, and the
+    grid's s.
 
     max(Q) - Q less each column's smallest allowed entry is each column's
     largest allowed Q minus Q.  Every column keeps an allowed entry, so the
     reduced costs of each column are finite, >= 0 and 0 somewhere.
     """
-    q = _quantize(values, forbidden)
+    q, s = _quantize(values, forbidden)
     q[forbidden] = -np.inf
-    return np.subtract(q.max(axis=0), q, out=q)
+    return np.subtract(q.max(axis=0), q, out=q), s
+
+
+def _warm_cost(cost: np.ndarray, scale: int, forbidden: np.ndarray,
+               start: Duals) -> np.ndarray:
+    """``cost`` less ``start``'s row potentials rescaled to this grid, then
+    column-reduced; ``cost`` itself where that breaks the grid's bound.
+
+    The rescaled potentials are floored and clipped to [0, 2**GRID_BITS]
+    (any row constants keep the optimal mappings), so every step is exact
+    integer arithmetic in float64.
+    """
+    with np.errstate(over="ignore"):
+        shift = np.ldexp(start.rows, scale - start.scale)
+    np.clip(np.floor(shift, out=shift), 0.0, 2.0 ** GRID_BITS, out=shift)
+    warm = cost - shift[:, None]
+    warm -= warm.min(axis=0)
+    # forbidden entries stay +inf: the bound holds when no other entry
+    # passes it
+    over = np.count_nonzero(warm > 2 ** GRID_BITS // cost.shape[0])
+    return warm if over == np.count_nonzero(forbidden) else cost
 
 
 def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -192,8 +245,11 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
-    """allowed[r, c]: row r takes column c in some minimum-cost mapping.
+def _optimal_edges(cost: np.ndarray, mapping: np.ndarray,
+                   potential: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)``: the edges r -> c such that row r takes column c in
+    some minimum-cost mapping, in row-major order.
 
     ``cost`` holds integer costs with +inf on forbidden entries, and
     ``mapping`` is a minimum-cost perfect matching of it.  Row r may take
@@ -202,7 +258,9 @@ def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
     graph are dual potentials, and the edge is tight when its extra cost is
     d[s] - d[r].  Every optimal mapping uses tight edges only, and a tight
     edge is in one exactly when its two rows share a strong component of
-    the tight graph.
+    the tight graph.  ``potential``, when given, receives the row potentials
+    ``own - d`` of that dual (the column potentials are ``d`` of each
+    column's holder).
     """
     n = len(mapping)
     rows = np.arange(n)
@@ -224,88 +282,100 @@ def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
         dist[moved] = reach[moved]
     else:
         raise AssignmentError("internal error: the solver's mapping is not optimal")
+    if potential is not None:
+        np.subtract(own, dist, out=potential)
     tight = cost + (dist - own)[:, None] == dist[pos]
     src, col = np.nonzero(tight)
     dst = pos[col]
     label = _strong_components(n, src, dst)
-    cut = label[src] != label[dst]
-    tight[src[cut], col[cut]] = False
-    return tight
+    keep = label[src] == label[dst]
+    return src[keep], col[keep]
 
 
-def _lexicalize(cost: np.ndarray, mapping: np.ndarray) -> np.ndarray:
+def _lexicalize(cost: np.ndarray, mapping: np.ndarray,
+                potential: np.ndarray | None = None) -> np.ndarray:
     """The lexicographically smallest minimum-cost mapping, from any one.
 
     Row by row, a row takes the smallest column of its optimal edges that
     the later rows can give up along a chain of such edges, found by one
-    reverse search.  Only rows with such a column below their own are
-    visited.
+    reverse search over the edge lists.  Only rows with such a column below
+    their own are visited.  ``potential`` is passed to
+    :func:`_optimal_edges`.
     """
-    allowed = _optimal_edges(cost, mapping)
+    edge_row, edge_col = _optimal_edges(cost, mapping, potential)
     n = len(mapping)
-    rows = np.arange(n)
-    current = mapping.copy()
-    pos = np.empty(n, dtype=np.int64)
-    pos[current] = rows
-    flagged = (allowed & (rows[None, :] < current[:, None])).any(axis=1)
-    i = -1
-    while True:
-        ahead = np.flatnonzero(flagged[i + 1:])
-        if not ahead.size:
-            return current
-        i += 1 + int(ahead[0])
-        old = int(current[i])
-        cands = np.flatnonzero(allowed[i, :old])
-        cands = cands[pos[cands] > i]
-        if not cands.size:
+    row_start = np.searchsorted(edge_row, np.arange(n + 1))
+    # a row is flagged while its smallest optimal column is below its own
+    # (each row has one: its own column)
+    flagged = (edge_col[row_start[:-1]] < mapping).tolist()
+    if not any(flagged):
+        return mapping.copy()
+    # each row's optimal columns and each column's optimal rows, ascending
+    row_start = row_start.tolist()
+    cols_of = edge_col.tolist()
+    by_col = np.argsort(edge_col, kind="stable")
+    col_start = np.searchsorted(edge_col[by_col], np.arange(n + 1)).tolist()
+    rows_of = edge_row[by_col].tolist()
+    current = mapping.tolist()
+    pos = [0] * n
+    for r, c in enumerate(current):
+        pos[c] = r
+    for i in range(n):
+        if not flagged[i]:
+            continue
+        old = current[i]
+        cands = [c for c in cols_of[row_start[i]:row_start[i + 1]]
+                 if c < old and pos[c] > i]
+        if not cands:
             continue
         # Reverse search from column `old`: a later row that may take a
         # freed column frees its own.  Row i may take every freed column;
         # stop once the smallest candidate is freed.
-        freed = np.zeros(n, dtype=np.bool_)
-        freed[old] = True
-        parent = np.empty(n, dtype=np.int64)  # column a freed row moves to
-        movable = rows > i
-        layer = np.array([old])
-        while layer.size and not freed[cands[0]]:
-            takes = allowed[:, layer] & movable[:, None]
-            movers = np.flatnonzero(takes.any(axis=1))
-            parent[movers] = layer[takes[movers].argmax(axis=1)]
-            movable[movers] = False
-            layer = current[movers]
-            freed[layer] = True
-        hits = cands[freed[cands]]
-        if not hits.size:
+        parent = {}  # column a freed row moves to
+        freed = {old}
+        layer = [old]
+        while layer and cands[0] not in freed:
+            nxt = []
+            for c in layer:
+                for r in rows_of[col_start[c]:col_start[c + 1]]:
+                    if r > i and r not in parent:
+                        parent[r] = c
+                        nxt.append(current[r])
+            freed.update(nxt)
+            layer = nxt
+        col = next((c for c in cands if c in freed), None)
+        if col is None:
             continue
         # rotate: row i takes the best column, its holder takes the column
         # it was freed by, and so on back to `old`
-        col = int(hits[0])
-        r = int(pos[col])
+        r = pos[col]
         current[i], pos[col] = col, i
-        path = []
         while col != old:
-            col, nxt = int(parent[r]), int(pos[parent[r]])
+            col, nxt_r = parent[r], pos[parent[r]]
             current[r], pos[col] = col, r
-            path.append(r)
-            r = nxt
-        path = np.array(path)
-        flagged[path] = (allowed[path] & (rows[None, :] < current[path, None])).any(axis=1)
+            flagged[r] = cols_of[row_start[r]] < col
+            r = nxt_r
+    return np.array(current, dtype=np.int64)
 
 
-def solve_lap_max(w: WeightMatrix) -> Assignment:
+def solve_lap_max(w: WeightMatrix, start: Duals | None = None) -> Assignment:
     """Maximum-total-weight assignment avoiding all forbidden entries.
 
     Raises :class:`AssignmentError` when no perfect matching exists.  The
     mapping is the lexicographically smallest of the maximum-total mappings
-    of the quantized weights (see module docstring).
+    of the quantized weights (see module docstring), with or without
+    ``start``, the ``duals`` of an earlier solve of the same rows.
     """
     if w.n == 0:
         return Assignment(mapping=(), total_weight=0.0)
-    cost = _grid_cost(w.values, w.forbidden)
+    cost, scale = _grid_cost(w.values, w.forbidden)
     try:
-        mapping = linear_sum_assignment(cost)[1]
+        mapping = linear_sum_assignment(
+            cost if start is None else _warm_cost(cost, scale, w.forbidden, start))[1]
     except ValueError as exc:  # scipy: "cost matrix is infeasible"
         raise AssignmentError("no perfect matching avoids the forbidden entries") from exc
-    mapping = _lexicalize(cost, mapping)
+    potential = np.empty(w.n)
+    mapping = _lexicalize(cost, mapping, potential)
     return Assignment(mapping=tuple(int(c) for c in mapping),
-                      total_weight=float(w.values[np.arange(w.n), mapping].sum()))
+                      total_weight=float(w.values[np.arange(w.n), mapping].sum()),
+                      duals=Duals(scale, potential))

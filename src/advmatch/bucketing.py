@@ -36,8 +36,12 @@ QUESTION_TYPE_PATTERNS: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...] = (
 )
 
 QUESTION_TYPES = tuple(name for name, _ in QUESTION_TYPE_PATTERNS) + ("other",)
-_PATTERN_LENGTHS = sorted({len(pat) for _, pats in QUESTION_TYPE_PATTERNS
-                           for pat in pats})
+# Per group: its one-word patterns as a word set, and its longer patterns.
+_RULES = tuple((name, frozenset(p[0] for p in pats if len(p) == 1),
+                frozenset(p for p in pats if len(p) > 1))
+               for name, pats in QUESTION_TYPE_PATTERNS)
+_LONG_LENGTHS = sorted({len(p) for _, _, long in _RULES for p in long})
+_LONG_HEADS = frozenset(p[0] for _, _, long in _RULES for p in long)
 
 KMEANS_MAX_ITER = 100
 # Elements of the row x center x dimension temporary that one block of the
@@ -65,10 +69,12 @@ def question_type(question: Sequence[Token]) -> str:
     """First question-type group whose pattern occurs in the question."""
     # Tags break word adjacency, so multi-word patterns cannot span them.
     words = [t.text if t.kind == "word" else None for t in question]
-    grams = {tuple(words[start:start + k]) for k in _PATTERN_LENGTHS
-             for start in range(len(words) - k + 1)}
-    for name, patterns in QUESTION_TYPE_PATTERNS:
-        if not grams.isdisjoint(patterns):
+    present = set(words)
+    grams = ({tuple(words[start:start + k]) for k in _LONG_LENGTHS
+              for start in range(len(words) - k + 1)}
+             if not present.isdisjoint(_LONG_HEADS) else set())
+    for name, single, long in _RULES:
+        if not present.isdisjoint(single) or not grams.isdisjoint(long):
             return name
     return "other"
 
@@ -196,9 +202,7 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
     for pronoun in sorted(by_pronoun):
         members = by_pronoun[pronoun]
         if mode == "qa":
-            for r in members:
-                key = BucketKey(pronoun, qtype=question_type(r.query))
-                groups.setdefault(key, []).append(r)
+            subs = [question_type(r.query) for r in members]
         else:
             missing = [r.id for r in members if r.embedding is None]
             if missing:
@@ -206,12 +210,17 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
                     "qar bucketing clusters embeddings; missing for records: "
                     + ", ".join(missing))
             k = math.ceil(len(members) / target_size)
-            labels = cluster_embeddings([r.embedding for r in members], k,
-                                        derive_rng(seed, "cluster", fold, pronoun)
-                                        .integers(2 ** 63))
-            for r, lab in zip(members, labels):
-                key = BucketKey(pronoun, cluster=int(lab))
-                groups.setdefault(key, []).append(r)
+            subs = cluster_embeddings([r.embedding for r in members], k,
+                                      derive_rng(seed, "cluster", fold, pronoun)
+                                      .integers(2 ** 63)).tolist()
+        # one key per group, not per record
+        by_sub: dict[str | int, list[Record]] = {}
+        for r, sub in zip(members, subs):
+            by_sub.setdefault(sub, []).append(r)
+        for sub, grouped in by_sub.items():
+            key = (BucketKey(pronoun, qtype=sub) if mode == "qa"
+                   else BucketKey(pronoun, cluster=sub))
+            groups[key] = grouped
 
     buckets: list[Bucket] = []
     for key in sorted(groups, key=lambda k: k.label):

@@ -90,17 +90,19 @@ class MatchConfig:
         return replace(self, lambda_=lambda_)
 
 
-def weight_matrix(rel: np.ndarray, eff_sim: np.ndarray, lambda_: float) -> WeightMatrix:
-    """Tradeoff weights with self-pairs and saturated pairs forbidden."""
-    if rel.shape != eff_sim.shape:
+def weight_matrix(log_rel: np.ndarray, eff_sim: np.ndarray,
+                  lambda_: float) -> WeightMatrix:
+    """Tradeoff weights with self-pairs and saturated pairs forbidden.
+
+    ``log_rel`` is ``np.log(rel)``, which does not change across rounds.
+    """
+    if log_rel.shape != eff_sim.shape:
         raise MatchingError(
-            f"shape mismatch: relevance {rel.shape} vs similarity {eff_sim.shape}")
-    if (rel <= 0.0).any():
-        raise MatchingError("relevance entries must be positive (clamp first)")
+            f"shape mismatch: relevance {log_rel.shape} vs similarity {eff_sim.shape}")
     forbidden = eff_sim >= 1.0
     np.fill_diagonal(forbidden, True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.log(rel) + lambda_ * np.log1p(-eff_sim)
+        values = log_rel + lambda_ * np.log1p(-eff_sim)
     values[forbidden] = 0.0
     return WeightMatrix(values=values, forbidden=forbidden)
 
@@ -126,6 +128,8 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
         raise MatchingError(f"bucket of {n} records cannot support {k} rounds")
     if rel.shape != (n, n) or sim.shape != (n, n):
         raise MatchingError("score matrices must match the bucket size")
+    if (rel <= 0.0).any():
+        raise MatchingError("relevance entries must be positive (clamp first)")
     mode = config.mode or bucket[0].task_mode
     lam = config.resolved_lambda(mode)
 
@@ -133,13 +137,16 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
     # assigned to i so far; an assigned response meets the unit diagonal,
     # so its pair saturates at 1.0 and is forbidden from then on
     eff = sim.copy()
+    log_rel = np.log(rel)
     rows = np.arange(n)
     mappings = np.empty((k, n), dtype=np.intp)
+    duals = None  # each round's solve starts from the last round's duals
     for t in range(1, k + 1):
         try:
-            result = solve_lap_max(weight_matrix(rel, eff, lam))
+            result = solve_lap_max(weight_matrix(log_rel, eff, lam), duals)
         except AssignmentError as exc:
             raise MatchingError(f"round {t}: {exc}") from exc
+        duals = result.duals
         mapping = mappings[t - 1]
         mapping[:] = result.mapping
         bad = np.flatnonzero((mapping == rows) | (mappings[:t - 1] == mapping).any(axis=0))

@@ -143,9 +143,12 @@ def _intersections(row_contents: Sequence[AbstractSet[str]],
 
     Row incidence times column incidence, both 0/1 matrices over the words
     the two sides share (no other word can be counted); the products are
-    small integer counts, so float64 holds them exactly.
+    small integer counts, so float64 holds them exactly.  When both sides
+    are the same sequence, its incidence matrix is built once.
     """
-    shared = set().union(*row_contents) & set().union(*col_contents)
+    shared = set().union(*row_contents)
+    if col_contents is not row_contents:
+        shared &= set().union(*col_contents)
     vocab = {w: k for k, w in enumerate(shared)}
     m = len(vocab)
 
@@ -155,7 +158,9 @@ def _intersections(row_contents: Sequence[AbstractSet[str]],
                          for w in c & shared]] = 1.0
         return out
 
-    return np.dot(incidence(row_contents), incidence(col_contents).T)
+    rows = incidence(row_contents)
+    cols = rows if col_contents is row_contents else incidence(col_contents)
+    return np.dot(rows, cols.T)
 
 
 def _cosine(inter: np.ndarray, row_sizes: np.ndarray,

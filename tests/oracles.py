@@ -11,7 +11,10 @@
 * ``machine_accuracy`` scores parsed items choice by choice, where a
   bucket's worker counts ``attack_hits`` from its relevance matrix;
 * ``GoldTexts`` serves each response's gold unremapped, as a stand-in
-  for ``remap.CandidateTable`` where the texts do not matter.
+  for ``remap.CandidateTable`` where the texts do not matter;
+* ``question_type_ngrams`` builds every n-gram of a question, where
+  ``bucketing.question_type`` tests one-word patterns against the word set
+  and builds n-grams only when a longer pattern's first word occurs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from advmatch.assignment import Assignment, AssignmentError, WeightMatrix
+from advmatch.bucketing import QUESTION_TYPE_PATTERNS
 from advmatch.corpus import Record, Token, tokens_to_text
 from advmatch.diagnostics import DiagnosticsError
 from advmatch.matcher import MCQItem
@@ -158,3 +162,16 @@ class GoldTexts:
 
     def get(self, pairs) -> list[str]:
         return [self.golds[j] for _, j in pairs]
+
+
+def question_type_ngrams(question: Sequence[Token]) -> str:
+    """First question-type group with a pattern among the question's n-grams."""
+    # Tags break word adjacency, so multi-word patterns cannot span them.
+    words = [t.text if t.kind == "word" else None for t in question]
+    lengths = {len(pat) for _, pats in QUESTION_TYPE_PATTERNS for pat in pats}
+    grams = {tuple(words[start:start + k]) for k in lengths
+             for start in range(len(words) - k + 1)}
+    for name, patterns in QUESTION_TYPE_PATTERNS:
+        if not grams.isdisjoint(patterns):
+            return name
+    return "other"

@@ -99,7 +99,7 @@ def test_criterion_3_weight_formula_fidelity():
         rel = rng.uniform(1e-6, 1 - 1e-6, size=(n, n))
         sim = rng.uniform(1e-6, 1 - 1e-6, size=(n, n))
         lam = float(rng.choice([0.01, 0.1, 1.0, 3.7]))
-        w = weight_matrix(rel, sim, lam)
+        w = weight_matrix(np.log(rel), sim, lam)
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -109,7 +109,7 @@ def test_criterion_3_weight_formula_fidelity():
                 assert w.values[i, j] == pytest.approx(hand, rel=1e-12)
                 checked += 1
     # pinned boundary case: similarity at the clamp ceiling
-    w = weight_matrix(np.full((2, 2), 0.5), np.full((2, 2), 1.0 - 1e-6), 0.1)
+    w = weight_matrix(np.log(np.full((2, 2), 0.5)), np.full((2, 2), 1.0 - 1e-6), 0.1)
     hand = math.log(0.5) + 0.1 * math.log1p(-(1.0 - 1e-6))
     assert w.values[0, 1] == pytest.approx(hand, rel=1e-12)
     _report("criterion 3", f"{checked} scalar evaluations within 1e-12 relative")
@@ -128,7 +128,7 @@ def test_criterion_4_lambda_tradeoff_monotonicity():
         rows = np.arange(n)
 
         def matched_sums(lam):
-            a = brute_force_lap(weight_matrix(rel, sim, lam))
+            a = brute_force_lap(weight_matrix(np.log(rel), sim, lam))
             cols = np.array(a.mapping)
             return (float(np.log(rel[rows, cols]).sum()),
                     float(np.log1p(-sim[rows, cols]).sum()))

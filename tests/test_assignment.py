@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import advmatch
 from advmatch import assignment
-from advmatch.assignment import (GRID_BITS, Assignment, AssignmentError,
+from advmatch.assignment import (GRID_BITS, Assignment, AssignmentError, Duals,
                                  WeightMatrix, _grid_cost, _lexicalize,
                                  _quantize, _strong_components, solve_lap_max)
 from advmatch.corpus import serialize_records
@@ -214,7 +214,7 @@ class TestQuantize:
         base = np.array([[1.0, -0.5, 0.25], [0.0, 1.0, -1.0], [0.75, 0.5, 0.125]])
         values = base * scale
         forbidden = np.zeros((3, 3), dtype=bool)
-        q = _quantize(values, forbidden)
+        q, _ = _quantize(values, forbidden)
         top = np.abs(q).max()
         assert np.isfinite(q).all() and (q == np.rint(q)).all()
         assert 0 < top and 3 * top <= 2.0 ** GRID_BITS
@@ -225,8 +225,80 @@ class TestQuantize:
     def test_forbidden_entries_do_not_set_the_scale(self):
         values = np.array([[1.0, 1e300], [0.5, 1.0]])
         forbidden = np.array([[False, True], [False, False]])
-        q = _quantize(values, forbidden)
+        q, _ = _quantize(values, forbidden)
         assert q[0, 1] == 0.0 and q[0, 0] == 2 * q[1, 0] > 0
+
+
+def _solver_inputs(monkeypatch):
+    """The cost matrices handed to scipy's solver, in call order."""
+    seen = []
+    real = assignment.linear_sum_assignment
+
+    def spy(cost):
+        seen.append(cost.copy())
+        return real(cost)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    return seen
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("factor", [4.0, 0.25])
+    def test_grid_scale_changes_between_solves(self, monkeypatch, factor):
+        # the second solve's weights are the first's, changed in places and
+        # rescaled so that its grid has another s; the first solve's
+        # potentials are rescaled to it and the mapping is the cold one
+        rng = np.random.default_rng(31)
+        n = 40
+        values, forbidden = _tied_matrix(rng, n, 40, 0.2, unit=0.05)
+        first = solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
+        changed = (values + rng.integers(0, 3, size=(n, n)) * 0.05) * factor
+        w = WeightMatrix(values=changed, forbidden=forbidden)
+        cold = solve_lap_max(w)
+        seen = _solver_inputs(monkeypatch)
+        warm = solve_lap_max(w, first.duals)
+        # larger weights, coarser grid
+        assert (warm.duals.scale < first.duals.scale) == (factor > 1)
+        assert warm.duals.scale != first.duals.scale
+        assert warm == cold
+        cost, _ = _grid_cost(changed, forbidden)
+        assert not np.array_equal(seen[0], cost), "the cold costs were solved"
+        allowed = seen[0][~forbidden]
+        assert (allowed >= 0).all() and (allowed == np.rint(allowed)).all()
+        assert n * allowed.max() <= 2.0 ** GRID_BITS
+        assert np.isinf(seen[0][forbidden]).all()
+
+    @pytest.mark.parametrize("lift", ["one-row", "overflowing"])
+    def test_potentials_past_the_bound_leave_the_mapping(self, monkeypatch, lift):
+        # one row lifted by 2**GRID_BITS makes the warm costs of the other
+        # rows break n * max <= 2**GRID_BITS, so scipy gets the cold costs;
+        # potentials pushed past float64's range are clipped, not warned of
+        rng = np.random.default_rng(32)
+        n = 30
+        values, forbidden = _tied_matrix(rng, n, 3, 0.2)
+        w = WeightMatrix(values=values, forbidden=forbidden)
+        cold = solve_lap_max(w)
+        cost, scale = _grid_cost(values, forbidden)
+        rows = np.zeros(n)
+        rows[0] = 2.0 ** GRID_BITS
+        start = Duals(scale, rows) if lift == "one-row" else Duals(scale - 2000, rows)
+        seen = _solver_inputs(monkeypatch)
+        got = solve_lap_max(w, start)
+        assert np.array_equal(seen[0], cost)
+        assert got == cold
+
+    def test_duals_are_feasible_and_tight_on_the_mapping(self):
+        # with each column's smallest reduced cost as its potential, the row
+        # potentials make every reduced cost >= 0 and 0 on the mapping
+        rng = np.random.default_rng(33)
+        values, forbidden = _tied_matrix(rng, 25, 5, 0.3)
+        a = solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
+        cost, scale = _grid_cost(values, forbidden)
+        assert a.duals.scale == scale
+        reduced = cost - a.duals.rows[:, None]
+        reduced -= reduced.min(axis=0)
+        rows = np.arange(25)
+        assert (reduced[rows, list(a.mapping)] == 0).all()
 
 
 def _reference_certify_accept(values, forbidden, current, total, i, j, pos):
@@ -286,7 +358,7 @@ class TestExactTieBreak:
             values, forbidden = _tied_matrix(
                 rng, n, int(rng.choice([2, 3, 5])), float(rng.uniform(0, 0.5)),
                 unit=float(rng.choice([1.0, 0.1, 1 / 3])))
-            q = _quantize(values, forbidden)
+            q, _ = _quantize(values, forbidden)
             got = solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
             want = brute_force_lap(WeightMatrix(values=q, forbidden=forbidden))
             assert got.mapping == want.mapping
@@ -297,7 +369,7 @@ class TestExactTieBreak:
     def test_equals_the_certificate_search(self, n, seed, levels, forbid_p):
         rng = np.random.default_rng(seed)
         values, forbidden = _tied_matrix(rng, n, levels, forbid_p)
-        cost = _grid_cost(values, forbidden)
+        cost, _ = _grid_cost(values, forbidden)
         start = linear_sum_assignment(cost)[1]
         want = _reference_lexicalize_exact(values, forbidden, start)
         assert _lexicalize(cost, start).tolist() == want.tolist()
@@ -313,7 +385,7 @@ class TestExactTieBreak:
         # start from which the same mapping must come out
         rng = np.random.default_rng(seed)
         values, forbidden = _tied_matrix(rng, n, levels, forbid_p, unit)
-        cost = _grid_cost(values, forbidden)
+        cost, _ = _grid_cost(values, forbidden)
         direct = linear_sum_assignment(cost)[1]
         p, q = rng.permutation(n), rng.permutation(n)
         back = np.empty(n, dtype=np.int64)

@@ -15,6 +15,7 @@ from advmatch.bucketing import (QUESTION_TYPE_PATTERNS, BucketingError,
 from advmatch.corpus import parse_token_stream as pts
 
 from conftest import make_record
+from oracles import question_type_ngrams
 
 
 class TestPronounClass:
@@ -65,6 +66,17 @@ class TestQuestionType:
     def test_matches_the_pattern_scan(self, pieces):
         question = pts(" ".join(pieces))
         assert question_type(question) == _scan_question_type(question)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        sorted({w for _, pats in QUESTION_TYPE_PATTERNS for pat in pats for w in pat})
+        + ["the", "is", "?", "nobody", "[person:1]", "[cup:2]", "[person:3]"]),
+        max_size=12))
+    def test_equals_the_ngram_version(self, pieces):
+        # every pattern word, fillers and tags between words
+        question = pts(" ".join(pieces))
+        assert question_type(question) == question_type_ngrams(question)
 
 
 def _scan_question_type(question):

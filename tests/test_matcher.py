@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,30 +119,30 @@ class TestWeightMatrix:
         lam = 0.7
         rel = np.full((3, 3), 1 - EPS)
         eff = np.full((3, 3), EPS)
-        w = weight_matrix(rel, eff, lam)
+        w = weight_matrix(np.log(rel), eff, lam)
         off = ~w.forbidden
         assert (np.abs(w.values[off]) <= 2 * EPS * (1 + lam)).all()
 
     def test_scalar_hand_evaluation(self):
-        w = weight_matrix(np.full((2, 2), 0.5), np.full((2, 2), 0.5), 0.1)
+        w = weight_matrix(np.log(np.full((2, 2), 0.5)), np.full((2, 2), 0.5), 0.1)
         expected = math.log(0.5) + 0.1 * math.log(1 - 0.5)  # = 1.1 * ln(1/2)
         assert w.values[0, 1] == pytest.approx(expected, rel=1e-12)
         assert round(expected, 5) == -0.76246
 
     def test_diagonal_forbidden(self):
         rel, sim = random_scores(6, 2)
-        w = weight_matrix(rel, sim, 0.1)
+        w = weight_matrix(np.log(rel), sim, 0.1)
         assert w.forbidden.diagonal().all()
 
     def test_saturated_similarity_forbidden(self):
         rel, sim = random_scores(4, 3)
         eff = effective_similarity(sim, [{1}, set(), set(), set()])
-        w = weight_matrix(rel, eff, 0.1)
+        w = weight_matrix(np.log(rel), eff, 0.1)
         assert w.forbidden[0, 1]
 
     def test_shape_mismatch(self):
         with pytest.raises(MatchingError, match="shape"):
-            weight_matrix(np.full((2, 2), 0.5), np.full((3, 3), 0.5), 0.1)
+            weight_matrix(np.log(np.full((2, 2), 0.5)), np.full((3, 3), 0.5), 0.1)
 
 
 class TestRunRounds:
@@ -202,7 +203,7 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(5, seed=18)
         rel, sim = random_scores(5, 18)
         identity = Assignment(mapping=tuple(range(5)), total_weight=0.0)
-        monkeypatch.setattr(matcher, "solve_lap_max", lambda w: identity)
+        monkeypatch.setattr(matcher, "solve_lap_max", lambda w, start=None: identity)
         with pytest.raises(MatchingError,
                            match=r"round 1: invalid assignment r0000 -> r0000"):
             run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
@@ -253,6 +254,48 @@ class TestRunRounds:
         assert table.calls[0] == want
         assert texts == table.table.get(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_warm_started_rounds_equal_cold_solves(self, n, k, seed, lam):
+        # tie-heavy scores: relevance at the eps floor or on a few levels,
+        # similarity on a few symmetric levels; each round after the first
+        # starts from the last round's duals and must give the mapping a
+        # cold solve of the same weights gives
+        n = max(n, k + 1)
+        rng = np.random.default_rng(seed)
+        rel = rng.choice([EPS, EPS, 0.25, 0.5, 1 - EPS], size=(n, n))
+        sim = rng.choice([EPS, 0.3, 0.6], size=(n, n))
+        sim = np.minimum(sim, sim.T)
+        np.fill_diagonal(sim, 1.0)
+        bucket = simple_bucket_corpus(n, seed=seed % 1000)
+        solves = []
+        real = matcher.solve_lap_max
+
+        def spy(w, start=None):
+            result = real(w, start)
+            solves.append((w, start, result))
+            return result
+
+        with mock.patch.object(matcher, "solve_lap_max", spy):
+            mappings, _ = run_rounds(bucket, rel, sim,
+                                     MatchConfig(seed=0, rounds=k, lambda_=lam),
+                                     GoldTexts(bucket))
+        assert len(solves) == k
+        for t, (w, start, result) in enumerate(solves):
+            assert (start is None) == (t == 0)
+            if t:
+                assert start is solves[t - 1][2].duals
+            assert result == real(w)
+            assert list(result.mapping) == mappings[t].tolist()
+
+    def test_nonpositive_relevance_rejected(self):
+        bucket = simple_bucket_corpus(4, seed=5)
+        rel, sim = random_scores(4, 5)
+        rel[1, 2] = 0.0
+        with pytest.raises(MatchingError, match="positive"):
+            run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3), GoldTexts(bucket))
+
     def test_carried_similarity_equals_the_reference(self, monkeypatch):
         seen = []
         original = matcher.weight_matrix
@@ -287,7 +330,7 @@ class TestLambdaTradeoff:
             np.fill_diagonal(sim, 1.0)
             sums = {}
             for lam in (0.01, 1.0):
-                a = brute_force_lap(weight_matrix(rel, sim, lam))
+                a = brute_force_lap(weight_matrix(np.log(rel), sim, lam))
                 rows = np.arange(n)
                 cols = np.array(a.mapping)
                 sums[lam] = (float(np.log(rel[rows, cols]).sum()),

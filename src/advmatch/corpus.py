@@ -39,7 +39,12 @@ class Token:
 
     Exactly one side is populated: words carry ``text``; tags carry
     ``tag_class`` and a 1-based ``tag_index`` into the owning record's
-    object list.
+    object list.  ``display`` is the token as it is written in a stream,
+    and ``pattern`` is the same as a piece of a ``%``-format template: a
+    tag is the one conversion ``%s`` and a word keeps its text with every
+    ``%`` doubled.  ``word_ok`` is True for a word that passes every rule
+    :func:`validate_record` has for words on their own.  All three are
+    derived once per token.
 
     ``Token.word`` and ``Token.tag`` return one shared instance per
     distinct value, and unpickling does the same, so a corpus holds as many
@@ -51,6 +56,19 @@ class Token:
     text: str = ""
     tag_class: str = ""
     tag_index: int = 0
+    display: str = field(init=False, repr=False, compare=False)
+    pattern: str = field(init=False, repr=False, compare=False)
+    word_ok: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind == "tag":
+            display, pattern = f"[{self.tag_class}:{self.tag_index}]", "%s"
+        else:
+            display, pattern = self.text, self.text.replace("%", "%%")
+        object.__setattr__(self, "display", display)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "word_ok",
+                           self.kind == "word" and _word_problem(self.text) is None)
 
     @staticmethod
     def word(text: str) -> "Token":
@@ -66,11 +84,6 @@ class Token:
     @property
     def is_tag(self) -> bool:
         return self.kind == "tag"
-
-    def to_text(self) -> str:
-        if self.kind == "tag":
-            return f"[{self.tag_class}:{self.tag_index}]"
-        return self.text
 
 
 # Every token value seen by this process; bounded by the vocabulary plus
@@ -106,7 +119,7 @@ def _piece_token(piece: str) -> Token:
 
 
 def tokens_to_text(tokens: Sequence[Token]) -> str:
-    return " ".join(t.to_text() for t in tokens)
+    return " ".join([t.display for t in tokens])
 
 
 @dataclass(frozen=True)
@@ -133,15 +146,34 @@ class ValidationReport:
         return not self.violations
 
 
-# Unbounded like the token table: one entry per distinct word text.
-@functools.lru_cache(maxsize=None)
 def _word_problem(text: str) -> str | None:
-    """What is wrong with a word's text, decided once per distinct text."""
+    """What is wrong with a word's text (``Token.word_ok`` keeps the verdict)."""
     # words must survive the round trip: no whitespace, not tag-shaped
     if not text or any(c.isspace() for c in text) or _TAG_RE.match(text):
         return "malformed word"
     if text != text.lower():
         return "word not lowercase"
+    return None
+
+
+def _tokens_ok(tokens: Sequence[Token], objects: Sequence[str]) -> bool:
+    """Whether :func:`_check_tokens` finds nothing: only the tags, and any
+    token that is not a valid word, are looked at."""
+    for tok in [t for t in tokens if not t.word_ok]:
+        if (tok.kind != "tag" or not 1 <= tok.tag_index <= len(objects)
+                or objects[tok.tag_index - 1] != tok.tag_class):
+            return False
+    return bool(tokens)
+
+
+# Unbounded like the token table: one entry per distinct label.
+@functools.lru_cache(maxsize=None)
+def _label_problem(label: str) -> str | None:
+    if not label or _LABEL_BAD_RE.search(label):
+        return "malformed class label"
+    if label != label.lower():
+        # remapping spells a missing class out as a (lowercased) word
+        return "class label not lowercase"
     return None
 
 
@@ -177,14 +209,15 @@ def validate_record(record: Record) -> ValidationReport:
         v.append("source_key: empty")
     if record.task_mode not in TASK_MODES:
         v.append(f"task_mode: must be one of {TASK_MODES}, got {record.task_mode!r}")
-    for pos, label in enumerate(record.objects, start=1):
-        if not label or _LABEL_BAD_RE.search(label):
-            v.append(f"objects[{pos}]: malformed class label {label!r}")
-        elif label != label.lower():
-            # remapping spells a missing class out as a (lowercased) word
-            v.append(f"objects[{pos}]: class label not lowercase {label!r}")
-    _check_tokens("query", record.query, record.objects, v)
-    _check_tokens("gold", record.gold, record.objects, v)
+    if any(map(_label_problem, record.objects)):
+        for pos, label in enumerate(record.objects, start=1):
+            problem = _label_problem(label)
+            if problem is not None:
+                v.append(f"objects[{pos}]: {problem} {label!r}")
+    if not (_tokens_ok(record.query, record.objects)
+            and _tokens_ok(record.gold, record.objects)):
+        _check_tokens("query", record.query, record.objects, v)
+        _check_tokens("gold", record.gold, record.objects, v)
     if record.embedding is not None:
         if len(record.embedding) == 0:
             v.append("embedding: empty vector")
@@ -218,7 +251,12 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
         if key not in obj:
             raise CorpusError(f"line {lineno}: missing field {key!r}")
     objects = obj["objects"]
-    if not isinstance(objects, list) or not all(isinstance(x, str) for x in objects):
+    try:
+        # strings that many records repeat are held once, as tokens are
+        objects = tuple(map(sys.intern, objects)) if isinstance(objects, list) else None
+    except TypeError:  # a label that is not a str
+        objects = None
+    if objects is None:
         raise CorpusError(f"line {lineno}: objects must be a list of class labels")
     embedding = obj.get("embedding")
     if embedding is not None:
@@ -226,16 +264,9 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
                 isinstance(x, (int, float)) for x in embedding):
             raise CorpusError(f"line {lineno}: embedding must be a list of numbers")
         embedding = tuple(float(x) for x in embedding)
-    # strings that many records repeat are held once, as tokens are
-    return Record(
-        id=str(obj["id"]),
-        source_key=sys.intern(str(obj["source_key"])),
-        query=parse_token_stream(str(obj["query"])),
-        gold=parse_token_stream(str(obj["gold"])),
-        objects=tuple(map(sys.intern, objects)),
-        embedding=embedding,
-        task_mode=sys.intern(str(obj["task_mode"]).lower()),
-    )
+    return Record(str(obj["id"]), sys.intern(str(obj["source_key"])),
+                  parse_token_stream(str(obj["query"])), parse_token_stream(str(obj["gold"])),
+                  objects, embedding, sys.intern(str(obj["task_mode"]).lower()))
 
 
 def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
@@ -267,22 +298,22 @@ def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
         except CorpusError as exc:
             yield None, [str(exc)]
             continue
-        at = f"line {lineno}: record {record.id!r}"
         problems = []
         report = validate_record(record)
         if not report.ok:
-            problems.append(f"{at}: invalid record: " + "; ".join(report.violations))
-        if record.id in seen:
-            problems.append(f"{at}: duplicate id, first seen on line {seen[record.id]}")
-        else:
-            seen[record.id] = lineno
+            problems.append("invalid record: " + "; ".join(report.violations))
+        first = seen.setdefault(record.id, lineno)
+        if first != lineno:
+            problems.append(f"duplicate id, first seen on line {first}")
         if record.embedding:
             if not embed_len:
                 embed_len, embed_line = len(record.embedding), lineno
             elif len(record.embedding) != embed_len:
                 problems.append(
-                    f"{at}: embedding length {len(record.embedding)} differs "
+                    f"embedding length {len(record.embedding)} differs "
                     f"from length {embed_len} on line {embed_line}")
+        if problems:
+            problems = [f"line {lineno}: record {record.id!r}: {p}" for p in problems]
         yield record, problems
 
 

@@ -14,8 +14,11 @@ with the maximum similarity against everything already assigned to the
 query (the gold response included, which is what makes round one the plain
 formula above).
 
-``run_rounds`` returns the rounds as a ``(K, n)`` index array plus their
-texts, and ``export_mcq`` writes them out as one JSONL item line per query.
+``run_rounds`` returns the rounds as a ``(K, n)`` index array plus the
+texts of every query's choices, its gold first, all from one
+``CandidateTable.get`` call.  ``export_mcq`` writes them out as one JSONL
+item line per query: it quotes each text, id and query once and writes a
+line with one format operation over those JSON strings.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .assignment import AssignmentError, WeightMatrix, solve_lap_max
 from .corpus import Record, Token, parse_token_stream, tokens_to_text
 from .scoring import DEFAULT_EPS
-from .seeding import Substreams
+from .seeding import Substreams, scope_key
 
 LAMBDA_DEFAULTS = {"qa": 0.1, "qar": 0.01}
 
@@ -113,13 +116,16 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
 
     ``mappings`` is a ``(K, n)`` intp array: ``mappings[t, i]`` is the
     index of the response served to query ``i`` in round ``t + 1``.
-    ``texts[t * n + i]`` is that distractor's text, round-major.
+    ``texts[t * n + i]`` is the text of query ``i``'s choice ``t`` before
+    shuffling: ``t = 0`` is its gold, and ``t >= 1`` the distractor of round
+    ``t``, so ``texts[i::n]`` is its choices in that order.
 
     ``rel`` and ``sim`` are the bucket's ``(n, n)`` score arrays.
     ``candidates`` is a ``remap.CandidateTable`` or anything with
-    ``get(pairs)``: given ``(query, response)`` index pairs, it returns the
-    distractor text of each, in order.  It is called once per bucket, after
-    the last round, with every round's pairs in round order, so a table can
+    ``get(pairs)``: given an ``(m, 2)`` array of ``(query, response)``
+    index pairs, it returns the text of each, in order, a self pair's being
+    the gold.  It is called once per bucket, after the last round, with the
+    self pairs and then every round's pairs in round order, so a table can
     decode all of the bucket's substreams in one batch.
     """
     n = len(bucket)
@@ -157,7 +163,8 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
                 f"{bucket[mapping[i]].id} (self or repeat)")
         np.maximum(eff, sim[mapping], out=eff)
 
-    pairs = [(i, j) for mapping in mappings.tolist() for i, j in enumerate(mapping)]
+    pairs = np.stack((np.tile(rows, k + 1), np.concatenate((rows, mappings.ravel()))),
+                     axis=1)
     return mappings, candidates.get(pairs)
 
 
@@ -190,6 +197,8 @@ class MCQItem:
 
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# what _encode returns for a str
+_quote = json.encoder.encode_basestring
 
 
 def _json_value(value) -> str:
@@ -197,23 +206,33 @@ def _json_value(value) -> str:
     return repr(value) if type(value) is int else _encode(value)
 
 
-def _item_line(item_id, fold, bucket_id, task_mode, query: str,
-               choices: Sequence[str], gold_index: int,
-               provenance: Sequence[tuple | None]) -> str:
-    """One item's JSONL line: compact ``json.dumps`` with ``ensure_ascii=False``.
+def _json_values(values: Iterable) -> list[str]:
+    """:func:`_json_value` of each value; a str goes straight to the quoting."""
+    return [_quote(v) if isinstance(v, str) else _json_value(v) for v in values]
 
-    Per choice in served order, ``provenance`` is None for the gold, else
-    the distractor's ``(source id, round)``."""
-    prov = ",".join(
-        '{"kind":"gold"}' if p is None else
-        f'{{"kind":"distractor","source":{_json_value(p[0])}'
-        f',"round":{_json_value(p[1])}}}'
-        for p in provenance)
-    return (f'{{"id":{_json_value(item_id)},"fold":{_json_value(fold)}'
-            f',"bucket":{_json_value(bucket_id)},"task_mode":{_json_value(task_mode)}'
-            f',"query":{_json_value(query)}'
-            f',"choices":[{",".join(map(_json_value, choices))}]'
-            f',"gold_index":{_json_value(gold_index)},"provenance":[{prov}]}}\n')
+
+_GOLD = '{"kind":"gold"}'
+
+
+def _item_lines(ids: Sequence[str], fold: str, bucket_id: str, modes: Sequence[str],
+                queries: Sequence[str], choices: Sequence[Sequence[str]],
+                gold_index: Sequence[int], provenance: Sequence[Sequence[str]],
+                ) -> list[str]:
+    """Items' JSONL lines: compact ``json.dumps`` with ``ensure_ascii=False``.
+
+    Every argument is JSON text already, one entry per item but for the
+    run's ``fold`` and ``bucket_id``.  Per item, ``choices`` and
+    ``provenance`` hold its choices in served order, and a provenance is
+    ``_GOLD`` or a distractor's ``{"kind":"distractor",...}`` object."""
+    head = f',"fold":{fold},"bucket":{bucket_id},"task_mode":'
+    return [f'{{"id":{i}{head}{m},"query":{q},"choices":[{",".join(c)}]'
+            f',"gold_index":{g},"provenance":[{",".join(p)}]}}\n'
+            for i, m, q, c, g, p in zip(ids, modes, queries, choices, gold_index,
+                                        provenance)]
+
+
+def _distractor(source: str, round_index: str) -> str:
+    return f'{{"kind":"distractor","source":{source},"round":{round_index}}}'
 
 
 def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[str],
@@ -223,27 +242,33 @@ def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[s
 
     ``mappings`` and ``texts`` are what :func:`run_rounds` returns for the
     bucket; the lines come in member order.  Each line ends in a newline
-    and is written straight from the texts by the same encoder as
-    :func:`write_items`, so ``"".join`` of the lines is ``write_items`` of
-    the items and ``parse_items`` reads them back.  A query's choice order
-    is ``derive_rng(seed, "shuffle", query_id).permutation(K + 1)`` over
-    (gold, distractors in round order); the orders of all queries are
-    decoded in one batch.
+    and is written with the same JSON text as :func:`write_items`, so
+    ``"".join`` of the lines is ``write_items`` of the items and
+    ``parse_items`` reads them back.  Each text, id and query is quoted
+    once, and each line is one format operation over those strings.  A
+    query's choice order is ``derive_rng(seed, "shuffle",
+    query_id).permutation(K + 1)`` over (gold, distractors in round order);
+    the orders of all queries are decoded in one batch.
     """
     k, n = mappings.shape
-    if n != len(bucket) or len(texts) != k * n:
+    if n != len(bucket) or len(texts) != (k + 1) * n:
         raise MatchingError(f"{k} rounds of {n} queries do not fit a bucket of "
                             f"{len(bucket)} records and {len(texts)} texts")
-    orders = Substreams(seed, [("shuffle", r.id) for r in bucket]).permutation(k + 1)
-    lines = []
-    for i, (record, cols, order) in enumerate(zip(bucket, mappings.T.tolist(),
-                                                  orders.tolist())):
-        choices = [tokens_to_text(record.gold), *texts[i::n]]
-        prov = [None, *((bucket[j].id, t) for t, j in enumerate(cols, start=1))]
-        lines.append(_item_line(
-            record.id, fold, bucket_id, record.task_mode, tokens_to_text(record.query),
-            [choices[p] for p in order], order.index(0), [prov[p] for p in order]))
-    return lines
+    key = scope_key(seed, "shuffle") + "\x1f"
+    orders = Substreams([key + str(r.id) for r in bucket]).permutation(k + 1)
+    ids = _json_values(r.id for r in bucket)
+    rounds = _json_values(range(1, k + 1))
+    # choice t of query i, before shuffling, at [i, t]
+    choices = np.array(list(map(_quote, texts)), dtype=object).reshape(k + 1, n).T
+    provenance = np.array([_GOLD] * n + [
+        _distractor(ids[j], rounds[t]) for t, mapping in enumerate(mappings.tolist())
+        for j in mapping], dtype=object).reshape(k + 1, n).T
+    rows = np.arange(n)[:, None]
+    modes = {mode: _quote(mode) for mode in {r.task_mode for r in bucket}}
+    return _item_lines(
+        ids, _json_value(fold), _json_value(bucket_id), [modes[r.task_mode] for r in bucket],
+        [_quote(tokens_to_text(r.query)) for r in bucket], choices[rows, orders].tolist(),
+        orders.argmin(axis=1).tolist(), provenance[rows, orders].tolist())
 
 
 def _item_from_json(obj: dict) -> MCQItem:
@@ -296,9 +321,12 @@ def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQ
 
 def write_items(items: Iterable[MCQItem]) -> str:
     """The JSONL of the items, one line each, as :func:`export_mcq` writes it."""
-    return "".join(
-        _item_line(it.id, it.fold, it.bucket_id, it.task_mode, tokens_to_text(it.query),
-                   [tokens_to_text(c) for c in it.choices], it.gold_index,
-                   [None if p.kind == "gold" else (p.source_id, p.round_index)
-                    for p in it.provenance])
-        for it in items)
+    lines = []
+    for it in items:
+        prov = [_GOLD if p.kind == "gold" else _distractor(*_json_values(
+            (p.source_id, p.round_index))) for p in it.provenance]
+        lines += _item_lines(
+            _json_values([it.id]), _json_value(it.fold), _json_value(it.bucket_id),
+            _json_values([it.task_mode]), [_quote(tokens_to_text(it.query))],
+            [[_quote(tokens_to_text(c)) for c in it.choices]], [it.gold_index], [prov])
+    return "".join(lines)

@@ -11,7 +11,9 @@ Inside a worker the K matching rounds stay one ``(K, n)`` array of member
 indices, from the solver to the item lines and the matched scores.
 
 The pool receives the planned buckets once, when each worker starts, and
-then each bucket by its index.  A worker sends back the bucket's finished
+then each bucket by its index.  A worker also sets the OpenBLAS numpy has
+loaded to one thread as it starts, so that N workers run N BLAS threads
+rather than N times one per CPU.  A worker sends back the bucket's finished
 JSONL text, the scores of its matched pairs and how many of its items the
 attacker (the overlap relevance scorer at the run's eps) answers; no item
 object and no score matrix leaves the worker.  ``run_match`` hands each
@@ -25,6 +27,7 @@ manifest ``advmatch match`` writes live in ``cli``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -154,10 +157,42 @@ def _process_bucket(args) -> tuple[str, np.ndarray, int]:
 # The planned tasks of the run a pool worker serves, set once per worker.
 _worker_tasks: list = []
 
+# OpenBLAS's thread-count setter under the names numpy's wheels export it:
+# numpy >= 2, numpy 1.2x, then a build without the symbol suffix
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS numpy has loaded, or None.
+
+    It is looked up through numpy's compiled core, whose dependencies hold
+    the BLAS numpy links; another BLAS, or none, has no such symbol.
+    """
+    import ctypes  # numpy has imported it already
+
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
+    if core is None:
+        return None
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            return setter
+    return None
+
 
 def _init_worker(tasks: list) -> None:
     global _worker_tasks
     _worker_tasks = tasks
+    # --jobs N runs N workers of one BLAS thread each, not N x (one per CPU)
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def _run_task(index: int):

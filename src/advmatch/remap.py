@@ -14,23 +14,41 @@ Each tag slot draws ``random()`` to pick the pool order, then, from a pool
 of more than one tag, ``integers(len(pool))`` to pick the tag.  Every
 (query, candidate) pair draws from its own RNG substream keyed by the two
 record ids, so results do not depend on evaluation order or on how pairs
-are batched.  :class:`CandidateTable` keeps its bucket's pools as flat
-arrays and decodes the draws of all pairs of a call together, slot by
-slot (:class:`~advmatch.seeding.Substreams`); its results are text.
+are batched.
+
+:class:`CandidateTable` builds its bucket's pools from the flattened
+objects and gold tags of all its records at once, as flat arrays, and
+turns each gold into a ``%``-format template whose conversions are its tag
+slots.  ``get`` derives the substreams of all the pairs it is given from
+their key strings in one batch (:class:`~advmatch.seeding.Substreams`),
+decodes the draws of every tag slot of those pairs together, slot by
+slot, and fills each pair's template with its drawn tags in one format
+operation; its results are text.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import mod
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Record
-from .seeding import Substreams
+from .seeding import Substreams, scope_key
 
 
 class RemapError(ValueError):
     """Raised when remapping inputs are structurally unusable."""
+
+
+def _first_nonempty(*runs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, the first of the ``(start, length)`` runs whose length is not 0."""
+    start, length = runs[-1]
+    for run_start, run_len in reversed(runs[:-1]):
+        start = np.where(run_len > 0, run_start, start)
+        length = np.where(run_len > 0, run_len, length)
+    return start, length
 
 
 class CandidateTable:
@@ -38,7 +56,7 @@ class CandidateTable:
 
     ``get(pairs)`` gives the text of response j remapped for query i for
     every ``(i, j)`` it is given; nothing is cached, so memory stays O(n)
-    plus one pool offset per (record, class).  Each pair draws from its own
+    plus two pool offsets per (record, class).  Each pair draws from its own
     substream keyed by the two record ids, the substreams of one call are
     derived and decoded in one batch, and a pair's text does not depend on
     which other pairs share the call.  A self pair, and a response without
@@ -48,116 +66,136 @@ class CandidateTable:
     def __init__(self, records: Sequence[Record], p_reuse: float, seed: int):
         if not 0.0 <= p_reuse <= 1.0:
             raise RemapError(f"p_reuse must be in [0, 1], got {p_reuse}")
-        self._records = records = list(records)
+        records = list(records)
+        n = len(records)
         self._p_reuse = p_reuse
-        self._seed = seed
-        classes: dict[str, int] = {}
-        # every tag text a slot can take: each record's objects, then each
-        # class spelled out
-        strings: list[str] = []
-        tag_base = []
-        # (records, classes, tag indices) of the tags in each kind of pool
-        mentioned_pools: tuple[list[int], ...] = ([], [], [])
-        object_pools: tuple[list[int], ...] = ([], [], [])
-        slot_class: list[int] = []
-        slot_start = [0]
-        self._texts = []  # token texts of each gold; slots are filled per pair
-        self._slots = []  # positions of each gold's tags
-        for i, r in enumerate(records):
-            labels = [classes.setdefault(label, len(classes)) for label in r.objects]
-            tag_base.append(len(strings))
-            strings += [f"[{label}:{idx}]" for idx, label in enumerate(r.objects, 1)]
-            slots = [k for k, t in enumerate(r.gold) if t.kind == "tag"]
-            mentioned = sorted({t.tag_index for t in r.query if t.kind == "tag"}
-                               | {r.gold[k].tag_index for k in slots})
-            # records built in code skip validate_record; 0 would wrap
-            if mentioned and not 1 <= mentioned[0] <= mentioned[-1] <= len(labels):
-                bad = [t.to_text() for t in (*r.query, *r.gold) if t.kind == "tag"
-                       and not 1 <= t.tag_index <= len(labels)]
-                raise RemapError(f"record {r.id}: tag {bad[0]} is outside its "
-                                 f"{len(labels)} objects")
-            for (rec, cls, idx), pool in ((mentioned_pools, mentioned),
-                                          (object_pools, range(1, len(labels) + 1))):
-                rec += [i] * len(pool)
-                cls += [labels[k - 1] for k in pool]
-                idx += pool
-            slot_class += [classes.setdefault(r.gold[k].tag_class, len(classes))
-                           for k in slots]
-            slot_start.append(len(slot_class))
-            self._texts.append([t.to_text() for t in r.gold])
-            self._slots.append(slots)
-        self._gold_text = [" ".join(texts) for texts in self._texts]
-        self._fallback_base = len(strings)
-        strings += [f"the {label.lower()}" for label in classes]
-        self._strings = np.array(strings, dtype=object)
-        self._tag_base = np.array(tag_base, dtype=np.intp)
-        self._slot_class = np.array(slot_class, dtype=np.intp)
-        self._slot_start = np.array(slot_start, dtype=np.intp)
-        self._n_slots = np.diff(self._slot_start)
+        self._ids = [r.id for r in records]
+        self._key = scope_key(seed, "remap") + "\x1f"
+        golds = [r.gold for r in records]
+        self._gold_text = [" ".join([t.display for t in g]) for g in golds]
+        # a gold's tags become the conversions of its template
+        self._templates = np.array([" ".join([t.pattern for t in g]) for g in golds],
+                                   dtype=object)
+        slot_tags = [[t for t in g if t.kind == "tag"] for g in golds]
+        slots = list(chain.from_iterable(slot_tags))
+        self._n_slots = np.array(list(map(len, slot_tags)), dtype=np.intp)
+        self._slot_start = np.concatenate(([0], np.cumsum(self._n_slots)))
 
-        # pools as runs of one flat index array, sorted by (record, class);
-        # key = record * n_classes + class, and a trailing 0 keeps every
-        # start a valid position
+        # every object of the bucket, record by record: its record, class
+        # and 1-based index, and where each record's objects start
+        n_objects = np.array([len(r.objects) for r in records], dtype=np.intp)
+        labels = list(chain.from_iterable(r.objects for r in records))
+        classes = {c: k for k, c in enumerate(dict.fromkeys(
+            chain(labels, (t.tag_class for t in slots))))}
         n_classes = self._n_classes = len(classes)
-        starts, flat = [], []
-        offset = 0
-        for rec, cls, idx in (mentioned_pools, object_pools):
-            key = np.array(rec, dtype=np.intp) * n_classes + np.array(cls, dtype=np.intp)
-            counts = np.bincount(key, minlength=len(records) * n_classes)
-            starts.append(offset + np.concatenate(([0], np.cumsum(counts))))
-            flat.append(np.array(idx, dtype=np.intp)[np.argsort(key, kind="stable")])
-            offset += len(key)
-        self._ment_start, self._obj_start = starts
-        self._pool_idx = np.concatenate([*flat, np.zeros(1, dtype=np.intp)])
-        person = classes.get("person")
-        person_key = np.arange(len(records)) * n_classes + (person or 0)
-        self._person_start = self._obj_start[person_key]
-        self._person_len = (np.zeros(len(records), dtype=np.intp) if person is None
-                            else self._obj_start[person_key + 1] - self._person_start)
+        obj_class = np.array([classes[c] for c in labels], dtype=np.intp)
+        obj_rec = np.repeat(np.arange(n), n_objects)
+        obj_base = np.concatenate(([0], np.cumsum(n_objects)))
+        obj_idx = np.arange(len(labels)) - obj_base[obj_rec] + 1
+        self._slot_class = np.array([classes[t.tag_class] for t in slots], dtype=np.intp)
 
-    def get(self, pairs: Sequence[tuple[int, int]]) -> list[str]:
-        """Text of response j remapped for query i, for each ``(i, j)`` in order."""
-        records = self._records
-        out = [self._gold_text[j] for _, j in pairs]
-        n_slots = self._n_slots
-        drawn = [k for k, (i, j) in enumerate(pairs) if i != j and n_slots[j]]
-        if not drawn:
+        # the tags each record mentions, in its query or gold
+        query_tags = [[t.tag_index for t in r.query if t.kind == "tag"] for r in records]
+        ment_rec = np.concatenate((np.repeat(np.arange(n), list(map(len, query_tags))),
+                                   np.repeat(np.arange(n), self._n_slots)))
+        ment_idx = np.array([*chain.from_iterable(query_tags),
+                             *(t.tag_index for t in slots)], dtype=np.intp)
+        # records built in code skip validate_record; 0 would wrap
+        outside = (ment_idx < 1) | (ment_idx > n_objects[ment_rec])
+        if outside.any():
+            r = records[int(ment_rec[outside].min())]
+            bad = [t.display for t in (*r.query, *r.gold) if t.kind == "tag"
+                   and not 1 <= t.tag_index <= len(r.objects)]
+            raise RemapError(f"record {r.id}: tag {bad[0]} is outside its "
+                             f"{len(r.objects)} objects")
+
+        # a served tag is written from its class and index alone; each one
+        # an object can give is a string, then each class spelled out
+        width = int(n_objects.max(initial=0)) + 1
+        tag = obj_class * width + obj_idx
+        used = np.zeros(n_classes * width, dtype=bool)
+        used[tag] = True
+        tag_codes = np.flatnonzero(used)
+        obj_code = (np.cumsum(used) - 1)[tag]
+        names = list(classes)
+        self._strings = np.array(
+            [f"[{names[c // width]}:{c % width}]" for c in tag_codes.tolist()]
+            + [f"the {label.lower()}" for label in names], dtype=object)
+        self._fallback_base = len(tag_codes)
+
+        # the pools: one run of string codes per key, sorted by key; key =
+        # record * n_classes + class for the tags a record mentions, and
+        # that plus n * n_classes for all its objects.  _run_start[key] is
+        # where its run starts, and key 2 * n * n_classes has none.
+        obj_key = obj_rec * n_classes + obj_class
+        objects = np.argsort(obj_key, kind="stable")
+        is_mentioned = np.zeros(len(labels), dtype=bool)
+        is_mentioned[obj_base[ment_rec] + ment_idx - 1] = True
+        mentioned = objects[is_mentioned[objects]]
+        self._objects_offset = n * n_classes
+        keys = np.concatenate((obj_key[mentioned], obj_key[objects] + n * n_classes))
+        self._run_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(keys, minlength=2 * n * n_classes + 1))))
+        self._pool = obj_code[np.concatenate((mentioned, objects))]
+        person = classes.get("person")
+        self._person_key = (np.full(n, 2 * n * n_classes) if person is None
+                            else np.arange(n) * n_classes + person + n * n_classes)
+
+    def get(self, pairs) -> list[str]:
+        """Text of response j remapped for query i, for each ``(i, j)`` in order.
+
+        ``pairs`` is a sequence of ``(i, j)`` or an ``(m, 2)`` integer array.
+        """
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        target, source = pairs[:, 0], pairs[:, 1]
+        out = [self._gold_text[j] for j in source.tolist()]
+        counts = np.where(target == source, 0, self._n_slots[source])
+        drawn = np.flatnonzero(counts)
+        if not drawn.size:
             return out
-        streams = Substreams(self._seed, [
-            ("remap", records[pairs[k][0]].id, records[pairs[k][1]].id)
-            for k in drawn])
-        target = np.array([pairs[k][0] for k in drawn], dtype=np.intp)
-        source = np.array([pairs[k][1] for k in drawn], dtype=np.intp)
-        counts = n_slots[source]
-        codes = np.zeros((len(drawn), int(counts.max())), dtype=np.intp)
-        for s in range(codes.shape[1]):
+        target, source, counts = target[drawn], source[drawn], counts[drawn]
+        ids, key = self._ids, self._key
+        streams = Substreams([f"{key}{ids[i]}\x1f{ids[j]}" for i, j in
+                                        zip(target.tolist(), source.tolist())])
+
+        # one cell per tag slot of a drawn pair, pair-major
+        first = np.cumsum(counts) - counts
+        pair = np.repeat(np.arange(len(drawn)), counts)
+        slot = np.arange(len(pair)) - first[pair]
+        cls = self._slot_class[self._slot_start[source[pair]] + slot]
+        i = target[pair]
+        key = i * self._n_classes + cls
+        # the (start, length) runs of the mentioned pool, the objects pool
+        # and the persons; the pool a slot draws from is the first non-empty
+        # one of (mentioned, objects, persons) when random() < p_reuse, else
+        # of (objects, mentioned, persons), and none spells the class out
+        run = np.concatenate((key, key + self._objects_offset, self._person_key[i]))
+        start = self._run_start[run]
+        mentioned, objects, persons = zip(start.reshape(3, -1),
+                                          (self._run_start[run + 1] - start).reshape(3, -1))
+        reuse_start, reuse_len = _first_nonempty(mentioned, objects, persons)
+        fresh_start, fresh_len = _first_nonempty(objects, mentioned, persons)
+
+        pick = np.empty(len(pair), dtype=np.intp)
+        for s in range(int(counts.max())):
             rows = np.flatnonzero(counts > s)
-            i = target[rows]
-            cls = self._slot_class[self._slot_start[source[rows]] + s]
-            key = i * self._n_classes + cls
+            at = first[rows] + s
             reuse = streams.random(rows) < self._p_reuse
-            m_start, o_start = self._ment_start[key], self._obj_start[key]
-            m_len = self._ment_start[key + 1] - m_start
-            o_len = self._obj_start[key + 1] - o_start
-            # the first non-empty pool of (mentioned, objects) in the drawn
-            # order, then the other one, then the persons
-            start = np.where(reuse, m_start, o_start)
-            length = np.where(reuse, m_len, o_len)
-            other_start = np.where(reuse, o_start, m_start)
-            other_len = np.where(reuse, o_len, m_len)
-            empty = length == 0
-            start[empty], length[empty] = other_start[empty], other_len[empty]
-            empty = length == 0
-            start[empty] = self._person_start[i[empty]]
-            length[empty] = self._person_len[i[empty]]
-            found = length > 0
-            start[found] += streams.integers(length[found], rows[found])
-            codes[rows, s] = np.where(
-                found, self._tag_base[i] + self._pool_idx[start] - 1,
-                self._fallback_base + cls)
-        for k, j, tags in zip(drawn, source.tolist(), self._strings[codes].tolist()):
-            texts = self._texts[j].copy()
-            for pos, tag in zip(self._slots[j], tags):
-                texts[pos] = tag
-            out[k] = " ".join(texts)
+            length = np.where(reuse, reuse_len[at], fresh_len[at])
+            start = np.where(reuse, reuse_start[at], fresh_start[at])
+            # a pool of one tag, or none, draws nothing
+            start += streams.integers(np.maximum(length, 1), rows)
+            pick[at] = np.where(length > 0, start, -1)
+        codes = self._fallback_base + cls
+        found = pick >= 0
+        codes[found] = self._pool[pick[found]]
+
+        tags = self._strings[codes]
+        positions = drawn.tolist()
+        for c in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == c)
+            columns = tags[first[rows, None] + np.arange(c)].T.tolist()
+            texts = map(mod, self._templates[source[rows]].tolist(), zip(*columns))
+            for k, text in zip(rows.tolist(), texts):
+                out[positions[k]] = text
         return out

@@ -161,6 +161,39 @@ def test_attacker_is_overlap_whatever_the_relevance_scorer(rel_spec):
             (expected, repr(expected))
 
 
+# Prints the BLAS threads a pool worker runs with: the getter that matches
+# the setter _init_worker found, read after it ran, or "none".
+_WORKER_BLAS_THREADS = """
+import ctypes, sys
+from advmatch import pipeline
+
+setter = pipeline._blas_thread_setter()
+if setter is None:
+    print("none")
+else:
+    pipeline._init_worker([])
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
+    getter = getattr(ctypes.CDLL(core.__file__), setter.__name__.replace("_set_", "_get_"))
+    print(getter())
+"""
+
+
+def test_worker_initializer_caps_blas_threads():
+    # without a thread setting in the environment, OpenBLAS starts a thread
+    # per CPU; a pool worker must run one
+    src = str(Path(advmatch.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    assert proc.stdout.strip() == "1"
+
+
 def test_jobs_below_one_rejected():
     records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
     with pytest.raises(PipelineError, match="jobs"):

@@ -196,18 +196,27 @@ class TestCandidateTable:
                 assert content(pts(got)) == content(pts(ref))
 
 
+# Text the remap templates and the item quoting must pass through as it is:
+# format directives, braces, escapes, a line separator and non-BMP text.
+_ODD = ["%", "%s", "%%", "{}", "\\", '"', "\u2028", "\U0001f600"]
+
+
 @st.composite
 def _tagged_record(draw, i):
-    """A record whose gold tags its own objects; some have no objects at all."""
+    """A record whose gold tags its own objects; some have no objects at all.
+
+    Tokens are built directly, so a word may hold any of ``_ODD``, even the
+    line separator that parsing would split on.
+    """
     objects = tuple(draw(st.lists(st.sampled_from(["person", "car", "dog", "cup"]),
                                   max_size=4)))
-    tags = [f"[{label}:{k}]" for k, label in enumerate(objects, 1)]
-    pieces = st.one_of(st.sampled_from(["w", "the", "own", "."]), st.sampled_from(tags)
-                       ) if tags else st.sampled_from(["w", "the", "own", "."])
-    query = ["why", *draw(st.lists(pieces, max_size=3)), "?"]
-    gold = draw(st.lists(pieces, min_size=1, max_size=5))
-    return Record(id=f"r{i}", source_key="m", query=pts(" ".join(query)),
-                  gold=pts(" ".join(gold)), objects=objects)
+    words = st.sampled_from(["w", "the", "own", ".", *_ODD]).map(Token.word)
+    tags = [Token.tag(label, k) for k, label in enumerate(objects, 1)]
+    pieces = st.one_of(words, st.sampled_from(tags)) if tags else words
+    query = (Token.word("why"), *draw(st.lists(pieces, max_size=3)), Token.word("?"))
+    gold = tuple(draw(st.lists(pieces, min_size=1, max_size=5)))
+    rid = f"{draw(st.sampled_from(['r', *_ODD]))}{i}"
+    return Record(id=rid, source_key="m", query=query, gold=gold, objects=objects)
 
 
 @settings(max_examples=80, deadline=None)

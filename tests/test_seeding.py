@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from advmatch.seeding import Substreams, derive_rng, derive_seed, pcg64_states
+from advmatch.seeding import (Substreams, derive_rng, derive_seed, pcg64_states,
+                              scope_key)
 
-scope_parts = st.one_of(st.text(max_size=8), st.integers(-10 ** 6, 10 ** 6))
+# text with the key separator, format characters, a line separator and
+# non-BMP text, and integers
+scope_parts = st.one_of(
+    st.text(st.one_of(st.sampled_from(["\x1f", "%", "s", "{", "}", "\u2028", "\U0001f600"]),
+                      st.characters(exclude_categories=("Cs",))), max_size=8),
+    st.integers(-10 ** 6, 10 ** 6))
 scopes = st.lists(st.tuples(scope_parts, scope_parts), min_size=0, max_size=12)
 
 
@@ -26,9 +32,10 @@ def _words(seed: int) -> np.ndarray:
 @given(st.one_of(st.sampled_from([0, -1, -(2 ** 70), 2 ** 64, -(2 ** 64)]),
                  st.integers(-(2 ** 64), 2 ** 64)), scopes)
 def test_batch_equals_default_rng(root, keys):
-    # the decoders, rows derived in one batch, against each key's own
-    # generator; integers(10) after permutation(5) reads a buffered half
-    streams = Substreams(root, keys)
+    # the decoders, rows derived in one batch from their scopes' key
+    # strings, against each scope's own generator; integers(10) after
+    # permutation(5) reads a buffered half
+    streams = Substreams([scope_key(root, *scope) for scope in keys])
     gens = [np.random.default_rng(derive_seed(root, *scope)) for scope in keys]
     assert streams.random().tolist() == [g.random() for g in gens]
     assert streams.integers(7).tolist() == [int(g.integers(7)) for g in gens]
@@ -90,7 +97,7 @@ def _rows(data, n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 12), st.data())
 def test_random_equals_generator(root, n, data):
-    streams = Substreams(root, [("row", k) for k in range(n)])
+    streams = Substreams([scope_key(root, "row", k) for k in range(n)])
     gens = _generators(root, n)
     for _ in range(3):
         rows = _rows(data, n)
@@ -105,7 +112,7 @@ bounds = st.one_of(st.sampled_from([1, 2, 3, 2 ** 31 + 1, 2 ** 32 - 1]),
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 10), st.data())
 def test_integers_equal_generator(root, n, data):
-    streams = Substreams(root, [("row", k) for k in range(n)])
+    streams = Substreams([scope_key(root, "row", k) for k in range(n)])
     gens = _generators(root, n)
     for _ in range(4):
         rows = _rows(data, n)
@@ -120,7 +127,7 @@ def test_integers_equal_generator(root, n, data):
 def test_half_carries_from_one_slot_to_the_next(root, ops):
     # a 32-bit draw keeps the upper half of its word for the next one;
     # random() and integers(1) in between leave that half alone
-    streams = Substreams(root, [("row", k) for k in range(4)])
+    streams = Substreams([scope_key(root, "row", k) for k in range(4)])
     gens = _generators(root, 4)
     for op in ops:
         if op == "random":
@@ -135,7 +142,7 @@ def test_half_carries_from_one_slot_to_the_next(root, ops):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-(2 ** 40), 2 ** 40), st.integers(2, 8), st.integers(1, 60))
 def test_permutation_equals_generator(root, k, n):
-    streams = Substreams(root, [("row", j) for j in range(n)])
+    streams = Substreams([scope_key(root, "row", j) for j in range(n)])
     gens = _generators(root, n)
     for size in (k, k, 2):
         got = streams.permutation(size).tolist()

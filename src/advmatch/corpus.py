@@ -156,16 +156,6 @@ def _word_problem(text: str) -> str | None:
     return None
 
 
-def _tokens_ok(tokens: Sequence[Token], objects: Sequence[str]) -> bool:
-    """Whether :func:`_check_tokens` finds nothing: only the tags, and any
-    token that is not a valid word, are looked at."""
-    for tok in [t for t in tokens if not t.word_ok]:
-        if (tok.kind != "tag" or not 1 <= tok.tag_index <= len(objects)
-                or objects[tok.tag_index - 1] != tok.tag_class):
-            return False
-    return bool(tokens)
-
-
 # Unbounded like the token table: one entry per distinct label.
 @functools.lru_cache(maxsize=None)
 def _label_problem(label: str) -> str | None:
@@ -183,10 +173,10 @@ def _check_tokens(name: str, tokens: Sequence[Token], objects: Sequence[str],
         out.append(f"{name}: empty")
         return
     for pos, tok in enumerate(tokens):
+        if tok.word_ok:
+            continue
         if tok.kind == "word":
-            problem = _word_problem(tok.text)
-            if problem is not None:
-                out.append(f"{name}[{pos}]: {problem} {tok.text!r}")
+            out.append(f"{name}[{pos}]: {_word_problem(tok.text)} {tok.text!r}")
         elif tok.kind == "tag":
             if tok.tag_index < 1 or tok.tag_index > len(objects):
                 out.append(
@@ -209,15 +199,12 @@ def validate_record(record: Record) -> ValidationReport:
         v.append("source_key: empty")
     if record.task_mode not in TASK_MODES:
         v.append(f"task_mode: must be one of {TASK_MODES}, got {record.task_mode!r}")
-    if any(map(_label_problem, record.objects)):
-        for pos, label in enumerate(record.objects, start=1):
-            problem = _label_problem(label)
-            if problem is not None:
-                v.append(f"objects[{pos}]: {problem} {label!r}")
-    if not (_tokens_ok(record.query, record.objects)
-            and _tokens_ok(record.gold, record.objects)):
-        _check_tokens("query", record.query, record.objects, v)
-        _check_tokens("gold", record.gold, record.objects, v)
+    for pos, label in enumerate(record.objects, start=1):
+        problem = _label_problem(label)
+        if problem is not None:
+            v.append(f"objects[{pos}]: {problem} {label!r}")
+    _check_tokens("query", record.query, record.objects, v)
+    _check_tokens("gold", record.gold, record.objects, v)
     if record.embedding is not None:
         if len(record.embedding) == 0:
             v.append("embedding: empty vector")

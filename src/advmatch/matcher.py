@@ -14,9 +14,8 @@ with the maximum similarity against everything already assigned to the
 query (the gold response included, which is what makes round one the plain
 formula above).
 
-``run_rounds`` returns the rounds as a ``(K, n)`` index array plus the
-texts of every query's choices, its gold first, all from one
-``CandidateTable.get`` call.  ``export_mcq`` writes them out as one JSONL
+``run_rounds`` returns the rounds as a ``(K, n)`` index array plus their
+texts, all from one ``CandidateTable.get`` call.  ``export_mcq`` writes them out as one JSONL
 item line per query: it quotes each text, id and query once and writes a
 line with one format operation over those JSON strings.
 """
@@ -116,17 +115,15 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
 
     ``mappings`` is a ``(K, n)`` intp array: ``mappings[t, i]`` is the
     index of the response served to query ``i`` in round ``t + 1``.
-    ``texts[t * n + i]`` is the text of query ``i``'s choice ``t`` before
-    shuffling: ``t = 0`` is its gold, and ``t >= 1`` the distractor of round
-    ``t``, so ``texts[i::n]`` is its choices in that order.
+    ``texts[t * n + i]`` is that distractor's text, round-major.
 
     ``rel`` and ``sim`` are the bucket's ``(n, n)`` score arrays.
     ``candidates`` is a ``remap.CandidateTable`` or anything with
     ``get(pairs)``: given an ``(m, 2)`` array of ``(query, response)``
-    index pairs, it returns the text of each, in order, a self pair's being
-    the gold.  It is called once per bucket, after the last round, with the
-    self pairs and then every round's pairs in round order, so a table can
-    decode all of the bucket's substreams in one batch.
+    index pairs, it returns the distractor text of each, in order.  It is
+    called once per bucket, after the last round, with every round's pairs
+    in round order, so a table can decode all of the bucket's substreams in
+    one batch.
     """
     n = len(bucket)
     k = config.rounds
@@ -163,8 +160,7 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
                 f"{bucket[mapping[i]].id} (self or repeat)")
         np.maximum(eff, sim[mapping], out=eff)
 
-    pairs = np.stack((np.tile(rows, k + 1), np.concatenate((rows, mappings.ravel()))),
-                     axis=1)
+    pairs = np.stack((np.tile(rows, k), mappings.ravel()), axis=1)
     return mappings, candidates.get(pairs)
 
 
@@ -251,7 +247,7 @@ def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[s
     the orders of all queries are decoded in one batch.
     """
     k, n = mappings.shape
-    if n != len(bucket) or len(texts) != (k + 1) * n:
+    if n != len(bucket) or len(texts) != k * n:
         raise MatchingError(f"{k} rounds of {n} queries do not fit a bucket of "
                             f"{len(bucket)} records and {len(texts)} texts")
     key = scope_key(seed, "shuffle") + "\x1f"
@@ -259,7 +255,8 @@ def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[s
     ids = _json_values(r.id for r in bucket)
     rounds = _json_values(range(1, k + 1))
     # choice t of query i, before shuffling, at [i, t]
-    choices = np.array(list(map(_quote, texts)), dtype=object).reshape(k + 1, n).T
+    choices = np.array([_quote(tokens_to_text(r.gold)) for r in bucket]
+                       + list(map(_quote, texts)), dtype=object).reshape(k + 1, n).T
     provenance = np.array([_GOLD] * n + [
         _distractor(ids[j], rounds[t]) for t, mapping in enumerate(mappings.tolist())
         for j in mapping], dtype=object).reshape(k + 1, n).T

@@ -62,6 +62,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
+# PCG64's default 128-bit LCG multiplier, as uint64 halves.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 
 
 def _hash_consts(init: int, mult: int, count: int) -> list[int]:
@@ -97,32 +101,25 @@ _MIX_XOR, _MIX_MUL = _mix_consts(0), _mix_consts(1)
 _ONE = np.uint64(1)
 _LO32 = np.uint64(0xFFFFFFFF)
 _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (11, 32, 58, 63, 64))
-_TWO32 = _HAS_HALF = np.uint64(1 << 32)
-# PCG64's default 128-bit LCG multiplier, as uint64 halves, and the 32-bit
-# halves of its lower half.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO0 = np.uint64(_PCG_MULT & 0xFFFFFFFF)
-_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
 
 
-def _mulhi(a: np.ndarray) -> np.ndarray:
-    """Upper 64 bits of the 128-bit products ``a * _MULT_LO`` (uint64)."""
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """Upper 64 bits of the 128-bit products ``a * b`` (uint64)."""
     a0, a1 = a & _LO32, a >> _U32
-    # 32 x 32-bit partial products plus carries below 2**32 fit in 64 bits
-    mid = a1 * _MULT_LO0 + ((a0 * _MULT_LO0) >> _U32)
-    low = a0 * _MULT_LO1 + (mid & _LO32)
-    return a1 * _MULT_LO1 + (mid >> _U32) + (low >> _U32)
+    b0, b1 = b & _LO32, b >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U32) + (p01 & _LO32) + (p10 & _LO32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     """``state * mult + inc`` modulo 2**128, on uint64 halves."""
-    new_hi = _mulhi(lo) + hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    new_hi = _mulhi(lo, _MULT_LO) + hi * _MULT_LO + lo * _MULT_HI
     prod_lo = lo * _MULT_LO
     new_lo = prod_lo + inc_lo
-    new_hi += new_lo < prod_lo  # the carry
-    return new_hi, new_lo
+    carry = (new_lo < prod_lo).astype(np.uint64)
+    return new_hi + inc_hi + carry, new_lo
 
 
 def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -190,12 +187,12 @@ class Substreams:
         # a seed is the first 16 of the digest's 32 bytes
         words = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]
         self._hi, self._lo, self._inc_hi, self._inc_lo = pcg64_states(words)
-        # a row's buffered upper half, plus _HAS_HALF while it has one
         self._half = np.zeros(len(words), dtype=np.uint64)
+        self._has_half = np.zeros(len(words), dtype=bool)
 
     def _rows(self, rows) -> np.ndarray:
         if rows is None:
-            return np.arange(len(self._half))
+            return np.arange(len(self._hi))
         return np.asarray(rows, dtype=np.intp)
 
     def _next64(self, rows: np.ndarray) -> np.ndarray:
@@ -207,15 +204,13 @@ class Substreams:
 
     def _next32(self, rows: np.ndarray) -> np.ndarray:
         """The buffered upper half where a row has one, else a new lower half."""
-        half = self._half[rows]
-        fresh = half < _HAS_HALF
-        out = half & _LO32
-        half[:] = 0
-        if fresh.any():
-            word = self._next64(rows[fresh])
-            out[fresh] = word & _LO32
-            half[fresh] = (word >> _U32) | _HAS_HALF
-        self._half[rows] = half
+        had = self._has_half[rows]
+        out = self._half[rows]
+        fresh = rows[~had]
+        word = self._next64(fresh)
+        out[~had] = word & _LO32
+        self._half[fresh] = word >> _U32
+        self._has_half[rows] = ~had
         return out
 
     def random(self, rows=None) -> np.ndarray:
@@ -239,8 +234,6 @@ class Substreams:
             prod = self._next32(rows[pending]) * bound
             keep = (prod & _LO32) >= threshold
             out[pending[keep]] = prod[keep] >> _U32
-            if keep.all():
-                break
             pending, bound, threshold = (pending[~keep], bound[~keep],
                                          threshold[~keep])
         return out

@@ -235,9 +235,8 @@ class TestRunRounds:
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
                                      candidates)
         n = len(bucket)
-        assert len(texts) == 3 * n
-        assert texts[:n] == [tokens_to_text(r.gold) for r in bucket]
-        for t, mapping in enumerate(mappings.tolist(), start=1):
+        assert len(texts) == 2 * n
+        for t, mapping in enumerate(mappings.tolist()):
             for i, j in enumerate(mapping):
                 assert texts[t * n + i] == candidates.get([(i, j)])[0]
 
@@ -249,11 +248,9 @@ class TestRunRounds:
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
                                      table)
         assert len(table.calls) == 1
-        # the self pairs of rows 0..n-1, then round 1's pairs, round 2's,
-        # and so on
-        want = [[i, i] for i in range(n)] + [[i, int(mappings[t, i])] for t in range(k)
-                                             for i in range(n)]
-        assert len(want) == (k + 1) * n
+        # round 1's pairs for rows 0..n-1, then round 2's, and so on
+        want = [[i, int(mappings[t, i])] for t in range(k) for i in range(n)]
+        assert len(want) == k * n
         assert table.calls[0] == want
         assert texts == table.table.get(want)
 
@@ -396,15 +393,14 @@ class TestExport:
         assert [it.id for it in items] == [r.id for r in bucket]
         for i, item in enumerate(items):
             order = derive_rng(5, "shuffle", bucket[i].id).permutation(4).tolist()
-            unshuffled = texts[i::n]
-            assert unshuffled[0] == tokens_to_text(bucket[i].gold)
+            unshuffled = [tokens_to_text(bucket[i].gold), *texts[i::n]]
             assert [tokens_to_text(c) for c in item.choices] == [unshuffled[p] for p in order]
 
     def test_rounds_that_do_not_fit_the_bucket(self):
         bucket, (mappings, texts) = self._rounds(n=8, seed=17)
         with pytest.raises(MatchingError, match="bucket of 7 records"):
             export_mcq(bucket[:7], mappings, texts, seed=0)
-        with pytest.raises(MatchingError, match="31 texts"):
+        with pytest.raises(MatchingError, match="23 texts"):
             export_mcq(bucket, mappings, texts[:-1], seed=0)
 
     def test_items_round_trip_jsonl(self):
@@ -459,7 +455,7 @@ def test_item_lines_are_compact_json_and_round_trip(bucket_k, fold, bucket_id, s
     lines = export_mcq(bucket, mappings, texts, seed, fold=fold, bucket_id=bucket_id)
     assert write_items(parse_items(lines)) == "".join(lines)
     # the reference: compact json.dumps of each line's object, whose gold is
-    # the table's text of the record's own gold
+    # the record's gold text
     for record, line in zip(bucket, lines):
         obj = json.loads(line)
         assert line == json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"

@@ -36,6 +36,9 @@ same as from a cold solve.  The warm costs are integers >= 0; where their
 largest allowed entry would break ``n * max <= 2**GRID_BITS``, the cold
 costs are handed to scipy instead.
 
+:func:`solve_lap_max` checks each :class:`WeightMatrix` it solves, and no
+copy of the weights is made to do so.
+
 scipy's ``linear_sum_assignment`` is the one scipy routine used.  It is
 loaded from its compiled module alone (:func:`_load_lsap`), so that no
 command pays for ``scipy.optimize``'s package init.
@@ -93,34 +96,11 @@ class AssignmentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Square weight matrix with an explicit forbidden mask.
-
-    Checked invariant: every row and every column keeps at least one
-    allowed entry (necessary for a perfect matching; the full Hall
-    condition is verified by the solver).
-    """
+    """Square weights and a boolean forbidden mask, checked by
+    :func:`solve_lap_max`, their one reader."""
 
     values: np.ndarray
     forbidden: np.ndarray
-
-    def __post_init__(self) -> None:
-        v, f = self.values, self.forbidden
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise AssignmentError(f"weight matrix must be square, got shape {v.shape}")
-        if f.shape != v.shape or f.dtype != np.bool_:
-            raise AssignmentError("forbidden mask must be a boolean array matching values")
-        if not np.isfinite(v[~f]).all():
-            raise AssignmentError("allowed weights must be finite")
-        bad_rows = np.nonzero(f.all(axis=1))[0]
-        if bad_rows.size:
-            raise AssignmentError(f"row {bad_rows[0]} has no allowed entries")
-        bad_cols = np.nonzero(f.all(axis=0))[0]
-        if bad_cols.size:
-            raise AssignmentError(f"column {bad_cols[0]} has no allowed entries")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +134,13 @@ def _quantize(values: np.ndarray, forbidden: np.ndarray) -> tuple[np.ndarray, in
 
     n < 2**n.bit_length() and max|W| < 2**e, so s = GRID_BITS - both
     exponents gives n * max|Q| <= 2**GRID_BITS.  ``ldexp`` applies s without
-    forming 2**s, which would overflow for tiny weights.
+    forming 2**s, which would overflow for tiny weights.  A max|W| that is
+    not finite raises :class:`AssignmentError`.
     """
     q = np.where(forbidden, 0.0, values)
     top = float(np.abs(q).max())
+    if not np.isfinite(top):
+        raise AssignmentError("allowed weights must be finite")
     if top == 0.0:
         return q, 0
     s = GRID_BITS - values.shape[0].bit_length() - int(np.frexp(top)[1])
@@ -361,21 +344,34 @@ def _lexicalize(cost: np.ndarray, mapping: np.ndarray,
 def solve_lap_max(w: WeightMatrix, start: Duals | None = None) -> Assignment:
     """Maximum-total-weight assignment avoiding all forbidden entries.
 
-    Raises :class:`AssignmentError` when no perfect matching exists.  The
-    mapping is the lexicographically smallest of the maximum-total mappings
-    of the quantized weights (see module docstring), with or without
-    ``start``, the ``duals`` of an earlier solve of the same rows.
+    Raises :class:`AssignmentError` when ``w`` is not square, its mask is
+    not a boolean array of its shape, a row or column has no allowed entry
+    (necessary for a perfect matching), an allowed weight is not finite, or
+    no perfect matching exists.  The mapping is the lexicographically
+    smallest of the maximum-total mappings of the quantized weights (see
+    module docstring), with or without ``start``, the ``duals`` of an
+    earlier solve of the same rows.
     """
-    if w.n == 0:
+    values, forbidden = w.values, w.forbidden
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise AssignmentError(f"weight matrix must be square, got shape {values.shape}")
+    if forbidden.shape != values.shape or forbidden.dtype != np.bool_:
+        raise AssignmentError("forbidden mask must be a boolean array matching values")
+    n = len(values)
+    if n == 0:
         return Assignment(mapping=(), total_weight=0.0)
-    cost, scale = _grid_cost(w.values, w.forbidden)
+    for axis, name in ((1, "row"), (0, "column")):
+        closed = np.flatnonzero(forbidden.all(axis=axis))
+        if closed.size:
+            raise AssignmentError(f"{name} {closed[0]} has no allowed entries")
+    cost, scale = _grid_cost(values, forbidden)
     try:
         mapping = linear_sum_assignment(
-            cost if start is None else _warm_cost(cost, scale, w.forbidden, start))[1]
+            cost if start is None else _warm_cost(cost, scale, forbidden, start))[1]
     except ValueError as exc:  # scipy: "cost matrix is infeasible"
         raise AssignmentError("no perfect matching avoids the forbidden entries") from exc
-    potential = np.empty(w.n)
+    potential = np.empty(n)
     mapping = _lexicalize(cost, mapping, potential)
     return Assignment(mapping=tuple(int(c) for c in mapping),
-                      total_weight=float(w.values[np.arange(w.n), mapping].sum()),
+                      total_weight=float(values[np.arange(n), mapping].sum()),
                       duals=Duals(scale, potential))

@@ -35,7 +35,6 @@ QUESTION_TYPE_PATTERNS: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...] = (
     ("hypothetical", (("if",), ("would",), ("could",), ("chance",), ("might",), ("may",))),
 )
 
-QUESTION_TYPES = tuple(name for name, _ in QUESTION_TYPE_PATTERNS) + ("other",)
 # Per group: its one-word patterns as a word set, and its longer patterns.
 _RULES = tuple((name, frozenset(p[0] for p in pats if len(p) == 1),
                 frozenset(p for p in pats if len(p) > 1))
@@ -135,20 +134,15 @@ def cluster_embeddings(vectors: Sequence[Sequence[float]], k: int,
 
 @dataclass(frozen=True)
 class BucketKey:
-    """Pronoun class plus either a question type (qa) or a cluster id (qar)."""
+    """Pronoun class plus a group within it: a question type (qa), or
+    ``c<label>`` for a k-means cluster (qar)."""
 
     pronoun: str
-    qtype: str | None = None
-    cluster: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.qtype is None) == (self.cluster is None):
-            raise BucketingError("exactly one of qtype/cluster must be set")
+    group: str
 
     @property
     def label(self) -> str:
-        sub = self.qtype if self.qtype is not None else f"c{self.cluster}"
-        return f"{self.pronoun}/{sub}"
+        return f"{self.pronoun}/{self.group}"
 
 
 @dataclass(frozen=True)
@@ -210,17 +204,16 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
                     "qar bucketing clusters embeddings; missing for records: "
                     + ", ".join(missing))
             k = math.ceil(len(members) / target_size)
-            subs = cluster_embeddings([r.embedding for r in members], k,
-                                      derive_rng(seed, "cluster", fold, pronoun)
-                                      .integers(2 ** 63)).tolist()
+            labels = cluster_embeddings([r.embedding for r in members], k,
+                                        derive_rng(seed, "cluster", fold, pronoun)
+                                        .integers(2 ** 63))
+            subs = [f"c{c}" for c in labels.tolist()]
         # one key per group, not per record
-        by_sub: dict[str | int, list[Record]] = {}
+        by_sub: dict[str, list[Record]] = {}
         for r, sub in zip(members, subs):
             by_sub.setdefault(sub, []).append(r)
         for sub, grouped in by_sub.items():
-            key = (BucketKey(pronoun, qtype=sub) if mode == "qa"
-                   else BucketKey(pronoun, cluster=sub))
-            groups[key] = grouped
+            groups[BucketKey(pronoun, sub)] = grouped
 
     buckets: list[Bucket] = []
     for key in sorted(groups, key=lambda k: k.label):

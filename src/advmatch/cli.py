@@ -32,8 +32,8 @@ from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table
 from .matcher import MatchConfig, MatchingError, parse_items
 from .pipeline import PipelineError, plan_buckets, resolve_mode, run_match
 from .remap import RemapError
-from .scoring import (ScorerSpec, ScoringError, external_store, score_bucket,
-                      write_score_matrix)
+from .scoring import (ScorerSpec, ScoringError, external_store, matrix_files,
+                      score_bucket, write_score_matrix)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -237,12 +237,9 @@ def cmd_match(args) -> int:
         records = parse_records(_hashed_lines(f, digest))
         parse_s = time.monotonic() - start
     inputs = {str(args.input): digest.hexdigest()}
-    for spec in (rel_spec, sim_spec):
-        if spec.kind == "external_matrix":
-            p = Path(spec.path)
-            for f in sorted(p.iterdir()) if p.is_dir() else [p]:
-                if f.is_file() and str(f) not in inputs:
-                    inputs[str(f)] = digest_file(f)
+    # the files the run's matrix store indexes
+    inputs.update((str(f), digest_file(f)) for f in matrix_files(
+        [s.path for s in (rel_spec, sim_spec) if s.kind == "external_matrix"]))
     out = Path(args.out or "items.jsonl")
     # run_match writes each bucket's items once the buckets before it are
     # written, so the run's output is never held whole

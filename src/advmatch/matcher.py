@@ -131,7 +131,7 @@ def run_rounds(bucket: Sequence[Record], rel: np.ndarray, sim: np.ndarray,
         raise MatchingError(f"bucket of {n} records cannot support {k} rounds")
     if rel.shape != (n, n) or sim.shape != (n, n):
         raise MatchingError("score matrices must match the bucket size")
-    if (rel <= 0.0).any():
+    if rel.min() <= 0.0:
         raise MatchingError("relevance entries must be positive (clamp first)")
     mode = config.mode or bucket[0].task_mode
     lam = config.resolved_lambda(mode)

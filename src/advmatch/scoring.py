@@ -16,6 +16,11 @@ Score-matrix files carry a one-line JSON header ``{role, n, dtype,
 layout, ids}`` followed by n*n little-endian float32 values (row-major).
 The reader also takes a TSV body for n <= 1000, one row per line, from
 scorers outside this program; a body that parses as TSV is read as TSV.
+
+Scores are checked where they enter: :func:`read_score_matrix` and
+:func:`symmetrize_entailment` check outside data.  The built-in scorers
+clip into [eps, 1 - eps] and build a symmetric similarity with a 1.0
+diagonal, so nothing re-checks a bucket's matrices.
 """
 
 from __future__ import annotations
@@ -70,34 +75,10 @@ def content(tokens: Sequence[Token]) -> frozenset[str]:
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Dense pairwise probabilities over one bucket, tagged with a role.
+    """One bucket's pairwise probabilities, unchecked (see module docstring).
+    Relevance rows index queries; similarity rows index responses."""
 
-    Relevance rows index queries; similarity rows index responses.
-    Similarity matrices are symmetric with an exact unit diagonal.
-    """
-
-    role: str
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.role not in _ROLES:
-            raise ScoringError(f"role must be one of {_ROLES}, got {self.role!r}")
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ScoringError(f"score matrix must be square, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ScoringError("score matrix has non-finite entries")
-        if (v < 0.0).any() or (v > 1.0).any():
-            raise ScoringError("score matrix has entries outside [0, 1]")
-        if self.role == ROLE_SIMILARITY:
-            if not np.array_equal(v, v.T):
-                raise ScoringError("similarity matrix must be symmetric")
-            if not (np.diag(v) == 1.0).all():
-                raise ScoringError("similarity diagonal must be exactly 1.0")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -120,11 +101,13 @@ class ScorerSpec:
 
 
 def symmetrize_entailment(directed: np.ndarray | Sequence[Sequence[float]],
-                          eps: float = DEFAULT_EPS) -> ScoreMatrix:
-    """Fold a directed entailment matrix into a symmetric similarity matrix.
+                          eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Fold a directed entailment matrix into a symmetric similarity array.
 
     ``out[i][j] = max(directed[i][j], directed[j][i])`` for i != j (then
-    clamped); the diagonal is forced to exactly 1.0.
+    clamped); the diagonal is forced to exactly 1.0.  Raises
+    :class:`ScoringError` unless ``directed`` is square and every entry a
+    probability.
     """
     d = np.asarray(directed, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -134,7 +117,7 @@ def symmetrize_entailment(directed: np.ndarray | Sequence[Sequence[float]],
     out = np.maximum(d, d.T)
     out = np.clip(out, eps, 1.0 - eps)
     np.fill_diagonal(out, 1.0)
-    return ScoreMatrix(ROLE_SIMILARITY, out)
+    return out
 
 
 def _intersections(row_contents: Sequence[AbstractSet[str]],
@@ -264,7 +247,7 @@ def _similarity_values(bucket: Sequence[Record], spec: ScorerSpec,
         vals = _cosine_matrix(_embedding_matrix(bucket))
     else:
         directed = _external_values(ROLE_SIMILARITY, bucket, spec, store)
-        return symmetrize_entailment(directed, spec.eps).values
+        return symmetrize_entailment(directed, spec.eps)
     vals = np.clip(vals, spec.eps, 1.0 - spec.eps)
     np.fill_diagonal(vals, 1.0)
     return vals
@@ -308,14 +291,16 @@ def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
     onto record i's objects, as ``remap.CandidateTable.get([(i, j)])``
     serves it; the overlap scorer's value does not depend on the remapping's
     random draws, so no candidate table is needed.  Similarity always
-    compares the original gold responses.  Pure and deterministic: repeated
-    calls on the same inputs are bit-identical.
+    compares the original gold responses.  Each matrix lies in [eps,
+    1 - eps] at its spec's eps, but for the similarity's diagonal, which is
+    1.0, and the similarity is symmetric; nothing re-checks that.  Pure and
+    deterministic: repeated calls on the same inputs are bit-identical.
     """
     if not bucket:
         raise ScoringError("bucket is empty")
     rel = relevance_values(bucket, rel_spec, matrix_store)
     sim = _similarity_values(bucket, sim_spec, matrix_store)
-    return ScoreMatrix(ROLE_RELEVANCE, rel), ScoreMatrix(ROLE_SIMILARITY, sim)
+    return ScoreMatrix(rel), ScoreMatrix(sim)
 
 
 # -- persistence -----------------------------------------------------------
@@ -389,8 +374,9 @@ def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[st
     A body that reads as n lines of n tab-separated numbers is TSV, even
     when it happens to be 4*n*n bytes long; any other body of that length
     is the float32 payload.  Values are returned as stored (float32
-    precision); validation against a bucket happens at use time in
-    :func:`score_bucket`.
+    precision); any that is not finite or lies outside [0, 1] raises
+    :class:`ScoringError`.  Which bucket a file belongs to is checked when
+    :meth:`ExternalMatrixStore.for_bucket` looks it up by record ids.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -408,12 +394,23 @@ def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[st
     return role, vals, ids
 
 
+def matrix_files(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> list[Path]:
+    """The files ``paths`` name, each once: a directory's regular files,
+    sorted, not its subdirectories, and any other path as named.  The store
+    indexes these and ``advmatch match``'s manifest digests them."""
+    if isinstance(paths, (str, os.PathLike)):
+        paths = [paths]
+    files: list[Path] = []
+    for p in map(Path, paths):
+        files += sorted(f for f in p.iterdir() if f.is_file()) if p.is_dir() else [p]
+    return list(dict.fromkeys(files))
+
+
 class ExternalMatrixStore:
     """Index of score-matrix files keyed by (role, record-id tuple).
 
-    ``paths`` may name files or directories; directories are scanned
-    non-recursively and a file reached twice is indexed once.  Two files
-    holding the same role for the same record ids raise
+    ``paths`` may name files or directories, listed by :func:`matrix_files`.
+    Two files holding the same role for the same record ids raise
     :class:`ScoringError` naming both.  Only the header lines are read up
     front: a file's values are read when :meth:`for_bucket` asks for them,
     so a run holds the matrices of the buckets it is scoring, not the
@@ -422,21 +419,16 @@ class ExternalMatrixStore:
     """
 
     def __init__(self, paths: str | os.PathLike | Iterable[str | os.PathLike]):
-        if isinstance(paths, (str, os.PathLike)):
-            paths = [paths]
         self._files: dict[tuple[str, tuple[str, ...]], Path] = {}
-        for p in dict.fromkeys(map(Path, paths)):
-            for f in sorted(p.iterdir()) if p.is_dir() else [p]:
-                if f.is_dir():
-                    continue
-                with open(f, "rb") as stream:
-                    role, ids = _read_header(stream, f)
-                key = (role, tuple(ids))
-                seen = self._files.setdefault(key, f)
-                if seen != f and not seen.samefile(f):
-                    raise ScoringError(
-                        f"{seen} and {f} both hold the {role} matrix of the same "
-                        f"{len(ids)} record ids")
+        for f in matrix_files(paths):
+            with open(f, "rb") as stream:
+                role, ids = _read_header(stream, f)
+            key = (role, tuple(ids))
+            seen = self._files.setdefault(key, f)
+            if seen != f and not seen.samefile(f):
+                raise ScoringError(
+                    f"{seen} and {f} both hold the {role} matrix of the same "
+                    f"{len(ids)} record ids")
 
     def for_bucket(self, role: str, ids: tuple[str, ...]) -> np.ndarray:
         try:

@@ -48,7 +48,7 @@ def brute_force_lap(w: WeightMatrix) -> Assignment:
     the solver's mapping.  Capped at n <= BRUTE_FORCE_MAX; work is
     chunked so peak memory stays modest even at the cap (10! rows).
     """
-    n = w.n
+    n = len(w.values)
     if n > BRUTE_FORCE_MAX:
         raise AssignmentError(f"oracle size cap is n <= {BRUTE_FORCE_MAX}, got {n}")
     rows = np.arange(n)

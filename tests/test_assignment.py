@@ -94,13 +94,35 @@ class TestExamples:
 
 
 class TestFeasibility:
-    def test_fully_forbidden_row_rejected_at_construction(self):
+    def test_fully_forbidden_row_rejected(self):
         with pytest.raises(AssignmentError, match="row 1"):
-            dense([[1, 2], [None, None]])
+            solve_lap_max(dense([[1, 2], [None, None]]))
 
     def test_fully_forbidden_column_rejected(self):
         with pytest.raises(AssignmentError, match="column 0"):
-            dense([[None, 1], [None, 1]])
+            solve_lap_max(dense([[None, 1], [None, 1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_allowed_weights_must_be_finite(self, bad):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        forbidden = np.array([[False, True], [True, False]])
+        values[0, 0] = bad
+        with pytest.raises(AssignmentError, match="allowed weights must be finite"):
+            solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
+        # the same weight on a forbidden entry is never read
+        values = np.array([[1.0, bad], [3.0, 4.0]])
+        a = solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
+        assert a.mapping == (0, 1) and a.total_weight == 5.0
+
+    @pytest.mark.parametrize("values, forbidden, message", [
+        (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), "must be square"),
+        (np.zeros(4), np.zeros(4, dtype=bool), "must be square"),
+        (np.zeros((2, 2)), np.zeros((2, 2)), "boolean array"),
+        (np.zeros((2, 2)), np.zeros((3, 3), dtype=bool), "boolean array"),
+    ], ids=["rectangular", "one-dimensional", "float-mask", "mask-shape"])
+    def test_malformed_matrix_rejected(self, values, forbidden, message):
+        with pytest.raises(AssignmentError, match=message):
+            solve_lap_max(WeightMatrix(values=values, forbidden=forbidden))
 
     def test_no_perfect_matching(self):
         # rows 0 and 1 both need column 0; Hall condition fails
@@ -125,7 +147,7 @@ class TestFeasibility:
     def test_raises_exactly_without_a_perfect_matching(self, n, seed, forbid_p):
         rng = np.random.default_rng(seed)
         forbidden = rng.random((n, n)) < forbid_p
-        # WeightMatrix rejects empty rows and columns; reopen one entry each
+        # solve_lap_max rejects empty rows and columns; reopen one entry each
         for i in np.flatnonzero(forbidden.all(axis=1)):
             forbidden[i, rng.integers(n)] = False
         for j in np.flatnonzero(forbidden.all(axis=0)):

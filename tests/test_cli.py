@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advmatch import cli
+from advmatch import cli, scoring
 from advmatch.cli import build_parser, digest_file, main
 from advmatch.corpus import CorpusError, parse_records, serialize_records
 from advmatch.matcher import MatchConfig, MatchingError, parse_items
@@ -332,6 +332,31 @@ class TestMatch:
         manifest = json.loads((tmp / "ext.jsonl.manifest.json").read_text())
         assert manifest["inputs"] == {
             str(f): digest_bytes(f.read_bytes()) for f in [corpus, *matrix_files]}
+
+    def test_manifest_digests_the_files_the_store_indexes(self, workspace,
+                                                          monkeypatch):
+        # a nested directory is skipped by both: its copy of a matrix would
+        # clash with the original if the store indexed it
+        tmp, corpus, config = workspace
+        scores = tmp / "scores"
+        main(["score", str(corpus), "--config", str(config), "--out", str(scores)])
+        top = sorted(scores.iterdir())
+        (scores / "old").mkdir()
+        (scores / "old" / top[0].name).write_bytes(top[0].read_bytes())
+        indexed = set()  # indexed, then read again for the bucket's values
+        real_header = scoring._read_header
+
+        def recorded(stream, path):
+            indexed.add(str(path))
+            return real_header(stream, path)
+
+        monkeypatch.setattr(scoring, "_read_header", recorded)
+        out = tmp / "ext.jsonl"
+        assert main(["match", str(corpus), "--config", str(config), "--out", str(out),
+                     "--rel-matrix", str(scores), "--sim-matrix", str(scores)]) == 0
+        manifest = json.loads((tmp / "ext.jsonl.manifest.json").read_text())
+        assert sorted(indexed) == sorted(set(manifest["inputs"]) - {str(corpus)}) \
+            == [str(f) for f in top]
 
     def test_file_digest_reads_in_chunks(self, tmp_path, monkeypatch):
         data = bytes(range(256)) * 9

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.remap import CandidateTable
-from advmatch.scoring import (ExternalMatrixStore, ScoreMatrix, ScorerSpec,
-                              ScoringError, _intersections, content,
-                              read_score_matrix, score_bucket,
-                              symmetrize_entailment, write_score_matrix)
+from advmatch.scoring import (ExternalMatrixStore, ScorerSpec, ScoringError,
+                              _intersections, content, read_score_matrix,
+                              score_bucket, symmetrize_entailment,
+                              write_score_matrix)
 
 from conftest import make_record, simple_bucket_corpus
 from oracles import (clamp_prob, relevance_overlap, similarity_cosine,
@@ -92,15 +93,15 @@ class TestSymmetrize:
     def test_symmetric_input_unchanged_off_diagonal(self):
         d = np.array([[0.2, 0.4], [0.4, 0.9]])
         out = symmetrize_entailment(d, EPS)
-        assert out.values[0, 1] == 0.4
-        assert out.values[1, 0] == 0.4
-        assert out.values[0, 0] == 1.0 and out.values[1, 1] == 1.0
+        assert out[0, 1] == 0.4
+        assert out[1, 0] == 0.4
+        assert out[0, 0] == 1.0 and out[1, 1] == 1.0
 
     def test_max_of_two_orderings(self):
         d = np.array([[0.0, 0.9], [0.2, 0.0]])
         out = symmetrize_entailment(d, EPS)
-        assert out.values[0, 1] == 0.9
-        assert out.values[1, 0] == 0.9
+        assert out[0, 1] == 0.9
+        assert out[1, 0] == 0.9
 
     def test_random_matches_elementwise_brute_force(self):
         rng = np.random.default_rng(5)
@@ -109,17 +110,24 @@ class TestSymmetrize:
         for i in range(6):
             for j in range(6):
                 expected = 1.0 if i == j else max(d[i, j], d[j, i])
-                assert out.values[i, j] == expected
+                assert out[i, j] == expected
 
     def test_symmetry_property(self):
         rng = np.random.default_rng(6)
         d = rng.uniform(0, 1, size=(9, 9))
-        out = symmetrize_entailment(d, EPS).values
+        out = symmetrize_entailment(d, EPS)
         assert np.array_equal(out, out.T)
 
     def test_non_square_rejected(self):
         with pytest.raises(ScoringError, match="square"):
             symmetrize_entailment(np.zeros((2, 3)), EPS)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
+    def test_non_probability_rejected(self, bad):
+        d = np.full((3, 3), 0.5)
+        d[0, 2] = bad
+        with pytest.raises(ScoringError, match="probabilities"):
+            symmetrize_entailment(d, EPS)
 
 
 def _specs(rel="overlap", sim="overlap"):
@@ -286,20 +294,103 @@ class TestScoreBucket:
             score_bucket([], *_specs())
 
 
+def _assert_relevance(rel, eps):
+    """What matching relies on and nothing re-checks: in [eps, 1 - eps]."""
+    assert rel.ndim == 2 and rel.shape[0] == rel.shape[1]
+    assert ((rel >= eps) & (rel <= 1 - eps)).all()
+
+
+def _assert_similarity(sim, eps):
+    """What matching relies on and nothing re-checks: symmetric, exactly 1.0
+    on the diagonal and in [eps, 1 - eps] off it."""
+    assert np.array_equal(sim, sim.T)
+    assert (np.diag(sim) == 1.0).all()
+    off = sim[~np.eye(len(sim), dtype=bool)]
+    assert ((off >= eps) & (off <= 1 - eps)).all()
+
+
+_eps = st.floats(1e-12, 0.49)
+_probabilities = st.floats(0.0, 1.0)
+
+
+class TestScorerGuarantees:
+    """Each scorer kind keeps the invariants by construction, for any input."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), _eps, _eps)
+    def test_overlap_guarantees(self, data, rel_eps, sim_eps):
+        n = data.draw(st.integers(1, 7))
+        bucket = [data.draw(_scored_record(i)) for i in range(n)]
+        rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=rel_eps),
+                                ScorerSpec("overlap", eps=sim_eps))
+        _assert_relevance(rel.values, rel_eps)
+        _assert_similarity(sim.values, sim_eps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), _eps, _eps)
+    def test_embedding_cosine_guarantees(self, data, rel_eps, sim_eps):
+        n = data.draw(st.integers(1, 7))
+        dim = data.draw(st.integers(1, 5))
+        vector = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).filter(
+            lambda v: np.linalg.norm(v) > 0.0)
+        bucket = [make_record(i, "m", "why run ?", "away .",
+                              embedding=data.draw(vector)) for i in range(n)]
+        rel, sim = score_bucket(bucket, ScorerSpec("embedding_cosine", eps=rel_eps),
+                                ScorerSpec("embedding_cosine", eps=sim_eps))
+        _assert_relevance(rel.values, rel_eps)
+        _assert_similarity(sim.values, sim_eps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), _eps, _eps)
+    def test_external_guarantees(self, data, rel_eps, sim_eps):
+        # any probabilities on file, directed similarity included: not
+        # symmetric, and any diagonal
+        n = data.draw(st.integers(1, 6))
+        matrix = st.lists(_probabilities, min_size=n * n, max_size=n * n)
+        bucket = simple_bucket_corpus(n, seed=3)
+        ids = [r.id for r in bucket]
+        with tempfile.TemporaryDirectory() as tmp:
+            for role in ("relevance", "similarity"):
+                values = np.reshape(data.draw(matrix), (n, n))
+                write_score_matrix(f"{tmp}/{role}.scm", role, values, ids)
+            rel, sim = score_bucket(
+                bucket, ScorerSpec("external_matrix", eps=rel_eps, path=tmp),
+                ScorerSpec("external_matrix", eps=sim_eps, path=tmp))
+        _assert_relevance(rel.values, rel_eps)
+        _assert_similarity(sim.values, sim_eps)
+        # symmetrize_entailment alone, on values that float32 does not round
+        directed = np.reshape(data.draw(matrix), (n, n))
+        _assert_similarity(symmetrize_entailment(directed, sim_eps), sim_eps)
+
+
 class TestScoreMatrixType:
-    def test_rejects_out_of_range(self):
+    """A ``ScoreMatrix`` checks nothing itself: bad scores from outside are
+    stopped or folded where they enter, before they become its values."""
+
+    @staticmethod
+    def _external_similarity(tmp_path, values):
+        bucket = simple_bucket_corpus(len(values), seed=3)
+        write_score_matrix(tmp_path / "sim.scm", "similarity", np.array(values),
+                           [r.id for r in bucket])
+        _, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
+                              ScorerSpec("external_matrix", eps=EPS, path=str(tmp_path)))
+        return sim.values
+
+    def test_rejects_out_of_range(self, tmp_path):
+        with pytest.raises(ScoringError, match="probabilities"):
+            symmetrize_entailment(np.array([[1.5]]), EPS)
+        path = tmp_path / "m.tsv"
+        TestMatrixFiles._write_tsv(path, "relevance", ["a"], "1.5\n")
         with pytest.raises(ScoringError, match="outside"):
-            ScoreMatrix("relevance", np.array([[1.5]]))
+            read_score_matrix(path)
 
-    def test_rejects_asymmetric_similarity(self):
-        v = np.array([[1.0, 0.2], [0.3, 1.0]])
-        with pytest.raises(ScoringError, match="symmetric"):
-            ScoreMatrix("similarity", v)
+    def test_asymmetric_similarity_file_folded(self, tmp_path):
+        sim = self._external_similarity(tmp_path, [[1.0, 0.25], [0.375, 1.0]])
+        assert np.array_equal(sim, [[1.0, 0.375], [0.375, 1.0]])
 
-    def test_rejects_bad_diagonal(self):
-        v = np.array([[0.9, 0.2], [0.2, 0.9]])
-        with pytest.raises(ScoringError, match="diagonal"):
-            ScoreMatrix("similarity", v)
+    def test_similarity_file_diagonal_forced(self, tmp_path):
+        sim = self._external_similarity(tmp_path, [[0.875, 0.25], [0.25, 0.875]])
+        assert np.array_equal(sim, [[1.0, 0.25], [0.25, 1.0]])
 
 
 class TestMatrixFiles:

@@ -67,6 +67,13 @@ if advmatch split "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --o
     exit 1
 fi
 grep -q "unrecognized arguments: --jobs" "$work/split_jobs.err"
+# a scorer takes only 'kind' and 'path': every scorer floors at the config's eps
+echo '{"seed": 1, "n_folds": 1, "target_size": 4, "similarity_scorer": {"kind": "overlap", "eps": 0.01}}' > "$work/scorer_eps.json"
+status=0
+advmatch match "$work/corpus.jsonl" --config "$work/scorer_eps.json" --out "$work/scorer_eps.jsonl" 2> "$work/scorer_eps.err" || status=$?
+[ "$status" -eq 2 ]
+grep -q "config 'similarity_scorer' has unknown keys \['eps'\]" "$work/scorer_eps.err"
+[ ! -e "$work/scorer_eps.jsonl" ]
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
 # score files written by one command, read back as external matrices
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores"

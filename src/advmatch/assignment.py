@@ -9,6 +9,7 @@ shortest-augmenting-path solver happens to find:
   potential and reduced cost below is then an integer computed exactly in
   float64, so co-optimality is decided exactly on the Q grid;
 * forbidden entries are an explicit mask, handed to scipy as +inf costs;
+  their values are never read (:func:`_quantize` zeroes them);
   scipy raises exactly when no perfect matching avoids them;
 * the costs are column-reduced before scipy sees them: each column's
   smallest allowed cost is subtracted, as in the initialisation of Jonker

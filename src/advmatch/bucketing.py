@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Record, Token
+from .corpus import TASK_MODES, Record, Token
 from .seeding import derive_rng
 
 FEMALE_PRONOUNS = frozenset({"she", "her", "hers", "herself"})
@@ -184,8 +184,9 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
         raise BucketingError(
             f"{_fold_label(fold, records)} has {len(records)} records; "
             f"need at least {min_size}")
-    if mode not in ("qa", "qar"):
-        raise BucketingError(f"mode must be 'qa' or 'qar', got {mode!r}")
+    if mode not in TASK_MODES:
+        raise BucketingError(
+            f"mode must be {' or '.join(map(repr, TASK_MODES))}, got {mode!r}")
 
     ordered = sorted(records, key=lambda r: r.id)
     by_pronoun: dict[str, list[Record]] = {}

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .bucketing import BucketingError
-from .corpus import (CorpusError, parse_records, scan_records, serialize_records,
-                     split_folds)
+from .corpus import (TASK_MODES, CorpusError, parse_records, scan_records,
+                     serialize_records, split_folds)
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
 from .matcher import MatchConfig, MatchingError, parse_items
@@ -85,12 +85,10 @@ def _folds(key: str, value) -> tuple[int, ...]:
 def _scorer(key: str, value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise _bad(key, "an object with a 'kind'", value)
-    unknown = sorted(set(value) - {"kind", "eps", "path"})
+    unknown = sorted(set(value) - {"kind", "path"})
     if unknown:
         raise ConfigError(f"config {key!r} has unknown keys {unknown}; "
-                          "a scorer takes 'kind', 'eps' and 'path'")
-    if value.get("eps") is not None:
-        _number(f"{key}.eps", value["eps"])
+                          "a scorer takes 'kind' and 'path'")
     if value.get("path") is not None:
         _text(f"{key}.path", value["path"])
     return value
@@ -148,8 +146,8 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
     try:
         config = MatchConfig(**fields)
-        rel, sim = (ScorerSpec(s["kind"], path=s.get("path"),
-                               eps=config.eps if s.get("eps") is None else s["eps"])
+        # every scorer floors its scores at the run's one eps
+        rel, sim = (ScorerSpec(s["kind"], eps=config.eps, path=s.get("path"))
                     for s in scorers)
     except (MatchingError, ScoringError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -190,7 +188,7 @@ def cmd_split(args) -> int:
 def cmd_buckets(args) -> int:
     config, _, _ = _load_config(args)
     records = _read_corpus(args.input)
-    _, buckets = plan_buckets(records, config, resolve_mode(records, config))
+    _, buckets = plan_buckets(records, config)
     lines = [json.dumps({"fold": b.fold, "bucket": b.bucket_id, "key": b.key.label,
                          "members": [r.id for r in b.members]},
                         ensure_ascii=False, separators=(",", ":"))
@@ -205,7 +203,7 @@ def cmd_score(args) -> int:
         raise ConfigError("score writes a directory of matrix files, not stdout; "
                           "give --out a directory")
     records = _read_corpus(args.input)
-    _, buckets = plan_buckets(records, config, resolve_mode(records, config))
+    _, buckets = plan_buckets(records, config)
     outdir = Path(args.out or "scores")
     outdir.mkdir(parents=True, exist_ok=True)
     store = external_store(rel_spec, sim_spec)
@@ -377,12 +375,11 @@ def _open_out(path) -> Iterator[_Sink]:
         raise
 
 
-def _write_out(path, chunks: Iterable[str]) -> str:
-    """Write the chunks with ``_open_out``; return their bytes' SHA-256."""
+def _write_out(path, chunks: Iterable[str]) -> None:
+    """Write the chunks with ``_open_out``."""
     with _open_out(path) as write:
         for chunk in chunks:
             write(chunk)
-    return write.hexdigest()
 
 
 _FLAGS = {
@@ -390,7 +387,7 @@ _FLAGS = {
     "--seed": dict(type=int, help="root seed (mandatory here or in config)"),
     "--out": dict(help="output path (default stdout or command default)"),
     "--rounds": dict(type=int, help="distractors per item"),
-    "--mode": dict(choices=("qa", "qar"), help="task mode override"),
+    "--mode": dict(choices=TASK_MODES, help="task mode override"),
     "--rel-matrix": dict(help="external relevance matrix file/dir"),
     "--sim-matrix": dict(help="external similarity matrix file/dir"),
     "--lambda": dict(dest="lambda_", type=float,

@@ -135,17 +135,6 @@ class Record:
     task_mode: str = "qa"
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validating one record; violations name field and rule."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _word_problem(text: str) -> str | None:
     """What is wrong with a word's text (``Token.word_ok`` keeps the verdict)."""
     # words must survive the round trip: no whitespace, not tag-shaped
@@ -190,8 +179,9 @@ def _check_tokens(name: str, tokens: Sequence[Token], objects: Sequence[str],
             out.append(f"{name}[{pos}]: unknown token kind {tok.kind!r}")
 
 
-def validate_record(record: Record) -> ValidationReport:
-    """Check every record invariant; violations are data, not exceptions."""
+def validate_record(record: Record) -> list[str]:
+    """Check every record invariant: the violations, each naming its field
+    and rule, or ``[]``.  Violations are data, not exceptions."""
     v: list[str] = []
     if not record.id:
         v.append("id: empty")
@@ -210,7 +200,7 @@ def validate_record(record: Record) -> ValidationReport:
             v.append("embedding: empty vector")
         elif not all(x == x and abs(x) != float("inf") for x in record.embedding):
             v.append("embedding: non-finite entry")
-    return ValidationReport(v)
+    return v
 
 
 def record_to_json(record: Record, fold: int | None = None) -> str:
@@ -286,9 +276,9 @@ def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
             yield None, [str(exc)]
             continue
         problems = []
-        report = validate_record(record)
-        if not report.ok:
-            problems.append("invalid record: " + "; ".join(report.violations))
+        violations = validate_record(record)
+        if violations:
+            problems.append("invalid record: " + "; ".join(violations))
         first = seen.setdefault(record.id, lineno)
         if first != lineno:
             problems.append(f"duplicate id, first seen on line {first}")
@@ -332,7 +322,6 @@ def serialize_records(records: Iterable[Record],
 class FoldPlan:
     """Assignment of every source_key to exactly one fold."""
 
-    n_folds: int
     assignment: dict[str, int]
 
     def fold_of(self, record: Record) -> int:
@@ -365,4 +354,4 @@ def split_folds(records: Sequence[Record], n_folds: int, seed: int) -> FoldPlan:
         fold = min(range(n_folds), key=lambda f: (load[f], f))
         assignment[key] = fold
         load[fold] += sizes[key]
-    return FoldPlan(n_folds=n_folds, assignment=assignment)
+    return FoldPlan(assignment)

@@ -30,7 +30,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .assignment import AssignmentError, WeightMatrix, solve_lap_max
-from .corpus import Record, Token, parse_token_stream, tokens_to_text
+from .corpus import TASK_MODES, Record, Token, parse_token_stream, tokens_to_text
 from .scoring import DEFAULT_EPS
 from .seeding import Substreams, scope_key
 
@@ -69,8 +69,9 @@ class MatchConfig:
         if self.target_size < self.rounds + 1:
             raise MatchingError(
                 f"target_size must be at least rounds + 1 = {self.rounds + 1}")
-        if self.mode is not None and self.mode not in LAMBDA_DEFAULTS:
-            raise MatchingError(f"mode must be 'qa' or 'qar', got {self.mode!r}")
+        if self.mode is not None and self.mode not in TASK_MODES:
+            raise MatchingError(
+                f"mode must be {' or '.join(map(repr, TASK_MODES))}, got {self.mode!r}")
         if self.holdout_folds is not None:
             bad = [f for f in self.holdout_folds if not 0 <= f < self.n_folds]
             if bad:
@@ -97,6 +98,8 @@ def weight_matrix(log_rel: np.ndarray, eff_sim: np.ndarray,
     """Tradeoff weights with self-pairs and saturated pairs forbidden.
 
     ``log_rel`` is ``np.log(rel)``, which does not change across rounds.
+    A forbidden entry keeps whatever the formula gives it (-inf on a
+    saturated pair): the solver reads only allowed entries.
     """
     if log_rel.shape != eff_sim.shape:
         raise MatchingError(
@@ -105,7 +108,6 @@ def weight_matrix(log_rel: np.ndarray, eff_sim: np.ndarray,
     np.fill_diagonal(forbidden, True)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = log_rel + lambda_ * np.log1p(-eff_sim)
-    values[forbidden] = 0.0
     return WeightMatrix(values=values, forbidden=forbidden)
 
 

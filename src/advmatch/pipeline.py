@@ -71,13 +71,12 @@ class BucketResult:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's config, fold plan and one ``BucketResult`` per bucket.
+    """A run's fold plan and one ``BucketResult`` per bucket.
 
     Buckets are in (fold, bucket id) order.  ``text`` and ``items`` are
     empty for a run that handed its texts to a ``write`` callable.
     """
 
-    config: MatchConfig
     fold_plan: FoldPlan
     buckets: tuple[BucketResult, ...]
 
@@ -107,12 +106,14 @@ def resolve_mode(records: Sequence[Record], config: MatchConfig) -> str:
     return modes.pop()
 
 
-def plan_buckets(records: Sequence[Record], config: MatchConfig,
-                 mode: str) -> tuple[FoldPlan, list[Bucket]]:
+def plan_buckets(records: Sequence[Record],
+                 config: MatchConfig) -> tuple[FoldPlan, list[Bucket]]:
     """Split records into folds, then each fold into buckets, in fold order.
 
+    The buckets take :func:`resolve_mode`'s mode, whose error comes first.
     Raises :class:`PipelineError` naming the first ten repeated record ids.
     """
+    mode = resolve_mode(records, config)
     repeated = [rid for rid, c in Counter(r.id for r in records).items() if c > 1]
     if repeated:
         raise PipelineError(f"{len(repeated)} record id(s) occur more than once: "
@@ -247,7 +248,7 @@ def run_match(records: Sequence[Record], config: MatchConfig,
         raise PipelineError(f"jobs must be >= 1, got {jobs}")
     rel_spec = rel_spec or ScorerSpec("overlap", eps=config.eps)
     sim_spec = sim_spec or ScorerSpec("overlap", eps=config.eps)
-    plan, buckets = plan_buckets(records, config, resolve_mode(records, config))
+    plan, buckets = plan_buckets(records, config)
     store = external_store(rel_spec, sim_spec)
     tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]
     results = []
@@ -257,4 +258,4 @@ def run_match(records: Sequence[Record], config: MatchConfig,
                 write(text)
                 text = ""
             results.append(BucketResult(bucket, text, matched, hits))
-    return RunResult(config=config, fold_plan=plan, buckets=tuple(results))
+    return RunResult(fold_plan=plan, buckets=tuple(results))

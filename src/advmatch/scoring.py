@@ -17,9 +17,11 @@ layout, ids}`` followed by n*n little-endian float32 values (row-major).
 The reader also takes a TSV body for n <= 1000, one row per line, from
 scorers outside this program; a body that parses as TSV is read as TSV.
 
-Scores are checked where they enter: :func:`read_score_matrix` and
-:func:`symmetrize_entailment` check outside data.  The built-in scorers
-clip into [eps, 1 - eps] and build a symmetric similarity with a 1.0
+Scores are checked where they enter: :func:`read_score_matrix` checks
+outside data, once, and :func:`symmetrize_entailment` checks what a
+library caller hands it.  An external similarity is folded as that
+function folds it, without the second check.  The built-in scorers clip
+into [eps, 1 - eps] and build a symmetric similarity with a 1.0
 diagonal, so nothing re-checks a bucket's matrices.
 """
 
@@ -246,8 +248,10 @@ def _similarity_values(bucket: Sequence[Record], spec: ScorerSpec,
     elif spec.kind == "embedding_cosine":
         vals = _cosine_matrix(_embedding_matrix(bucket))
     else:
+        # symmetrize_entailment's fold, without its check: read_score_matrix
+        # has checked the directed values
         directed = _external_values(ROLE_SIMILARITY, bucket, spec, store)
-        return symmetrize_entailment(directed, spec.eps)
+        vals = np.maximum(directed, directed.T)
     vals = np.clip(vals, spec.eps, 1.0 - spec.eps)
     np.fill_diagonal(vals, 1.0)
     return vals

@@ -417,6 +417,28 @@ class TestExactTieBreak:
         rows = np.arange(n)
         assert cost[rows, got].sum() == cost[rows, direct].sum()
 
+    def test_only_edges_on_a_cycle_are_optimal(self):
+        # the reversal mapping is the one optimum: its other zero-cost
+        # entries form no cycle of the row graph.  Of the first third of the
+        # rows (the heads), each but the last reaches the next head's
+        # column; each later row reaches every head's column and every
+        # lower later row's.  Without the strong-component filter every
+        # tight edge would count as optimal.
+        n = 60
+        heads = range(n // 3)
+        mapping = np.arange(n)[::-1].copy()
+        cost = np.ones((n, n))
+        cost[np.arange(n), mapping] = 0.0
+        for r in heads[:-1]:
+            cost[r, mapping[r + 1]] = 0.0
+        for r in range(len(heads), n):
+            cost[r, mapping[:r]] = 0.0
+        assert np.count_nonzero(cost == 0.0) == 1659  # the tight edges
+        rows, cols = assignment._optimal_edges(cost, mapping)
+        assert rows.tolist() == list(range(n))
+        assert cols.tolist() == mapping.tolist()
+        assert _lexicalize(cost, mapping).tolist() == mapping.tolist()
+
     def test_rejects_a_start_that_is_not_optimal(self):
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(AssignmentError, match="not optimal"):

@@ -279,7 +279,7 @@ class TestMatch:
             "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
             "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
             "holdout_folds": [0], "relevance_scorer": {"kind": "overlap"},
-            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.01},
+            "similarity_scorer": {"kind": "embedding_cosine"},
         }), encoding="utf-8")
         out = tmp / "items.jsonl"
         assert main(["match", str(corpus), "--config", str(config),
@@ -290,7 +290,7 @@ class TestMatch:
             "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
             "holdout_folds": [0],
             "relevance_scorer": {"kind": "overlap", "eps": 0.002, "path": None},
-            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.01,
+            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.002,
                                   "path": None},
             "jobs": 2,
         }
@@ -441,8 +441,8 @@ class TestMatch:
         ({"lambda": "abc"}, "lambda"),
         ({"holdout_folds": 3}, "holdout_folds"),
         ({"holdout_folds": [0.5]}, "holdout_folds"),
-        ({"relevance_scorer": {"kind": "overlap", "eps": "x"}},
-         "relevance_scorer.eps"),
+        ({"relevance_scorer": {"kind": "external_matrix", "path": 3}},
+         "relevance_scorer.path"),
     ])
     def test_wrong_config_type_is_a_config_error(self, workspace, capsys, bad, key):
         tmp, corpus, _ = workspace
@@ -472,6 +472,10 @@ class TestMatch:
         ({"kind": "overlap", "path": "scores"}, "overlap scorer takes no path"),
         ({"kind": "embedding_cosine", "path": "scores"},
          "embedding_cosine scorer takes no path"),
+        # every scorer floors its scores at the config's one eps
+        ({"kind": "overlap", "eps": 0.01},
+         "config 'relevance_scorer' has unknown keys ['eps']; "
+         "a scorer takes 'kind' and 'path'"),
     ])
     def test_scorer_takes_only_what_it_reads(self, workspace, capsys, scorer,
                                              message):
@@ -507,7 +511,7 @@ class TestMatch:
         corpus.write_text(serialize_records(records), encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
-        _, buckets = plan_buckets(records, MatchConfig(seed=5, n_folds=3), "qa")
+        _, buckets = plan_buckets(records, MatchConfig(seed=5, n_folds=3))
         assert len(buckets) > 1
         calls = []
         real_rounds = pipeline.run_rounds
@@ -592,7 +596,7 @@ class TestSplitAndBuckets:
         scores = tmp_path / "scores"
         assert main(["score", str(corpus), "--config", str(config),
                      "--out", str(scores)]) == 0
-        spec = ScorerSpec("overlap", eps=result.config.eps)
+        spec = ScorerSpec("overlap")  # the config's eps is the default
         for br in result.buckets:
             safe = br.bucket.bucket_id.replace(":", "_").replace("/", "-")
             matrices = score_bucket(br.bucket.members, spec, spec)

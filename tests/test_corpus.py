@@ -81,23 +81,21 @@ class TestValidate:
     def test_empty_gold(self):
         r = make_record(0, "m", "why run ?", "x .")
         r = Record(**{**r.__dict__, "gold": ()})
-        report = validate_record(r)
-        assert not report.ok
-        assert any("gold" in v and "empty" in v for v in report.violations)
+        violations = validate_record(r)
+        assert violations
+        assert any("gold" in v and "empty" in v for v in violations)
 
     def test_class_mismatch(self):
         r = Record(id="a", source_key="m", query=parse_token_stream("why go ?"),
                    gold=(Token.tag("car", 1),), objects=("person",))
-        report = validate_record(r)
-        assert any("class mismatch" in v for v in report.violations)
+        assert any("class mismatch" in v for v in validate_record(r))
 
     def test_uppercase_class_label(self):
         # remapping spells a class out as a lowercased word, so labels must
         # already be lowercase for scores to match the served text
         r = make_record(0, "m", "why is [Dog:1] loud ?", "[Dog:1] barks .",
                         objects=("Dog",))
-        report = validate_record(r)
-        assert report.violations == ["objects[1]: class label not lowercase 'Dog'"]
+        assert validate_record(r) == ["objects[1]: class label not lowercase 'Dog'"]
         line = _line(query="why is [Dog:1] loud ?", gold="[Dog:1] barks .",
                      objects=["Dog"])
         with pytest.raises(CorpusError, match="line 1.*not lowercase 'Dog'"):
@@ -125,8 +123,8 @@ class TestValidate:
             "gold[0]: malformed word 'a b'",
             "gold[2]: word not lowercase 'Big'",
         ]
-        assert validate_record(r).violations == expected
-        assert validate_record(r).violations == expected
+        assert validate_record(r) == expected
+        assert validate_record(r) == expected
         line = _line(gold="[person:2] waves at [dog:3] and [dog:3] .")
         with pytest.raises(CorpusError) as exc:
             parse_records([_line(id="ok"), line])
@@ -137,7 +135,7 @@ class TestValidate:
 
     def test_conforming_record_is_ok(self):
         r = make_record(0, "m", "why is [person:1] running ?", "[person:2] waves .")
-        assert validate_record(r).ok
+        assert validate_record(r) == []
 
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
@@ -172,7 +170,7 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(record_strategy())
     def test_parse_serialize_parse_identity(self, record):
-        assert validate_record(record).ok
+        assert validate_record(record) == []
         text = serialize_records([record])
         parsed = parse_records(text.splitlines())
         assert parsed == [record]

@@ -241,9 +241,20 @@ def test_repeated_record_id_is_named(seed):
     records[5] = dataclasses.replace(records[5], id=records[2].id)
     config = MatchConfig(seed=seed, n_folds=1)
     with pytest.raises(PipelineError, match=r"more than once: 'r0002'$"):
-        plan_buckets(records, config, "qa")
+        plan_buckets(records, config)
     with pytest.raises(PipelineError, match="'r0002'"):
         run_match(records, config)
+
+
+def test_plan_resolves_the_mode_before_it_checks_ids():
+    # a corpus that mixes modes and repeats an id fails on its modes first,
+    # unless the config names the mode
+    records = simple_bucket_corpus(12, seed=0)
+    records[5] = dataclasses.replace(records[5], id=records[2].id, task_mode="qar")
+    with pytest.raises(PipelineError, match="mixes task modes"):
+        plan_buckets(records, MatchConfig(seed=0, n_folds=1))
+    with pytest.raises(PipelineError, match="more than once"):
+        plan_buckets(records, MatchConfig(seed=0, n_folds=1, mode="qa"))
 
 
 def test_matched_rows_equal_score_matrices_at_provenance():

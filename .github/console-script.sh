@@ -85,4 +85,36 @@ advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$
 advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --jobs 2 --grid 1.0,0.1 --out "$work/xsweep2.txt"
 cmp "$work/xsweep1.txt" "$work/xsweep2.txt"
 cmp "$work/xsweep1.txt.csv" "$work/xsweep2.txt.csv"
+# a score file whose body is not float32, or whose header is malformed,
+# fails the run as data: exit 1, one error line naming the file, no
+# traceback and no items.  The TSV body of a 4-record bucket is exactly
+# 4*n*n bytes long, as a float32 body would be.
+rejected_score_file() {  # NAME, then the python that rewrites file f
+  local name=$1 bad status=0
+  cp -r "$work/scores" "$work/$name"
+  bad=$(python - "$work/$name" <<PY
+import json, sys
+from pathlib import Path
+f = sorted(Path(sys.argv[1]).glob("*.relevance.scm"))[0]
+header, body = f.read_bytes().split(b"\n", 1)
+header = json.loads(header)
+$2
+print(f)
+PY
+)
+  advmatch match "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/$name" --out "$work/$name.jsonl" 2> "$work/$name.err" || status=$?
+  [ "$status" -eq 1 ]
+  [ "$(wc -l < "$work/$name.err")" -eq 1 ]
+  grep -qF "error: $bad: " "$work/$name.err"
+  [ ! -e "$work/$name.jsonl" ]
+}
+rejected_score_file tsv_scores 'n = len(header["ids"]); f.write_bytes(json.dumps(header).encode() + b"\n" + ("\t".join(["0.5"] * n) + "\n").encode() * n)'
+rejected_score_file bad_n_scores 'header["n"] = "x"; f.write_bytes(json.dumps(header).encode() + b"\n" + body)'
+# a corpus field that is not a JSON string is a problem validate names
+python -c "import json; lines = open('$work/corpus.jsonl').read().splitlines(); first = json.loads(lines[0]); first['query'] = None; open('$work/null_query.jsonl', 'w').write('\n'.join([json.dumps(first), *lines[1:]]) + '\n')"
+status=0
+advmatch validate "$work/null_query.jsonl" > "$work/null_query.out" 2> "$work/null_query.err" || status=$?
+[ "$status" -eq 1 ]
+grep -qx "line 1: field 'query' must be a string" "$work/null_query.out"
+[ ! -s "$work/null_query.err" ]
 echo "console script ok"

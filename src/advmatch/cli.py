@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -157,8 +157,9 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
 def _config_snapshot(config: MatchConfig, rel: ScorerSpec, sim: ScorerSpec) -> dict:
     """The value every config key took, as the manifest records it."""
     resolved = replace(config, holdout_folds=config.resolved_holdout())
-    specs = iter((rel, sim))  # the scorer keys, in table order
-    return {key: asdict(next(specs)) if cast is _scorer else getattr(resolved, name)
+    # the scorer keys, in table order, with the keys a scorer config takes
+    specs = iter({"kind": s.kind, "path": s.path} for s in (rel, sim))
+    return {key: next(specs) if cast is _scorer else getattr(resolved, name)
             for key, (name, cast) in _CONFIG_KEYS.items()}
 
 
@@ -259,9 +260,8 @@ def cmd_match(args) -> int:
         "timings": {"parse": parse_s, "match": match_s},
     }
     if not _is_stdout(out):
-        Path(str(out) + ".manifest.json").write_text(
-            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        _write_out(str(out) + ".manifest.json", [
+            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"])
     # stdout may be the items themselves, so the status line goes to stderr
     print(f"wrote {result.item_count} items to {out}", file=sys.stderr)
     return EXIT_OK
@@ -289,7 +289,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out or "sweep.txt")
     _write_out(out, [table])
     if not _is_stdout(out):
-        Path(str(out) + ".csv").write_text(format_sweep_csv(rows), encoding="utf-8")
+        _write_out(str(out) + ".csv", [format_sweep_csv(rows)])
         print(table, end="")
     return EXIT_OK
 

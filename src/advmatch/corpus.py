@@ -227,6 +227,8 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
     for key in ("id", "source_key", "query", "gold", "objects", "task_mode"):
         if key not in obj:
             raise CorpusError(f"line {lineno}: missing field {key!r}")
+        if key != "objects" and not isinstance(obj[key], str):
+            raise CorpusError(f"line {lineno}: field {key!r} must be a string")
     objects = obj["objects"]
     try:
         # strings that many records repeat are held once, as tokens are
@@ -241,9 +243,9 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
                 isinstance(x, (int, float)) for x in embedding):
             raise CorpusError(f"line {lineno}: embedding must be a list of numbers")
         embedding = tuple(float(x) for x in embedding)
-    return Record(str(obj["id"]), sys.intern(str(obj["source_key"])),
-                  parse_token_stream(str(obj["query"])), parse_token_stream(str(obj["gold"])),
-                  objects, embedding, sys.intern(str(obj["task_mode"]).lower()))
+    return Record(obj["id"], sys.intern(obj["source_key"]),
+                  parse_token_stream(obj["query"]), parse_token_stream(obj["gold"]),
+                  objects, embedding, sys.intern(obj["task_mode"].lower()))
 
 
 def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],

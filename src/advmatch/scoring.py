@@ -13,9 +13,8 @@ scorers (content-word overlap, embedding cosine) are deliberately simple,
 deterministic stand-ins so the pipeline is exercisable end to end.
 
 Score-matrix files carry a one-line JSON header ``{role, n, dtype,
-layout, ids}`` followed by n*n little-endian float32 values (row-major).
-The reader also takes a TSV body for n <= 1000, one row per line, from
-scorers outside this program; a body that parses as TSV is read as TSV.
+layout, ids}`` followed by n*n little-endian float32 values (row-major),
+the one body format; a body that reads as text is refused.
 
 Scores are checked where they enter: :func:`read_score_matrix` checks
 outside data, once, and :func:`symmetrize_entailment` checks what a
@@ -309,8 +308,6 @@ def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
 
 # -- persistence -----------------------------------------------------------
 
-TSV_MAX_N = 1000
-
 
 def write_score_matrix(path: str | os.PathLike, role: str,
                        values: np.ndarray, ids: Sequence[str]) -> None:
@@ -341,58 +338,45 @@ def _read_header(f: IO[bytes], path: Path) -> tuple[str, list[str]]:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScoringError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ScoringError(f"{path}: header is not a JSON object")
     for key in ("role", "n", "dtype", "layout", "ids"):
         if key not in header:
             raise ScoringError(f"{path}: header missing field {key!r}")
-    role, n, ids = header["role"], int(header["n"]), [str(x) for x in header["ids"]]
+    role, n, ids = header["role"], header["n"], header["ids"]
     if role not in _ROLES:
         raise ScoringError(f"{path}: unknown role {role!r}")
     if header["dtype"] != "float32" or header["layout"] != "row-major":
         raise ScoringError(f"{path}: unsupported dtype/layout")
-    if len(ids) != n:
-        raise ScoringError(f"{path}: header has {len(ids)} ids for n={n}")
-    return role, ids
-
-
-def _read_tsv(body: bytes, n: int, path: Path) -> np.ndarray:
-    """The n x n values of a TSV body, at float32 precision."""
-    if n > TSV_MAX_N:
-        raise ScoringError(f"{path}: TSV body only accepted for n <= {TSV_MAX_N}")
-    try:
-        rows = [[float(c) for c in ln.split("\t")]
-                for ln in body.decode("utf-8").splitlines() if ln.strip()]
-    except ValueError as exc:  # not UTF-8, or a cell that is not a number
-        raise ScoringError(f"{path}: body is neither {4 * n * n} float32 bytes "
-                           f"nor TSV ({exc})") from None
-    if len(rows) != n:
-        raise ScoringError(f"{path}: expected {n} TSV rows, got {len(rows)}")
-    for row in rows:
-        if len(row) != n:
-            raise ScoringError(f"{path}: TSV row has {len(row)} cells, expected {n}")
-    return np.asarray(rows, dtype="<f4").reshape(n, n).astype(np.float64)
+    if not isinstance(ids, list) or type(n) is not int or n != len(ids):
+        raise ScoringError(f"{path}: header n={n!r} must be the length of a "
+                           "list of ids")
+    return role, [str(x) for x in ids]
 
 
 def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[str]]:
     """Read a score-matrix file; returns (role, float64 values, record ids).
 
-    A body that reads as n lines of n tab-separated numbers is TSV, even
-    when it happens to be 4*n*n bytes long; any other body of that length
-    is the float32 payload.  Values are returned as stored (float32
+    The body must be the 4*n*n bytes of the float32 values.  A body made
+    only of digits, signs, ``.``, ``e``/``E``, tabs, spaces and line ends
+    is text and is refused even at that length, where its bytes would
+    decode to values below 3e-4.  Values are returned as stored (float32
     precision); any that is not finite or lies outside [0, 1] raises
-    :class:`ScoringError`.  Which bucket a file belongs to is checked when
-    :meth:`ExternalMatrixStore.for_bucket` looks it up by record ids.
+    :class:`ScoringError`.  :meth:`ExternalMatrixStore.for_bucket` checks
+    which bucket a file belongs to, by its record ids.
     """
     path = Path(path)
     with open(path, "rb") as f:
         role, ids = _read_header(f, path)
         body = f.read()
     n = len(ids)
-    try:
-        vals = _read_tsv(body, n, path)
-    except ScoringError:
-        if len(body) != 4 * n * n:
-            raise
-        vals = np.frombuffer(body, dtype="<f4").reshape(n, n).astype(np.float64)
+    size = 4 * n * n
+    if body and not body.translate(None, b"0123456789+-.eE\t \r\n"):
+        raise ScoringError(f"{path}: body of {len(body)} bytes is text, "
+                           f"not {size} bytes of float32")
+    if len(body) != size:
+        raise ScoringError(f"{path}: body has {len(body)} bytes, expected {size}")
+    vals = np.frombuffer(body, dtype="<f4").reshape(n, n).astype(np.float64)
     if not np.isfinite(vals).all() or (vals < 0.0).any() or (vals > 1.0).any():
         raise ScoringError(f"{path}: values outside [0, 1]")
     return role, vals, ids

@@ -61,6 +61,17 @@ class TestValidate:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_non_string_query_exit_one_names_field(self, workspace, capsys):
+        tmp, corpus, _ = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        bad = tmp / "bad.jsonl"
+        bad.write_text("\n".join([*lines[:2], json.dumps({**json.loads(lines[2]),
+                                                         "query": None})]),
+                       encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "line 3: field 'query' must be a string", f"1 problem(s) in {bad}"]
+
     def test_duplicate_id_reported(self, tmp_path, capsys):
         r = make_record(0, "m", "why go ?", "home .")
         corpus = tmp_path / "dup.jsonl"
@@ -289,9 +300,8 @@ class TestMatch:
             "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
             "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
             "holdout_folds": [0],
-            "relevance_scorer": {"kind": "overlap", "eps": 0.002, "path": None},
-            "similarity_scorer": {"kind": "embedding_cosine", "eps": 0.002,
-                                  "path": None},
+            "relevance_scorer": {"kind": "overlap", "path": None},
+            "similarity_scorer": {"kind": "embedding_cosine", "path": None},
             "jobs": 2,
         }
 
@@ -737,6 +747,16 @@ class TestSweepAndProbe:
         assert len(lines) == 4
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["1.0", "0.1", "0.01"]
         assert (tmp / "sweep.txt.csv").exists()
+
+    def test_failed_csv_write_leaves_no_file(self, workspace, monkeypatch):
+        tmp, corpus, config = workspace
+        # a lone surrogate cannot be encoded, so the write fails part way
+        monkeypatch.setattr(cli, "format_sweep_csv", lambda rows: "\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            main(["sweep", str(corpus), "--config", str(config), "--grid", "1.0",
+                  "--out", str(tmp / "sweep.txt")])
+        assert not (tmp / "sweep.txt.csv").exists()
+        assert not list(tmp.glob(".*.tmp"))
 
     def test_sweep_out_dash_prints_the_table_once(self, workspace, capsys,
                                                   monkeypatch):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch.corpus import (CorpusError, Record, Token, parse_records,
-                             parse_token_stream, serialize_records, split_folds,
-                             tokens_to_text, validate_record)
+                             parse_token_stream, scan_records, serialize_records,
+                             split_folds, tokens_to_text, validate_record)
 from advmatch.matcher import MatchConfig
 from advmatch.pipeline import run_match
 from advmatch.remap import CandidateTable
@@ -61,6 +61,17 @@ class TestParse:
         del obj["gold"]
         with pytest.raises(CorpusError, match="missing field 'gold'"):
             parse_records([json.dumps(obj)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("query", None), ("gold", ["it", "rains"]), ("id", 7),
+        ("source_key", 1.5), ("task_mode", {"qa": True}),
+    ], ids=["query-null", "gold-list", "id-int", "source_key-float", "task_mode-object"])
+    def test_text_fields_must_be_strings(self, field, value):
+        line = _line(**{field: value})
+        message = f"line 1: field '{field}' must be a string"
+        assert list(scan_records([line])) == [(None, [message])]
+        with pytest.raises(CorpusError, match=message):
+            parse_records([line])
 
     def test_embedding_length_mismatch(self):
         lines = [_line(id="a", embedding=[1.0, 2.0]),

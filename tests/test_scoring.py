@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -379,8 +380,9 @@ class TestScoreMatrixType:
     def test_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ScoringError, match="probabilities"):
             symmetrize_entailment(np.array([[1.5]]), EPS)
-        path = tmp_path / "m.tsv"
-        TestMatrixFiles._write_tsv(path, "relevance", ["a"], "1.5\n")
+        # the writer checks no values, so the reader is the one to refuse it
+        path = tmp_path / "m.scm"
+        write_score_matrix(path, "relevance", np.array([[1.5]]), ["a"])
         with pytest.raises(ScoringError, match="outside"):
             read_score_matrix(path)
 
@@ -409,41 +411,47 @@ class TestMatrixFiles:
         assert got_ids == ids
         assert np.array_equal(got, vals.astype(np.float32).astype(np.float64))
 
-    @staticmethod
-    def _write_tsv(path, role, ids, body):
-        # the program writes binary only; TSV bodies come from outside it
-        header = json.dumps({"role": role, "n": len(ids), "dtype": "float32",
-                             "layout": "row-major", "ids": ids})
-        path.write_text(header + "\n" + body, encoding="utf-8")
-
-    def test_tsv_round_trip(self, tmp_path):
-        vals, ids = self._matrix(4, seed=1)
-        path = tmp_path / "m.tsv"
-        body = "".join("\t".join(repr(float(x)) for x in row) + "\n"
-                       for row in vals.astype("<f4"))
-        self._write_tsv(path, "similarity", ids, body)
-        role, got, got_ids = read_score_matrix(path)
-        assert role == "similarity"
-        assert got_ids == ids
-        assert np.array_equal(got, vals.astype(np.float32).astype(np.float64))
+    HEADER = {"role": "relevance", "n": 2, "dtype": "float32",
+              "layout": "row-major", "ids": ["a", "b"]}
 
     def test_tsv_body_of_binary_length(self, tmp_path):
-        # 16 bytes, 4 * n * n for n = 2: still TSV, not float32
+        # 16 bytes, 4 * n * n for n = 2, would decode to float32 near 1e-33
         path = tmp_path / "m.tsv"
-        self._write_tsv(path, "relevance", ["a", "b"], "0.5\t0.5\n0.5\t1.0\n")
-        _, got, _ = read_score_matrix(path)
-        assert np.array_equal(got, [[0.5, 0.5], [0.5, 1.0]])
+        path.write_bytes(json.dumps(self.HEADER).encode() + b"\n0.5\t0.5\n0.5\t1.0\n")
+        with pytest.raises(ScoringError, match=re.escape(f"{path}: body of 16 bytes is text")):
+            read_score_matrix(path)
 
-    def test_tsv_size_cap(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        self._write_tsv(path, "relevance", [str(i) for i in range(1001)], "0.5\n")
-        with pytest.raises(ScoringError, match="1000"):
+    def test_body_of_wrong_length_names_both_sizes(self, tmp_path):
+        path = tmp_path / "m.scm"
+        write_score_matrix(path, "relevance", np.full((2, 2), 0.5), ["a", "b"])
+        path.write_bytes(path.read_bytes()[:-1])
+        message = f"{path}: body has 15 bytes, expected 16"
+        with pytest.raises(ScoringError, match=re.escape(message)):
             read_score_matrix(path)
 
     def test_header_errors(self, tmp_path):
         path = tmp_path / "bad.scm"
         path.write_bytes(b'{"role":"relevance"}\n')
         with pytest.raises(ScoringError, match="missing field"):
+            read_score_matrix(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (["role", "n", "dtype", "layout", "ids"], "is not a JSON object"),
+        ({"n": "x"}, "n='x' must be"),
+        ({"n": None}, "n=None must be"),
+        ({"n": 2.5}, "n=2.5 must be"),
+        ({"n": True, "ids": ["a"]}, "n=True must be"),
+        ({"n": 3}, "n=3 must be"),
+        ({"ids": 5}, "n=2 must be the length of a list"),
+        ({"ids": "ab"}, "n=2 must be the length of a list"),
+    ], ids=["list", "n-text", "n-null", "n-float", "n-bool", "n-not-len", "ids-int",
+            "ids-text"])
+    def test_malformed_header_is_a_scoring_error(self, tmp_path, header, message):
+        if isinstance(header, dict):
+            header = {**self.HEADER, **header}
+        path = tmp_path / "bad.scm"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+        with pytest.raises(ScoringError, match=re.escape(f"{path}: header {message}")):
             read_score_matrix(path)
 
     def test_values_out_of_range_rejected(self, tmp_path):

@@ -76,7 +76,7 @@ grep -q "config 'similarity_scorer' has unknown keys \['eps'\]" "$work/scorer_ep
 [ ! -e "$work/scorer_eps.jsonl" ]
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
 # score files written by one command, read back as external matrices
-advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores"
+advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores" > "$work/scores.list"
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --sim-matrix "$work/scores" --jobs 2 --out "$work/external.jsonl"
 advmatch probe "$work/external.jsonl"
 # a sweep on external relevance scores its overlap attacker apart;
@@ -85,6 +85,15 @@ advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$
 advmatch sweep "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --jobs 2 --grid 1.0,0.1 --out "$work/xsweep2.txt"
 cmp "$work/xsweep1.txt" "$work/xsweep2.txt"
 cmp "$work/xsweep1.txt.csv" "$work/xsweep2.txt.csv"
+# a failed score exits 1 and leaves no matrix file and no temporary file
+# in its --out: here the second bucket's relevance file is missing
+cp -r "$work/scores" "$work/partial_scores"
+rm "$work/partial_scores/$(basename "$(sed -n 3p "$work/scores.list")")"
+status=0
+advmatch score "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/partial_scores" --out "$work/failed_scores" 2> "$work/failed_scores.err" || status=$?
+[ "$status" -eq 1 ]
+grep -q "no external relevance matrix" "$work/failed_scores.err"
+[ -z "$(ls -A "$work/failed_scores")" ]
 # a score file whose body is not float32, or whose header is malformed,
 # fails the run as data: exit 1, one error line naming the file, no
 # traceback and no items.  The TSV body of a 4-record bucket is exactly

@@ -19,7 +19,7 @@ from .matcher import (MatchConfig, MatchingError, MCQItem, export_mcq,
 from .pipeline import PipelineError, RunResult, plan_buckets, run_match
 from .remap import CandidateTable, RemapError
 from .scoring import (ScoreMatrix, ScorerSpec, ScoringError, read_score_matrix,
-                      score_bucket, symmetrize_entailment, write_score_matrix)
+                      score_bucket, write_score_matrix)
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "PipelineError", "RunResult", "plan_buckets", "run_match",
     "CandidateTable", "RemapError",
     "ScoreMatrix", "ScorerSpec", "ScoringError", "read_score_matrix",
-    "score_bucket", "symmetrize_entailment", "write_score_matrix",
+    "score_bucket", "write_score_matrix",
     "__version__",
 ]

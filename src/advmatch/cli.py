@@ -146,9 +146,7 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
     try:
         config = MatchConfig(**fields)
-        # every scorer floors its scores at the run's one eps
-        rel, sim = (ScorerSpec(s["kind"], eps=config.eps, path=s.get("path"))
-                    for s in scorers)
+        rel, sim = (ScorerSpec(s["kind"], s.get("path")) for s in scorers)
     except (MatchingError, ScoringError) as exc:
         raise ConfigError(str(exc)) from exc
     return config, rel, sim
@@ -199,6 +197,12 @@ def cmd_buckets(args) -> int:
 
 
 def cmd_score(args) -> int:
+    """Write each bucket's two matrix files into ``--out``.
+
+    Every file is written under its temporary name and renamed only after
+    the last bucket is scored; on failure the temporary files are removed,
+    so a failed command leaves no matrix file behind.
+    """
     config, rel_spec, sim_spec = _load_config(args)
     if args.out == "-":
         raise ConfigError("score writes a directory of matrix files, not stdout; "
@@ -208,16 +212,22 @@ def cmd_score(args) -> int:
     outdir = Path(args.out or "scores")
     outdir.mkdir(parents=True, exist_ok=True)
     store = external_store(rel_spec, sim_spec)
-    written = []
-    for b in buckets:
-        rel, sim = score_bucket(b.members, rel_spec, sim_spec, store)
-        ids = [r.id for r in b.members]
-        safe = b.bucket_id.replace(":", "_").replace("/", "-")
-        for role, matrix in (("relevance", rel), ("similarity", sim)):
-            path = outdir / f"{safe}.{role}.scm"
-            write_score_matrix(path, role, matrix.values, ids)
-            written.append(str(path))
-    print("\n".join(written))
+    written: list[Path] = []
+    try:
+        for b in buckets:
+            rel, sim = score_bucket(b.members, config, rel_spec, sim_spec, store)
+            ids = [r.id for r in b.members]
+            safe = b.bucket_id.replace(":", "_").replace("/", "-")
+            for role, matrix in (("relevance", rel), ("similarity", sim)):
+                written.append(outdir / f"{safe}.{role}.scm")
+                write_score_matrix(_temp_path(written[-1]), role, matrix.values, ids)
+        for path in written:
+            os.replace(_temp_path(path), path)
+    except BaseException:
+        for path in written:
+            _temp_path(path).unlink(missing_ok=True)
+        raise
+    print("\n".join(map(str, written)))
     return EXIT_OK
 
 
@@ -347,6 +357,11 @@ class _Sink:
         return self._digest.hexdigest()
 
 
+def _temp_path(path: Path) -> Path:
+    """The name a file is written under before it is renamed onto ``path``."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def _open_out(path) -> Iterator[_Sink]:
     """A ``_Sink`` on ``path``, or on stdout's bytes for ``-``.
@@ -365,7 +380,7 @@ def _open_out(path) -> Iterator[_Sink]:
             sys.stdout.buffer.flush()
         return
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temp_path(path)
     try:
         with open(tmp, "wb") as f:
             yield _Sink(f)

@@ -6,10 +6,11 @@ Two probes stand in for human evaluation at desk scale:
   report attacker accuracy plus the matched relevance/similarity means.
   The attacker is the overlap relevance scorer at the config's eps; its
   accuracy is how often it scores the gold strictly above every
-  distractor.  Each bucket counts its hits in the worker that matched it,
-  from the relevance matrix it scored (``BucketResult.attack_hits``), and
-  the sweep divides their sum by the item count, so no item is parsed
-  back in the parent;
+  distractor.  Each bucket counts its hits in the worker that matched it
+  (``BucketResult.attack_hits``), from the relevance matrix it scored when
+  that is overlap and from the attacker's own matrix otherwise, and the
+  sweep divides their sum by the item count, so no item is parsed back in
+  the parent;
 * frequency_prior_probe: predict from per-response gold rates alone,
   without ever reading the query.  On well-matched output every response
   is gold once and a distractor K times, so the probe converges to

@@ -31,10 +31,10 @@ import numpy as np
 
 from .assignment import AssignmentError, WeightMatrix, solve_lap_max
 from .corpus import TASK_MODES, Record, Token, parse_token_stream, tokens_to_text
-from .scoring import DEFAULT_EPS
 from .seeding import Substreams, scope_key
 
 LAMBDA_DEFAULTS = {"qa": 0.1, "qar": 0.01}
+DEFAULT_EPS = 1e-6
 
 
 class MatchingError(ValueError):

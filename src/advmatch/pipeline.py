@@ -15,11 +15,12 @@ then each bucket by its index.  A worker also sets the OpenBLAS numpy has
 loaded to one thread as it starts, so that N workers run N BLAS threads
 rather than N times one per CPU.  A worker sends back the bucket's finished
 JSONL text, the scores of its matched pairs and how many of its items the
-attacker (the overlap relevance scorer at the run's eps) answers; no item
-object and no score matrix leaves the worker.  ``run_match`` hands each
-bucket's text to its ``write`` callable as soon as the buckets before it
-are done, so ``advmatch match`` holds only the texts of buckets that
-finished ahead of the one it waits for, not the run's.
+attacker (the overlap relevance scorer at the run's one eps,
+``MatchConfig.eps``) answers; no item object and no score matrix leaves
+the worker.  ``run_match`` hands each bucket's text to its ``write``
+callable as soon as the buckets before it are done, so ``advmatch match``
+holds only the texts of buckets that finished ahead of the one it waits
+for, not the run's.
 
 This module only orchestrates: the command line, its config and the
 manifest ``advmatch match`` writes live in ``cli``.
@@ -141,16 +142,16 @@ def _process_bucket(args) -> tuple[str, np.ndarray, int]:
     bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
     candidates = CandidateTable(members, config.p_reuse, config.seed)
-    rel, sim = (m.values for m in score_bucket(members, rel_spec, sim_spec, store))
+    rel, sim = (m.values for m in score_bucket(members, config, rel_spec, sim_spec,
+                                               store))
     mappings, texts = run_rounds(members, rel, sim, config, candidates)
     lines = export_mcq(members, mappings, texts, config.seed, fold=bucket.fold,
                        bucket_id=bucket.bucket_id)
     cols = mappings.T
     rows = np.arange(len(members))[:, None]
     matched = np.column_stack((rel[rows, cols].ravel(), sim[rows, cols].ravel()))
-    attacker = ScorerSpec("overlap", eps=config.eps)
-    att = (rel if rel_spec == attacker
-           else relevance_values(members, attacker, store))
+    att = (rel if rel_spec.kind == "overlap"
+           else relevance_values(members, ScorerSpec("overlap"), config.eps, None))
     hits = int((np.diag(att) > att[rows, cols].max(axis=1)).sum())
     return "".join(lines), matched, hits
 
@@ -238,16 +239,18 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     match, so they must have been computed on the same remapped candidates
     this pipeline produces.  Each bucket reads only its own files.
 
-    Each bucket also counts its ``attack_hits`` where it is matched, from
-    the relevance matrix it already holds when ``rel_spec`` is the
-    attacker's overlap spec, else from the attacker's own matrix.
+    Every scorer floors its scores at ``config.eps``.  Each bucket also
+    counts its ``attack_hits`` where it is matched: from the relevance
+    matrix it already holds when ``rel_spec`` is overlap, the attacker's
+    own scorer, and else from the attacker's matrix scored beside it, so
+    overlap relevance is never scored twice for one bucket.
     """
     if not records:
         raise PipelineError("corpus is empty")
     if jobs < 1:
         raise PipelineError(f"jobs must be >= 1, got {jobs}")
-    rel_spec = rel_spec or ScorerSpec("overlap", eps=config.eps)
-    sim_spec = sim_spec or ScorerSpec("overlap", eps=config.eps)
+    rel_spec = rel_spec or ScorerSpec("overlap")
+    sim_spec = sim_spec or ScorerSpec("overlap")
     plan, buckets = plan_buckets(records, config)
     store = external_store(rel_spec, sim_spec)
     tasks = [(b, config, rel_spec, sim_spec, store) for b in buckets]

@@ -17,10 +17,9 @@ layout, ids}`` followed by n*n little-endian float32 values (row-major),
 the one body format; a body that reads as text is refused.
 
 Scores are checked where they enter: :func:`read_score_matrix` checks
-outside data, once, and :func:`symmetrize_entailment` checks what a
-library caller hands it.  An external similarity is folded as that
-function folds it, without the second check.  The built-in scorers clip
-into [eps, 1 - eps] and build a symmetric similarity with a 1.0
+outside data, once.  :func:`score_bucket` floors every matrix at the run's
+one ``MatchConfig.eps``, clipping into [eps, 1 - eps], folds a directed
+external similarity into a symmetric one, and gives the similarity a 1.0
 diagonal, so nothing re-checks a bucket's matrices.
 """
 
@@ -35,8 +34,7 @@ from typing import IO, AbstractSet, Iterable, Sequence
 import numpy as np
 
 from .corpus import Record, Token
-
-DEFAULT_EPS = 1e-6
+from .matcher import MatchConfig
 
 ROLE_RELEVANCE = "relevance"
 ROLE_SIMILARITY = "similarity"
@@ -63,15 +61,21 @@ class ScoringError(ValueError):
     """Raised for invalid probabilities, shapes, or unusable scorer specs."""
 
 
-def content(tokens: Sequence[Token]) -> frozenset[str]:
-    """Content signature of a token stream: non-stopword words plus tag classes."""
-    out = set()
+def _words_and_slots(tokens: Sequence[Token]) -> tuple[set[str], set[str]]:
+    """Non-stopword words and tag classes of a token stream, apart."""
+    words, slots = set(), set()
     for t in tokens:
         if t.kind == "tag":
-            out.add(t.tag_class)
+            slots.add(t.tag_class)
         elif t.text not in STOPWORDS:
-            out.add(t.text)
-    return frozenset(out)
+            words.add(t.text)
+    return words, slots
+
+
+def content(tokens: Sequence[Token]) -> frozenset[str]:
+    """Content signature of a token stream: non-stopword words plus tag classes."""
+    words, slots = _words_and_slots(tokens)
+    return frozenset(words | slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,41 +88,19 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class ScorerSpec:
-    """Which scorer backs a role: built-in overlap/cosine or an external file."""
+    """Which scorer backs a role: built-in overlap/cosine or an external file.
+    Every scorer floors its scores at the run's ``MatchConfig.eps``."""
 
     kind: str
-    eps: float = DEFAULT_EPS
     path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCORER_KINDS:
             raise ScoringError(f"unknown scorer kind {self.kind!r}")
-        if not 0.0 < self.eps < 0.5:
-            raise ScoringError(f"eps must be in (0, 0.5), got {self.eps}")
         if self.kind == "external_matrix" and not self.path:
             raise ScoringError("external_matrix scorer needs a path")
         if self.kind != "external_matrix" and self.path is not None:
             raise ScoringError(f"{self.kind} scorer takes no path, got {self.path!r}")
-
-
-def symmetrize_entailment(directed: np.ndarray | Sequence[Sequence[float]],
-                          eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Fold a directed entailment matrix into a symmetric similarity array.
-
-    ``out[i][j] = max(directed[i][j], directed[j][i])`` for i != j (then
-    clamped); the diagonal is forced to exactly 1.0.  Raises
-    :class:`ScoringError` unless ``directed`` is square and every entry a
-    probability.
-    """
-    d = np.asarray(directed, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ScoringError(f"directed matrix must be square, got shape {d.shape}")
-    if not np.isfinite(d).all() or (d < 0.0).any() or (d > 1.0).any():
-        raise ScoringError("directed entailment entries must be probabilities")
-    out = np.maximum(d, d.T)
-    out = np.clip(out, eps, 1.0 - eps)
-    np.fill_diagonal(out, 1.0)
-    return out
 
 
 def _intersections(row_contents: Sequence[AbstractSet[str]],
@@ -161,24 +143,6 @@ def _cosine(inter: np.ndarray, row_sizes: np.ndarray,
 
 def _sizes(contents: Sequence[AbstractSet[str]]) -> np.ndarray:
     return np.array([len(c) for c in contents], dtype=np.float64)
-
-
-def _overlap_matrix(row_contents: Sequence[frozenset[str]],
-                    col_contents: Sequence[frozenset[str]]) -> np.ndarray:
-    """All-pairs ``|a & b| / sqrt(|a| * |b|)``, bit-identical per pair."""
-    return _cosine(_intersections(row_contents, col_contents),
-                   _sizes(row_contents), _sizes(col_contents))
-
-
-def _words_and_slots(tokens: Sequence[Token]) -> tuple[set[str], set[str]]:
-    """Non-stopword words and tag classes of a token stream, apart."""
-    words, slots = set(), set()
-    for t in tokens:
-        if t.kind == "tag":
-            slots.add(t.tag_class)
-        elif t.text not in STOPWORDS:
-            words.add(t.text)
-    return words, slots
 
 
 def _remapped_overlap(bucket: Sequence[Record]) -> np.ndarray:
@@ -227,65 +191,56 @@ def _remapped_overlap(bucket: Sequence[Record]) -> np.ndarray:
     return _cosine(inter, _sizes(queries), size)
 
 
-def relevance_values(bucket: Sequence[Record], spec: ScorerSpec,
-                     store: "ExternalMatrixStore | None") -> np.ndarray:
-    """The relevance half of :func:`score_bucket`, as a bare array."""
-    if spec.kind == "overlap":
-        vals = _remapped_overlap(bucket)
-    elif spec.kind == "embedding_cosine":
-        vals = _cosine_matrix(_embedding_matrix(bucket))
-    else:
-        vals = _external_values(ROLE_RELEVANCE, bucket, spec, store)
-    return np.clip(vals, spec.eps, 1.0 - spec.eps)
-
-
-def _similarity_values(bucket: Sequence[Record], spec: ScorerSpec,
-                       store: "ExternalMatrixStore | None") -> np.ndarray:
-    if spec.kind == "overlap":
-        golds = [content(r.gold) for r in bucket]
-        vals = _overlap_matrix(golds, golds)
-    elif spec.kind == "embedding_cosine":
-        vals = _cosine_matrix(_embedding_matrix(bucket))
-    else:
-        # symmetrize_entailment's fold, without its check: read_score_matrix
-        # has checked the directed values
-        directed = _external_values(ROLE_SIMILARITY, bucket, spec, store)
-        vals = np.maximum(directed, directed.T)
-    vals = np.clip(vals, spec.eps, 1.0 - spec.eps)
-    np.fill_diagonal(vals, 1.0)
-    return vals
-
-
-def _embedding_matrix(bucket: Sequence[Record]) -> np.ndarray:
+def _embedding_cosine(bucket: Sequence[Record]) -> np.ndarray:
+    """``(cos + 1) / 2`` of every pair of the records' embeddings."""
     missing = [r.id for r in bucket if r.embedding is None]
     if missing:
         raise ScoringError(
             "embedding_cosine scorer needs embeddings; missing for records: "
             + ", ".join(missing))
     emb = np.asarray([r.embedding for r in bucket], dtype=np.float64)
-    norms = np.linalg.norm(emb, axis=1)
-    zero = [bucket[i].id for i in np.nonzero(norms == 0.0)[0]]
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    zero = [bucket[i].id for i in np.nonzero(norms[:, 0] == 0.0)[0]]
     if zero:
         raise ScoringError("zero-norm embeddings for records: " + ", ".join(zero))
-    return emb
-
-
-def _cosine_matrix(emb: np.ndarray) -> np.ndarray:
-    unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    unit = emb / norms
     cos = np.clip(unit @ unit.T, -1.0, 1.0)
     return (cos + 1.0) / 2.0
 
 
-def _external_values(role: str, bucket: Sequence[Record], spec: ScorerSpec,
+def relevance_values(bucket: Sequence[Record], spec: ScorerSpec, eps: float,
                      store: "ExternalMatrixStore | None") -> np.ndarray:
-    if store is None:
-        store = ExternalMatrixStore(spec.path)
-    ids = tuple(r.id for r in bucket)
-    return store.for_bucket(role, ids)
+    """The relevance half of :func:`score_bucket`, floored at ``eps``, as a
+    bare array; ``store`` is needed only for an external spec."""
+    if spec.kind == "overlap":
+        vals = _remapped_overlap(bucket)
+    elif spec.kind == "embedding_cosine":
+        vals = _embedding_cosine(bucket)
+    else:
+        vals = store.for_bucket(ROLE_RELEVANCE, tuple(r.id for r in bucket))
+    return np.clip(vals, eps, 1.0 - eps)
 
 
-def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
-                 sim_spec: ScorerSpec,
+def _similarity_values(bucket: Sequence[Record], spec: ScorerSpec, eps: float,
+                       store: "ExternalMatrixStore | None") -> np.ndarray:
+    if spec.kind == "overlap":
+        golds = [content(r.gold) for r in bucket]
+        sizes = _sizes(golds)
+        vals = _cosine(_intersections(golds, golds), sizes, sizes)
+    elif spec.kind == "embedding_cosine":
+        vals = _embedding_cosine(bucket)
+    else:
+        # the one fold of a directed similarity: read_score_matrix has
+        # checked its values
+        directed = store.for_bucket(ROLE_SIMILARITY, tuple(r.id for r in bucket))
+        vals = np.maximum(directed, directed.T)
+    vals = np.clip(vals, eps, 1.0 - eps)
+    np.fill_diagonal(vals, 1.0)
+    return vals
+
+
+def score_bucket(bucket: Sequence[Record], config: MatchConfig,
+                 rel_spec: ScorerSpec, sim_spec: ScorerSpec,
                  matrix_store: "ExternalMatrixStore | None" = None,
                  ) -> tuple[ScoreMatrix, ScoreMatrix]:
     """All-pairs relevance and similarity matrices for one bucket.
@@ -294,15 +249,19 @@ def score_bucket(bucket: Sequence[Record], rel_spec: ScorerSpec,
     onto record i's objects, as ``remap.CandidateTable.get([(i, j)])``
     serves it; the overlap scorer's value does not depend on the remapping's
     random draws, so no candidate table is needed.  Similarity always
-    compares the original gold responses.  Each matrix lies in [eps,
-    1 - eps] at its spec's eps, but for the similarity's diagonal, which is
-    1.0, and the similarity is symmetric; nothing re-checks that.  Pure and
-    deterministic: repeated calls on the same inputs are bit-identical.
+    compares the original gold responses.  Both matrices lie in [eps,
+    1 - eps] at ``config.eps``, but for the similarity's diagonal, which is
+    1.0, and the similarity is symmetric; nothing re-checks that.  Without
+    ``matrix_store``, the external specs' files are indexed for this call
+    alone (see :func:`external_store`).  Pure and deterministic: repeated
+    calls on the same inputs are bit-identical.
     """
     if not bucket:
         raise ScoringError("bucket is empty")
-    rel = relevance_values(bucket, rel_spec, matrix_store)
-    sim = _similarity_values(bucket, sim_spec, matrix_store)
+    if matrix_store is None:
+        matrix_store = external_store(rel_spec, sim_spec)
+    rel = relevance_values(bucket, rel_spec, config.eps, matrix_store)
+    sim = _similarity_values(bucket, sim_spec, config.eps, matrix_store)
     return ScoreMatrix(rel), ScoreMatrix(sim)
 
 
@@ -434,7 +393,7 @@ def external_store(*specs: ScorerSpec) -> ExternalMatrixStore | None:
     """One store over every external matrix path among ``specs``, or None.
 
     Build it once per run and pass it to every :func:`score_bucket` call:
-    without one, each call indexes its spec's files again.
+    without one, each call builds its own and indexes the files again.
     """
-    paths = [s.path for s in specs if s.kind == "external_matrix" and s.path]
+    paths = [s.path for s in specs if s.kind == "external_matrix"]
     return ExternalMatrixStore(paths) if paths else None

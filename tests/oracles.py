@@ -31,8 +31,8 @@ from advmatch.assignment import Assignment, AssignmentError, WeightMatrix
 from advmatch.bucketing import QUESTION_TYPE_PATTERNS
 from advmatch.corpus import Record, Token, tokens_to_text
 from advmatch.diagnostics import DiagnosticsError
-from advmatch.matcher import MCQItem
-from advmatch.scoring import DEFAULT_EPS, ScoringError, content
+from advmatch.matcher import DEFAULT_EPS, MCQItem
+from advmatch.scoring import ScoringError, content
 
 BRUTE_FORCE_MAX = 10
 

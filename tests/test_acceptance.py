@@ -64,8 +64,8 @@ def test_criterion_2_recycling_and_prior():
     from advmatch.scoring import score_bucket
 
     candidates = CandidateTable(bucket, p_reuse=0.5, seed=5)
-    rel, sim = (m.values for m in score_bucket(bucket, rel_spec, sim_spec))
     config = MatchConfig(seed=5, rounds=3, n_folds=1)
+    rel, sim = (m.values for m in score_bucket(bucket, config, rel_spec, sim_spec))
     mappings, texts = run_rounds(bucket, rel, sim, config, candidates)
 
     assert mappings.shape == (3, 100)

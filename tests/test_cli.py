@@ -595,7 +595,8 @@ class TestSplitAndBuckets:
         corpus.write_text(serialize_records(records), encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
-        result = run_match(records, MatchConfig(seed=5, n_folds=3))
+        match_config = MatchConfig(seed=5, n_folds=3)
+        result = run_match(records, match_config)
         out = tmp_path / "buckets.jsonl"
         assert main(["buckets", str(corpus), "--config", str(config),
                      "--out", str(out)]) == 0
@@ -606,10 +607,10 @@ class TestSplitAndBuckets:
         scores = tmp_path / "scores"
         assert main(["score", str(corpus), "--config", str(config),
                      "--out", str(scores)]) == 0
-        spec = ScorerSpec("overlap")  # the config's eps is the default
+        spec = ScorerSpec("overlap")
         for br in result.buckets:
             safe = br.bucket.bucket_id.replace(":", "_").replace("/", "-")
-            matrices = score_bucket(br.bucket.members, spec, spec)
+            matrices = score_bucket(br.bucket.members, match_config, spec, spec)
             for role, matrix in zip(("relevance", "similarity"), matrices):
                 stored_role, values, ids = read_score_matrix(
                     scores / f"{safe}.{role}.scm")
@@ -708,6 +709,28 @@ class TestScoreAndExternalMatrices:
         # more where its bucket reads the values
         assert set(reads) == set(files)
         assert {f: headers[f] - reads[f] for f in files} == {f: 1 for f in files}
+
+    def test_failed_score_leaves_no_file(self, tmp_path, capsys):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        scores = tmp_path / "scores"
+        capsys.readouterr()
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        # in bucket order: the first bucket's two files, then the second's
+        written = [Path(p) for p in capsys.readouterr().out.splitlines()]
+        written[2].unlink()
+        out = tmp_path / "rescored"
+        out.mkdir()
+        (out / written[0].name).write_bytes(b"kept")
+        assert main(["score", str(corpus), "--config", str(config), "--out", str(out),
+                     "--rel-matrix", str(scores)]) == 1
+        assert "no external relevance matrix" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [written[0].name]
+        assert (out / written[0].name).read_bytes() == b"kept"
 
     def test_two_matrices_for_one_bucket_exit_one_naming_both(self, workspace,
                                                                capsys):

@@ -176,13 +176,13 @@ class TestLambdaSweep:
     def test_matched_means_equal_score_matrices_at_provenance(self):
         records = multi_fold_corpus(n_keys=12, per_key=3, seed=8)
         cfg = MatchConfig(seed=6, n_folds=3, target_size=100)
-        sim_spec = ScorerSpec("embedding_cosine", eps=cfg.eps)
+        sim_spec = ScorerSpec("embedding_cosine")
         result = run_match(records, cfg, sim_spec=sim_spec)
-        rel_spec = ScorerSpec("overlap", eps=cfg.eps)
+        rel_spec = ScorerSpec("overlap")
         sim_sum = rel_sum = 0.0
         count = 0
         for br in result.buckets:
-            rel, sim = score_bucket(br.bucket.members, rel_spec, sim_spec)
+            rel, sim = score_bucket(br.bucket.members, cfg, rel_spec, sim_spec)
             index = {r.id: pos for pos, r in enumerate(br.bucket.members)}
             for item in parse_items(br.text.splitlines()):
                 i = index[item.id]

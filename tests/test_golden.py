@@ -102,7 +102,7 @@ def test_qa_items_with_ties_are_pinned(monkeypatch):
 def test_qar_items_and_sweep_table_are_pinned():
     records = _qar_corpus(300, seed=43)
     config = MatchConfig(seed=17, n_folds=2, target_size=200)
-    sim_spec = ScorerSpec("embedding_cosine", eps=config.eps)
+    sim_spec = ScorerSpec("embedding_cosine")
     result = run_match(records, config, sim_spec=sim_spec, jobs=1)
     assert _sha(write_items(result.items)) == (
         "8dfd63c8a935b376880dcf35abe5900722be5dae1715031139440d57b6d84fcf")

@@ -149,7 +149,8 @@ class TestRunRounds:
     def test_minimal_bucket_forces_all_golds(self):
         bucket = simple_bucket_corpus(4, seed=4)
         rel, sim = (m.values for m in score_bucket(
-            bucket, ScorerSpec("overlap", eps=EPS), ScorerSpec("overlap", eps=EPS)))
+            bucket, MatchConfig(seed=0, eps=EPS), ScorerSpec("overlap"),
+            ScorerSpec("overlap")))
         mappings, _ = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=3),
                                  GoldTexts(bucket))
         for i, cols in enumerate(mappings.T.tolist()):
@@ -231,7 +232,8 @@ class TestRunRounds:
         bucket = simple_bucket_corpus(5, seed=11)
         candidates = CandidateTable(bucket, p_reuse=0.5, seed=3)
         rel, sim = (m.values for m in score_bucket(
-            bucket, ScorerSpec("overlap", eps=EPS), ScorerSpec("overlap", eps=EPS)))
+            bucket, MatchConfig(seed=0, eps=EPS), ScorerSpec("overlap"),
+            ScorerSpec("overlap")))
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=2),
                                      candidates)
         n = len(bucket)

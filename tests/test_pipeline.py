@@ -22,7 +22,7 @@ from advmatch.corpus import serialize_records
 from advmatch.diagnostics import format_sweep_csv, format_sweep_table, lambda_sweep
 from advmatch.matcher import MatchConfig, parse_items, write_items
 from advmatch.pipeline import PipelineError, plan_buckets, run_match
-from advmatch.scoring import ScorerSpec, score_bucket
+from advmatch.scoring import ScorerSpec, score_bucket, write_score_matrix
 
 from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
 from oracles import machine_accuracy, relevance_overlap
@@ -142,13 +142,22 @@ def test_lazy_items_and_worker_accuracy_are_exact(records, lam, seed, target_siz
     assert len(texts) == 1
 
 
-@pytest.mark.parametrize("rel_spec", [ScorerSpec("embedding_cosine"),
-                                      ScorerSpec("overlap", eps=1e-3)],
-                         ids=["embedding_cosine", "overlap-1e-3"])
-def test_attacker_is_overlap_whatever_the_relevance_scorer(rel_spec):
+@pytest.mark.parametrize("rel_kind", ["embedding_cosine", "external_matrix"])
+def test_attacker_is_overlap_whatever_the_relevance_scorer(tmp_path, rel_kind):
     # the attacker is scored apart from the relevance that drives matching
     records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
     config = MatchConfig(seed=5, n_folds=3, lambda_=0.5)
+    if rel_kind == "external_matrix":
+        # random relevance on file, one matrix per planned bucket
+        rng = np.random.default_rng(0)
+        for k, b in enumerate(plan_buckets(records, config)[1]):
+            n = len(b.members)
+            write_score_matrix(tmp_path / f"b{k}.scm", "relevance",
+                               rng.uniform(0, 1, size=(n, n)),
+                               [r.id for r in b.members])
+        rel_spec = ScorerSpec(rel_kind, str(tmp_path))
+    else:
+        rel_spec = ScorerSpec(rel_kind)
     attacker = functools.partial(relevance_overlap, eps=config.eps)
     for jobs in (1, 2):
         result = run_match(records, config, rel_spec=rel_spec, jobs=jobs)
@@ -159,6 +168,23 @@ def test_attacker_is_overlap_whatever_the_relevance_scorer(rel_spec):
         [row] = lambda_sweep(records, [0.5], config, rel_spec=rel_spec, jobs=jobs)
         assert (row.machine_accuracy, repr(row.machine_accuracy)) == \
             (expected, repr(expected))
+
+
+def test_a_library_run_floors_every_score_at_the_config_eps(monkeypatch):
+    # overlap relevance is the attacker's: no bucket scores it twice
+    def second_scoring(*args):
+        raise AssertionError("overlap relevance scored a second time")
+
+    monkeypatch.setattr(pipeline, "relevance_values", second_scoring)
+    eps = 1e-3
+    # no query shares a content word with another record's gold
+    records = [make_record(i, f"s{i}", f"why is q{i} here ?", f"g{i} stays .")
+               for i in range(8)]
+    result = run_match(records, MatchConfig(seed=5, n_folds=1, eps=eps),
+                       ScorerSpec("overlap"), ScorerSpec("overlap"))
+    matched = np.concatenate([br.matched for br in result.buckets])
+    assert (matched[:, 0] == eps).all()
+    assert ((matched >= eps) & (matched <= 1 - eps)).all()
 
 
 # Prints the BLAS threads a pool worker runs with: the getter that matches
@@ -262,13 +288,13 @@ def test_matched_rows_equal_score_matrices_at_provenance():
     # round order its item's provenance gives
     records = multi_fold_corpus(n_keys=12, per_key=3, seed=8)
     config = MatchConfig(seed=6, n_folds=3, target_size=100)
-    rel_spec = ScorerSpec("overlap", eps=config.eps)
-    sim_spec = ScorerSpec("embedding_cosine", eps=config.eps)
+    rel_spec = ScorerSpec("overlap")
+    sim_spec = ScorerSpec("embedding_cosine")
     result = run_match(records, config, sim_spec=sim_spec, jobs=2)
     assert len(result.buckets) > 1
     for br in result.buckets:
         members = br.bucket.members
-        rel, sim = score_bucket(members, rel_spec, sim_spec)
+        rel, sim = score_bucket(members, config, rel_spec, sim_spec)
         index = {r.id: pos for pos, r in enumerate(members)}
         items = parse_items(br.text.splitlines())
         assert [it.id for it in items] == [r.id for r in members]

@@ -1,4 +1,4 @@
-"""Built-in scorers, symmetrization, bucket scoring, and matrix file I/O."""
+"""Built-in scorers, the similarity fold, bucket scoring, and matrix file I/O."""
 
 from __future__ import annotations
 
@@ -12,17 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch.corpus import Record, Token, parse_token_stream as pts
+from advmatch.matcher import MatchConfig
 from advmatch.remap import CandidateTable
 from advmatch.scoring import (ExternalMatrixStore, ScorerSpec, ScoringError,
                               _intersections, content, read_score_matrix,
-                              score_bucket, symmetrize_entailment,
-                              write_score_matrix)
+                              score_bucket, write_score_matrix)
 
 from conftest import make_record, simple_bucket_corpus
 from oracles import (clamp_prob, relevance_overlap, similarity_cosine,
                      sparse_intersections)
 
 EPS = 1e-6
+CONFIG = MatchConfig(seed=0, eps=EPS)
 
 
 class TestClamp:
@@ -90,49 +91,67 @@ class TestCosine:
             similarity_cosine([0.0, 0.0], [1.0, 0.0], EPS)
 
 
+def _external_similarity(tmp_path, values):
+    """The similarity ``score_bucket`` makes of ``values`` in a file."""
+    bucket = simple_bucket_corpus(len(values), seed=3)
+    write_score_matrix(tmp_path / "sim.scm", "similarity", np.array(values),
+                       [r.id for r in bucket])
+    _, sim = score_bucket(bucket, CONFIG, ScorerSpec("overlap"),
+                          ScorerSpec("external_matrix", str(tmp_path)))
+    return sim.values
+
+
 class TestSymmetrize:
-    def test_symmetric_input_unchanged_off_diagonal(self):
-        d = np.array([[0.2, 0.4], [0.4, 0.9]])
-        out = symmetrize_entailment(d, EPS)
-        assert out[0, 1] == 0.4
-        assert out[1, 0] == 0.4
+    """A directed similarity on file is folded where it is scored:
+    ``max(d[i][j], d[j][i])`` off the diagonal, 1.0 on it."""
+
+    def test_symmetric_input_unchanged_off_diagonal(self, tmp_path):
+        out = _external_similarity(tmp_path, [[0.25, 0.375], [0.375, 0.875]])
+        assert out[0, 1] == 0.375
+        assert out[1, 0] == 0.375
         assert out[0, 0] == 1.0 and out[1, 1] == 1.0
 
-    def test_max_of_two_orderings(self):
-        d = np.array([[0.0, 0.9], [0.2, 0.0]])
-        out = symmetrize_entailment(d, EPS)
-        assert out[0, 1] == 0.9
-        assert out[1, 0] == 0.9
+    def test_max_of_two_orderings(self, tmp_path):
+        out = _external_similarity(tmp_path, [[0.0, 0.875], [0.25, 0.0]])
+        assert out[0, 1] == 0.875
+        assert out[1, 0] == 0.875
 
-    def test_random_matches_elementwise_brute_force(self):
+    def test_random_matches_elementwise_brute_force(self, tmp_path):
         rng = np.random.default_rng(5)
-        d = rng.uniform(0.001, 0.999, size=(6, 6))
-        out = symmetrize_entailment(d, EPS)
+        # values a score file stores exactly
+        d = rng.uniform(0.001, 0.999, size=(6, 6)).astype(np.float32).astype(np.float64)
+        out = _external_similarity(tmp_path, d)
         for i in range(6):
             for j in range(6):
                 expected = 1.0 if i == j else max(d[i, j], d[j, i])
                 assert out[i, j] == expected
 
-    def test_symmetry_property(self):
+    def test_symmetry_property(self, tmp_path):
         rng = np.random.default_rng(6)
-        d = rng.uniform(0, 1, size=(9, 9))
-        out = symmetrize_entailment(d, EPS)
+        out = _external_similarity(tmp_path, rng.uniform(0, 1, size=(9, 9)))
         assert np.array_equal(out, out.T)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ScoringError, match="square"):
-            symmetrize_entailment(np.zeros((2, 3)), EPS)
+    def test_non_square_rejected(self, tmp_path):
+        # a 2 x 3 body under a header of n = 2
+        bucket = simple_bucket_corpus(2, seed=3)
+        path = tmp_path / "sim.scm"
+        write_score_matrix(path, "similarity", np.full((2, 2), 0.5),
+                           [r.id for r in bucket])
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ScoringError, match="body has 24 bytes, expected 16"):
+            score_bucket(bucket, CONFIG, ScorerSpec("overlap"),
+                         ScorerSpec("external_matrix", str(tmp_path)))
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
-    def test_non_probability_rejected(self, bad):
+    def test_non_probability_rejected(self, tmp_path, bad):
         d = np.full((3, 3), 0.5)
         d[0, 2] = bad
-        with pytest.raises(ScoringError, match="probabilities"):
-            symmetrize_entailment(d, EPS)
+        with pytest.raises(ScoringError, match=r"values outside \[0, 1\]"):
+            _external_similarity(tmp_path, d)
 
 
-def _specs(rel="overlap", sim="overlap"):
-    return ScorerSpec(rel, eps=EPS), ScorerSpec(sim, eps=EPS)
+def _scoring_args(rel="overlap", sim="overlap"):
+    return CONFIG, ScorerSpec(rel), ScorerSpec(sim)
 
 
 def _mixed_class_corpus(n, seed=9):
@@ -208,7 +227,7 @@ class TestIntersections:
 class TestScoreBucket:
     def test_bucket_of_one(self):
         bucket = [make_record(0, "m", "why run ?", "away .")]
-        rel, sim = score_bucket(bucket, *_specs())
+        rel, sim = score_bucket(bucket, *_scoring_args())
         assert rel.values.shape == (1, 1)
         assert sim.values.tolist() == [[1.0]]
 
@@ -216,7 +235,7 @@ class TestScoreBucket:
         # query and gold share one content set -> relevance pinned at 1-eps
         bucket = [make_record(i, "m", "crowd cheers", "crowd cheers")
                   for i in range(3)]
-        rel, sim = score_bucket(bucket, *_specs())
+        rel, sim = score_bucket(bucket, *_scoring_args())
         assert (rel.values == 1.0 - EPS).all()
         off = ~np.eye(3, dtype=bool)
         assert (sim.values[off] == 1.0 - EPS).all()
@@ -226,7 +245,7 @@ class TestScoreBucket:
         for bucket in (simple_bucket_corpus(10, seed=12), _mixed_class_corpus(12)):
             n = len(bucket)
             candidates = CandidateTable(bucket, p_reuse=0.5, seed=99)
-            rel, sim = score_bucket(bucket, *_specs())
+            rel, sim = score_bucket(bucket, *_scoring_args())
             pairs = [(i, j) for i in range(n) for j in range(n)]
             for (i, j), text in zip(pairs, candidates.get(pairs)):
                 expected = relevance_overlap(bucket[i].query, pts(text), EPS)
@@ -250,7 +269,7 @@ class TestScoreBucket:
         bucket = [data.draw(_scored_record(i)) for i in range(n)]
         candidates = CandidateTable(bucket, p_reuse=data.draw(st.floats(0, 1)),
                                     seed=data.draw(st.integers(0, 2 ** 16)))
-        rel, _ = score_bucket(bucket, *_specs())
+        rel, _ = score_bucket(bucket, *_scoring_args())
         pairs = [(i, j) for i in range(n) for j in range(n)]
         for (i, j), text in zip(pairs, candidates.get(pairs)):
             expected = relevance_overlap(bucket[i].query, pts(text), EPS)
@@ -258,7 +277,7 @@ class TestScoreBucket:
 
     def test_entrywise_recomputation_cosine(self):
         bucket = simple_bucket_corpus(10, seed=13)
-        rel, sim = score_bucket(bucket, *_specs("embedding_cosine", "embedding_cosine"))
+        rel, sim = score_bucket(bucket, *_scoring_args("embedding_cosine", "embedding_cosine"))
         for i in range(10):
             for j in range(10):
                 expected = similarity_cosine(bucket[i].embedding,
@@ -273,11 +292,11 @@ class TestScoreBucket:
         bucket = [make_record(0, "m", "why run ?", "away ."),
                   make_record(1, "m", "why sit ?", "down .")]
         with pytest.raises(ScoringError, match="r0000, r0001"):
-            score_bucket(bucket, *_specs("embedding_cosine", "overlap"))
+            score_bucket(bucket, *_scoring_args("embedding_cosine", "overlap"))
 
     def test_range_invariant(self):
         bucket = simple_bucket_corpus(12, seed=14)
-        rel, sim = score_bucket(bucket, *_specs())
+        rel, sim = score_bucket(bucket, *_scoring_args())
         assert (rel.values >= EPS).all() and (rel.values <= 1 - EPS).all()
         off = ~np.eye(12, dtype=bool)
         assert (sim.values[off] >= EPS).all() and (sim.values[off] <= 1 - EPS).all()
@@ -285,14 +304,14 @@ class TestScoreBucket:
 
     def test_repeated_calls_bit_identical(self):
         bucket = simple_bucket_corpus(9, seed=15)
-        rel1, sim1 = score_bucket(bucket, *_specs())
-        rel2, sim2 = score_bucket(bucket, *_specs())
+        rel1, sim1 = score_bucket(bucket, *_scoring_args())
+        rel2, sim2 = score_bucket(bucket, *_scoring_args())
         assert np.array_equal(rel1.values, rel2.values)
         assert np.array_equal(sim1.values, sim2.values)
 
     def test_empty_bucket_rejected(self):
         with pytest.raises(ScoringError, match="empty"):
-            score_bucket([], *_specs())
+            score_bucket([], *_scoring_args())
 
 
 def _assert_relevance(rel, eps):
@@ -318,32 +337,33 @@ class TestScorerGuarantees:
     """Each scorer kind keeps the invariants by construction, for any input."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data(), _eps, _eps)
-    def test_overlap_guarantees(self, data, rel_eps, sim_eps):
+    @given(st.data(), _eps)
+    def test_overlap_guarantees(self, data, eps):
         n = data.draw(st.integers(1, 7))
         bucket = [data.draw(_scored_record(i)) for i in range(n)]
-        rel, sim = score_bucket(bucket, ScorerSpec("overlap", eps=rel_eps),
-                                ScorerSpec("overlap", eps=sim_eps))
-        _assert_relevance(rel.values, rel_eps)
-        _assert_similarity(sim.values, sim_eps)
+        rel, sim = score_bucket(bucket, MatchConfig(seed=0, eps=eps),
+                                ScorerSpec("overlap"), ScorerSpec("overlap"))
+        _assert_relevance(rel.values, eps)
+        _assert_similarity(sim.values, eps)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data(), _eps, _eps)
-    def test_embedding_cosine_guarantees(self, data, rel_eps, sim_eps):
+    @given(st.data(), _eps)
+    def test_embedding_cosine_guarantees(self, data, eps):
         n = data.draw(st.integers(1, 7))
         dim = data.draw(st.integers(1, 5))
         vector = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).filter(
             lambda v: np.linalg.norm(v) > 0.0)
         bucket = [make_record(i, "m", "why run ?", "away .",
                               embedding=data.draw(vector)) for i in range(n)]
-        rel, sim = score_bucket(bucket, ScorerSpec("embedding_cosine", eps=rel_eps),
-                                ScorerSpec("embedding_cosine", eps=sim_eps))
-        _assert_relevance(rel.values, rel_eps)
-        _assert_similarity(sim.values, sim_eps)
+        rel, sim = score_bucket(bucket, MatchConfig(seed=0, eps=eps),
+                                ScorerSpec("embedding_cosine"),
+                                ScorerSpec("embedding_cosine"))
+        _assert_relevance(rel.values, eps)
+        _assert_similarity(sim.values, eps)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.data(), _eps, _eps)
-    def test_external_guarantees(self, data, rel_eps, sim_eps):
+    @given(st.data(), _eps)
+    def test_external_guarantees(self, data, eps):
         # any probabilities on file, directed similarity included: not
         # symmetric, and any diagonal
         n = data.draw(st.integers(1, 6))
@@ -355,31 +375,17 @@ class TestScorerGuarantees:
                 values = np.reshape(data.draw(matrix), (n, n))
                 write_score_matrix(f"{tmp}/{role}.scm", role, values, ids)
             rel, sim = score_bucket(
-                bucket, ScorerSpec("external_matrix", eps=rel_eps, path=tmp),
-                ScorerSpec("external_matrix", eps=sim_eps, path=tmp))
-        _assert_relevance(rel.values, rel_eps)
-        _assert_similarity(sim.values, sim_eps)
-        # symmetrize_entailment alone, on values that float32 does not round
-        directed = np.reshape(data.draw(matrix), (n, n))
-        _assert_similarity(symmetrize_entailment(directed, sim_eps), sim_eps)
+                bucket, MatchConfig(seed=0, eps=eps),
+                ScorerSpec("external_matrix", tmp), ScorerSpec("external_matrix", tmp))
+        _assert_relevance(rel.values, eps)
+        _assert_similarity(sim.values, eps)
 
 
 class TestScoreMatrixType:
     """A ``ScoreMatrix`` checks nothing itself: bad scores from outside are
     stopped or folded where they enter, before they become its values."""
 
-    @staticmethod
-    def _external_similarity(tmp_path, values):
-        bucket = simple_bucket_corpus(len(values), seed=3)
-        write_score_matrix(tmp_path / "sim.scm", "similarity", np.array(values),
-                           [r.id for r in bucket])
-        _, sim = score_bucket(bucket, ScorerSpec("overlap", eps=EPS),
-                              ScorerSpec("external_matrix", eps=EPS, path=str(tmp_path)))
-        return sim.values
-
     def test_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(ScoringError, match="probabilities"):
-            symmetrize_entailment(np.array([[1.5]]), EPS)
         # the writer checks no values, so the reader is the one to refuse it
         path = tmp_path / "m.scm"
         write_score_matrix(path, "relevance", np.array([[1.5]]), ["a"])
@@ -387,11 +393,11 @@ class TestScoreMatrixType:
             read_score_matrix(path)
 
     def test_asymmetric_similarity_file_folded(self, tmp_path):
-        sim = self._external_similarity(tmp_path, [[1.0, 0.25], [0.375, 1.0]])
+        sim = _external_similarity(tmp_path, [[1.0, 0.25], [0.375, 1.0]])
         assert np.array_equal(sim, [[1.0, 0.375], [0.375, 1.0]])
 
     def test_similarity_file_diagonal_forced(self, tmp_path):
-        sim = self._external_similarity(tmp_path, [[0.875, 0.25], [0.25, 0.875]])
+        sim = _external_similarity(tmp_path, [[0.875, 0.25], [0.25, 0.875]])
         assert np.array_equal(sim, [[1.0, 0.25], [0.25, 1.0]])
 
 
@@ -472,9 +478,9 @@ class TestMatrixFiles:
         sim_vals = np.full((6, 6), 0.125)
         write_score_matrix(tmp_path / "rel.scm", "relevance", rel_vals, ids)
         write_score_matrix(tmp_path / "sim.scm", "similarity", sim_vals, ids)
-        rel_spec = ScorerSpec("external_matrix", eps=EPS, path=str(tmp_path))
-        sim_spec = ScorerSpec("external_matrix", eps=EPS, path=str(tmp_path))
-        rel, sim = score_bucket(bucket, rel_spec, sim_spec)
+        rel_spec = ScorerSpec("external_matrix", str(tmp_path))
+        sim_spec = ScorerSpec("external_matrix", str(tmp_path))
+        rel, sim = score_bucket(bucket, CONFIG, rel_spec, sim_spec)
         assert (rel.values == 0.25).all()
         # directed entailment symmetrized, diagonal forced
         assert (np.diag(sim.values) == 1.0).all()
@@ -482,7 +488,7 @@ class TestMatrixFiles:
         assert (sim.values[off] == 0.125).all()
 
         with pytest.raises(ScoringError, match="no external relevance matrix"):
-            score_bucket(bucket[:4], rel_spec, sim_spec)
+            score_bucket(bucket[:4], CONFIG, rel_spec, sim_spec)
 
     def test_two_files_for_one_role_and_ids_name_both(self, tmp_path):
         ids = [r.id for r in simple_bucket_corpus(4, seed=2)]

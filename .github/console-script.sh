@@ -93,7 +93,26 @@ status=0
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/partial_scores" --out "$work/failed_scores" 2> "$work/failed_scores.err" || status=$?
 [ "$status" -eq 1 ]
 grep -q "no external relevance matrix" "$work/failed_scores.err"
-[ -z "$(ls -A "$work/failed_scores")" ]
+# nor the --out directory it made
+[ ! -e "$work/failed_scores" ]
+# a command refused for its output paths exits 2 and leaves no new file
+# or directory: a directory where match's manifest or sweep's CSV would
+# go is refused before any matching, and a score whose --rel-matrix is
+# missing removes the --out directory it made
+mkdir -p "$work/refused/items.jsonl.manifest.json" "$work/refused/sweep.txt.csv"
+refused() {  # the command's arguments; its stderr goes to refused.err
+  local before status=0
+  before=$(find "$work/refused" | sort)
+  advmatch "$@" 2> "$work/refused.err" || status=$?
+  [ "$status" -eq 2 ]
+  [ "$(find "$work/refused" | sort)" = "$before" ]
+}
+refused match "$work/corpus.jsonl" --config "$work/config.json" --out "$work/refused/items.jsonl"
+grep -q "manifest.json is a directory" "$work/refused.err"
+refused sweep "$work/corpus.jsonl" --config "$work/config.json" --grid 1.0 --out "$work/refused/sweep.txt"
+grep -q "sweep.txt.csv is a directory" "$work/refused.err"
+refused score "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/refused/missing" --out "$work/refused/scores"
+grep -q "No such file or directory" "$work/refused.err"
 # a score file whose body is not float32, or whose header is malformed,
 # fails the run as data: exit 1, one error line naming the file, no
 # traceback and no items.  The TSV body of a 4-record bucket is exactly

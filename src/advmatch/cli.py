@@ -9,6 +9,11 @@ config command reads every config key, but takes only the flags of the
 values it reads: each command in split, buckets, score, match, sweep takes
 the flags of the one before it and adds its own.  ``match`` also writes
 the run's manifest, which it builds here.
+
+Each command stages every output file (``_Outputs``) before its expensive
+work and writes it under a temporary name; ``main`` renames them all once
+the command returns and removes them if it raised, so a failed command
+leaves no output file.  ``--out -`` streams to stdout, unstaged.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -161,7 +166,7 @@ def _config_snapshot(config: MatchConfig, rel: ScorerSpec, sim: ScorerSpec) -> d
             for key, (name, cast) in _CONFIG_KEYS.items()}
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, outputs) -> int:
     total = problems = 0
     with open(args.input, "rb") as f:
         for _, found in scan_records(f):
@@ -176,70 +181,63 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_split(args) -> int:
+def cmd_split(args, outputs) -> int:
     config, _, _ = _load_config(args)
+    target = outputs.stage(args.out)
     records = _read_corpus(args.input)
     plan = split_folds(records, config.n_folds, config.seed)
-    _write_out(args.out, [serialize_records(records, plan.assignment)])
+    _write_out(target, [serialize_records(records, plan.assignment)])
     return EXIT_OK
 
 
-def cmd_buckets(args) -> int:
+def _bucket_plan(buckets) -> str:
+    """One JSON line per bucket: ``buckets``' output and what ``match`` digests."""
+    return "".join(json.dumps({"fold": b.fold, "bucket": b.bucket_id,
+                               "key": b.key.label, "members": [r.id for r in b.members]},
+                              ensure_ascii=False, separators=(",", ":")) + "\n"
+                   for b in buckets)
+
+
+def cmd_buckets(args, outputs) -> int:
     config, _, _ = _load_config(args)
+    target = outputs.stage(args.out)
     records = _read_corpus(args.input)
-    _, buckets = plan_buckets(records, config)
-    lines = [json.dumps({"fold": b.fold, "bucket": b.bucket_id, "key": b.key.label,
-                         "members": [r.id for r in b.members]},
-                        ensure_ascii=False, separators=(",", ":"))
-             for b in buckets]
-    _write_out(args.out, ["\n".join(lines) + "\n"])
+    _write_out(target, [_bucket_plan(plan_buckets(records, config)[1])])
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    """Write each bucket's two matrix files into ``--out``.
-
-    Every file is written under its temporary name and renamed only after
-    the last bucket is scored; on failure the temporary files are removed,
-    so a failed command leaves no matrix file behind.
-    """
+def cmd_score(args, outputs) -> int:
+    """Write each bucket's two matrix files into ``--out``."""
     config, rel_spec, sim_spec = _load_config(args)
     if args.out == "-":
         raise ConfigError("score writes a directory of matrix files, not stdout; "
                           "give --out a directory")
     records = _read_corpus(args.input)
     _, buckets = plan_buckets(records, config)
-    outdir = Path(args.out or "scores")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = outputs.make_dir(Path(args.out or "scores"))
+    roles = ("relevance", "similarity")
+    names = [outdir / f"{b.bucket_id.replace(':', '_').replace('/', '-')}.{role}.scm"
+             for b in buckets for role in roles]
+    targets = iter([outputs.stage(name) for name in names])
     store = external_store(rel_spec, sim_spec)
-    written: list[Path] = []
-    try:
-        for b in buckets:
-            rel, sim = score_bucket(b.members, config, rel_spec, sim_spec, store)
-            ids = [r.id for r in b.members]
-            safe = b.bucket_id.replace(":", "_").replace("/", "-")
-            for role, matrix in (("relevance", rel), ("similarity", sim)):
-                written.append(outdir / f"{safe}.{role}.scm")
-                write_score_matrix(_temp_path(written[-1]), role, matrix.values, ids)
-        for path in written:
-            os.replace(_temp_path(path), path)
-    except BaseException:
-        for path in written:
-            _temp_path(path).unlink(missing_ok=True)
-        raise
-    print("\n".join(map(str, written)))
+    for b in buckets:
+        matrices = score_bucket(b.members, config, rel_spec, sim_spec, store)
+        for role, matrix in zip(roles, matrices):
+            write_score_matrix(next(targets), role, matrix.values,
+                               [r.id for r in b.members])
+    print("\n".join(map(str, names)))
     return EXIT_OK
 
 
-def cmd_match(args) -> int:
-    """Write the items and, beside a file output, the run's manifest.
-
-    The manifest records the value of every config key and ``--jobs``, the
-    SHA-256 of the corpus, of each external matrix file and of the outputs
-    (the items, the fold plan and the bucket plan), and the seconds spent
-    parsing and matching.
-    """
+def cmd_match(args, outputs) -> int:
+    """Write the items and, beside a file output, the run's manifest: every
+    config key's value and ``--jobs``, the SHA-256 of the corpus, of each
+    external matrix file, of the items, of the fold plan and of the bucket
+    plan ``buckets`` writes, and the seconds spent parsing and matching."""
     config, rel_spec, sim_spec = _load_config(args)
+    out = Path(args.out or "items.jsonl")
+    target = outputs.stage(out)
+    manifest_target = None if target is None else outputs.stage(f"{out}.manifest.json")
     digest = hashlib.sha256()
     with open(args.input, "rb") as f:
         start = time.monotonic()
@@ -249,77 +247,67 @@ def cmd_match(args) -> int:
     # the files the run's matrix store indexes
     inputs.update((str(f), digest_file(f)) for f in matrix_files(
         [s.path for s in (rel_spec, sim_spec) if s.kind == "external_matrix"]))
-    out = Path(args.out or "items.jsonl")
     # run_match writes each bucket's items once the buckets before it are
     # written, so the run's output is never held whole
     start = time.monotonic()
-    with _open_out(out) as write:
+    with _open_out(target) as write:
         result = run_match(records, config, rel_spec, sim_spec, jobs=args.jobs,
                            write=write)
     match_s = time.monotonic() - start
     fold_text = json.dumps(result.fold_plan.assignment, sort_keys=True)
-    bucket_text = json.dumps([(br.bucket.bucket_id,
-                               [r.id for r in br.bucket.members])
-                              for br in result.buckets])
+    bucket_text = _bucket_plan(br.bucket for br in result.buckets)
     manifest = {
         "config": {**_config_snapshot(config, rel_spec, sim_spec), "jobs": args.jobs},
         "inputs": inputs,
-        "outputs": {str(out): write.hexdigest(),
+        "outputs": {str(out): write.digest.hexdigest(),
                     "fold_plan": hashlib.sha256(fold_text.encode("utf-8")).hexdigest(),
                     "buckets": hashlib.sha256(bucket_text.encode("utf-8")).hexdigest()},
         "timings": {"parse": parse_s, "match": match_s},
     }
-    if not _is_stdout(out):
-        _write_out(str(out) + ".manifest.json", [
+    if manifest_target is not None:
+        _write_out(manifest_target, [
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"])
     # stdout may be the items themselves, so the status line goes to stderr
     print(f"wrote {result.item_count} items to {out}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, outputs) -> int:
     config, rel_spec, sim_spec = _load_config(args)
     if args.grid is not None:
         try:
             grid = [float(x) for x in args.grid.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid value: {exc}")
+            for lam in grid:  # every point, before any of them runs
+                config.with_lambda(lam)
+        except ValueError as exc:  # MatchingError included
+            raise ConfigError(f"bad --grid value: {exc}") from exc
         if not grid:
             raise ConfigError(f"--grid {args.grid!r} holds no lambda value")
-        for lam in grid:  # every point, before any of them runs
-            try:
-                config.with_lambda(lam)
-            except MatchingError as exc:
-                raise ConfigError(f"bad --grid value: {exc}") from exc
+    out = Path(args.out or "sweep.txt")
+    target = outputs.stage(out)
+    csv_target = None if target is None else outputs.stage(f"{out}.csv")
     records = _read_corpus(args.input)
     if args.grid is None:
         grid = [config.resolved_lambda(resolve_mode(records, config))]
     rows = lambda_sweep(records, grid, config, rel_spec, sim_spec, jobs=args.jobs)
     table = format_sweep_table(rows)
-    out = Path(args.out or "sweep.txt")
-    _write_out(out, [table])
-    if not _is_stdout(out):
-        _write_out(str(out) + ".csv", [format_sweep_csv(rows)])
+    _write_out(target, [table])
+    if csv_target is not None:
+        _write_out(csv_target, [format_sweep_csv(rows)])
         print(table, end="")
     return EXIT_OK
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args, outputs) -> int:
     with open(args.input, "rb") as f:
-        eval_items = parse_items(f)
+        eval_items = train_items = parse_items(f)
     if args.train:
         with open(args.train, "rb") as f:
             train_items = parse_items(f)
-    else:
-        train_items = eval_items
     accuracy = frequency_prior_probe(train_items, eval_items)
     print(f"frequency_prior_accuracy\t{accuracy!r}")
     print(f"chance\t{1.0 / len(eval_items[0].choices)!r}")
     return EXIT_OK
-
-
-def _is_stdout(path) -> bool:
-    return path is None or str(path) == "-"
 
 
 DIGEST_CHUNK = 1 << 20
@@ -342,52 +330,54 @@ def _hashed_lines(stream: BinaryIO, digest) -> Iterator[bytes]:
 
 
 class _Sink:
-    """Writes str chunks to a binary stream as UTF-8 and hashes those bytes."""
+    """Writes str chunks to a binary stream as UTF-8, hashed into ``digest``."""
 
     def __init__(self, stream: BinaryIO):
         self._stream = stream
-        self._digest = hashlib.sha256()
+        self.digest = hashlib.sha256()
 
     def __call__(self, chunk: str) -> None:
         data = chunk.encode("utf-8")
         self._stream.write(data)
-        self._digest.update(data)
-
-    def hexdigest(self) -> str:
-        return self._digest.hexdigest()
+        self.digest.update(data)
 
 
-def _temp_path(path: Path) -> Path:
-    """The name a file is written under before it is renamed onto ``path``."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+@dataclass
+class _Outputs:
+    """A command's output files and the directories made for them."""
+
+    staged: list[tuple[Path, Path]] = field(default_factory=list)  # (temporary, name)
+    made: list[Path] = field(default_factory=list)  # deepest first
+
+    def stage(self, path) -> Path | None:
+        """The name to write ``path`` under (None: stdout); refuses a directory."""
+        if path is None or str(path) == "-":
+            return None
+        path = Path(path)
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory, not an output file")
+        self.staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
+        return self.staged[-1][0]
+
+    def make_dir(self, path: Path) -> Path:
+        self.made += [d for d in (path, *path.parents) if not d.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+        return path
 
 
 @contextlib.contextmanager
 def _open_out(path) -> Iterator[_Sink]:
-    """A ``_Sink`` on ``path``, or on stdout's bytes for ``-``.
-
-    A file is written under a temporary name beside ``path`` and renamed
-    onto it when the block ends without error; otherwise the temporary
-    file is removed, so a failed command leaves no output file and an
-    existing one untouched.  On stdout, whatever the encoding of its text
-    layer, the bytes are UTF-8, and what was written before an error stays.
-    """
-    if _is_stdout(path):
+    """A ``_Sink`` on the file ``path``, or on stdout's bytes for None: UTF-8
+    whatever its text layer's encoding, and kept up to an error."""
+    if path is None:
         sys.stdout.flush()  # text printed earlier goes first
         try:
             yield _Sink(sys.stdout.buffer)
         finally:
             sys.stdout.buffer.flush()
         return
-    path = Path(path)
-    tmp = _temp_path(path)
-    try:
-        with open(tmp, "wb") as f:
-            yield _Sink(f)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with open(path, "wb") as f:
+        yield _Sink(f)
 
 
 def _write_out(path, chunks: Iterable[str]) -> None:
@@ -450,14 +440,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    outputs = _Outputs()
     try:
-        return args.func(args)
-    except _DATA_ERRORS as exc:
+        code = args.func(args, outputs)
+        for temp, path in outputs.staged:  # the one place an output is renamed
+            os.replace(temp, path)
+        return code
+    except BaseException as exc:
+        for temp, _ in outputs.staged:
+            temp.unlink(missing_ok=True)
+        for d in outputs.made:
+            with contextlib.suppress(OSError):  # not empty: not ours alone
+                d.rmdir()
+        if not isinstance(exc, (*_DATA_ERRORS, ConfigError, OSError,
+                                json.JSONDecodeError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

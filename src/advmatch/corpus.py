@@ -220,11 +220,19 @@ def record_to_json(record: Record, fold: int | None = None) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def record_from_obj(obj: dict, lineno: int = 0) -> Record:
-    """Build a Record from a decoded JSONL object; structural checks only."""
+_FIELDS = ("id", "source_key", "query", "gold", "objects", "task_mode")
+
+
+def record_from_obj(obj: dict, lineno: int = 0, surrogates: bool = True) -> Record:
+    """Build a Record from a decoded JSONL object; structural checks only.
+
+    With ``surrogates``, a string field or class label holding a lone
+    surrogate, which no output could encode as UTF-8, is refused.  A line
+    decoded from UTF-8 can hold one only through a ``\\u`` escape.
+    """
     if not isinstance(obj, dict):
         raise CorpusError(f"line {lineno}: expected a JSON object")
-    for key in ("id", "source_key", "query", "gold", "objects", "task_mode"):
+    for key in _FIELDS:
         if key not in obj:
             raise CorpusError(f"line {lineno}: missing field {key!r}")
         if key != "objects" and not isinstance(obj[key], str):
@@ -237,6 +245,14 @@ def record_from_obj(obj: dict, lineno: int = 0) -> Record:
         objects = None
     if objects is None:
         raise CorpusError(f"line {lineno}: objects must be a list of class labels")
+    if surrogates:
+        for key in _FIELDS:
+            try:
+                for text in objects if key == "objects" else (obj[key],):
+                    text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusError(f"line {lineno}: field {key!r} cannot be encoded "
+                                  f"as UTF-8 ({exc.reason})") from None
     embedding = obj.get("embedding")
     if embedding is not None:
         if not isinstance(embedding, list) or not all(
@@ -254,11 +270,11 @@ def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
 
     Blank lines are skipped.  ``record`` is None where the line does not
     build one (bad UTF-8, malformed JSON, not an object, missing or
-    mistyped field); otherwise the problems are its invariant violations,
-    a duplicate id, and an embedding length that differs from the first
-    non-empty embedding's.  Every problem names the line and, once the
-    record is built, its id.  A line's problems depend only on it and the
-    lines before it.
+    mistyped field, a lone surrogate); otherwise the problems are its
+    invariant violations, a duplicate id, and an embedding length that
+    differs from the first non-empty embedding's.  Every problem names the
+    line and, once the record is built, its id.  A line's problems depend
+    only on it and the lines before it.
     """
     seen: dict[str, int] = {}
     embed_len = embed_line = 0
@@ -267,7 +283,8 @@ def scan_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str],
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
             if not line:
                 continue
-            record = record_from_obj(json.loads(line), lineno)
+            record = record_from_obj(json.loads(line), lineno,
+                                     not isinstance(raw, bytes) or "\\u" in line)
         except UnicodeDecodeError as exc:
             yield None, [f"line {lineno}: not valid UTF-8 ({exc})"]
             continue

@@ -310,7 +310,10 @@ def _read_header(f: IO[bytes], path: Path) -> tuple[str, list[str]]:
     if not isinstance(ids, list) or type(n) is not int or n != len(ids):
         raise ScoringError(f"{path}: header n={n!r} must be the length of a "
                            "list of ids")
-    return role, [str(x) for x in ids]
+    bad = [x for x in ids if not isinstance(x, str)]
+    if bad:
+        raise ScoringError(f"{path}: header ids must be strings, got {bad[0]!r}")
+    return role, ids
 
 
 def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[str]]:

@@ -72,6 +72,24 @@ class TestValidate:
         assert capsys.readouterr().out.splitlines() == [
             "line 3: field 'query' must be a string", f"1 problem(s) in {bad}"]
 
+    def test_lone_surrogate_exit_one_names_field(self, workspace, capsys):
+        tmp, corpus, config = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        # json.dumps writes the lone surrogate as the JSON escape \ud800
+        lines[2] = json.dumps({**json.loads(lines[2]), "gold": "it \ud800 rains ."})
+        bad = tmp / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = ("line 3: field 'gold' cannot be encoded as UTF-8 "
+                   "(surrogates not allowed)")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            message, f"1 problem(s) in {bad}"]
+        out = tmp / "items.jsonl"
+        assert main(["match", str(bad), "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_duplicate_id_reported(self, tmp_path, capsys):
         r = make_record(0, "m", "why go ?", "home .")
         corpus = tmp_path / "dup.jsonl"
@@ -251,6 +269,19 @@ class TestMatch:
         assert manifest["config"]["seed"] == 7
         assert "match" in manifest["timings"]
         assert set(manifest["outputs"]) == {str(out), "fold_plan", "buckets"}
+
+    def test_manifest_bucket_digest_is_the_buckets_output(self, tmp_path):
+        records = multi_fold_corpus(n_keys=12, per_key=3, seed=4)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        argv = [str(corpus), "--seed", "5", "--rounds", "2"]
+        plan = tmp_path / "buckets.jsonl"
+        assert main(["buckets", *argv, "--out", str(plan)]) == 0
+        assert len(plan.read_text().splitlines()) > 1
+        out = tmp_path / "items.jsonl"
+        assert main(["match", *argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "items.jsonl.manifest.json").read_text())
+        assert manifest["outputs"]["buckets"] == digest_bytes(plan.read_bytes())
 
     def test_out_dash_writes_only_items_to_stdout(self, workspace, capsys,
                                                     monkeypatch):
@@ -552,6 +583,30 @@ class TestMatch:
         written = parse_items(capsys.readouterr().out.splitlines())
         assert len(written) == sum(len(b.members) for b in buckets[:-1])
 
+    def test_directory_at_the_manifest_path_is_refused_first(self, workspace,
+                                                             capsys, monkeypatch):
+        tmp, corpus, config = workspace
+        (tmp / "items.jsonl.manifest.json").mkdir()
+        monkeypatch.setattr(cli, "run_match", lambda *a, **k: pytest.fail("ran"))
+        out = tmp / "items.jsonl"
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "items.jsonl.manifest.json is a directory" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "config.json", "corpus.jsonl", "items.jsonl.manifest.json"]
+
+    @pytest.mark.parametrize("command", ["split", "buckets", "match", "sweep"])
+    def test_directory_at_out_is_refused_before_the_corpus_is_read(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, str(tmp_path / "missing.jsonl"), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert f"{out} is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not list(out.iterdir())
+
     def test_infeasible_corpus_exit_one(self, tmp_path, capsys):
         records = simple_bucket_corpus(3, seed=0)  # below rounds + 1
         corpus = tmp_path / "small.jsonl"
@@ -732,6 +787,41 @@ class TestScoreAndExternalMatrices:
         assert [p.name for p in out.iterdir()] == [written[0].name]
         assert (out / written[0].name).read_bytes() == b"kept"
 
+    def test_failed_score_removes_the_out_directory_it_made(self, workspace,
+                                                            capsys):
+        tmp, corpus, config = workspace
+        argv = ["score", str(corpus), "--config", str(config),
+                "--rel-matrix", str(tmp / "missing")]
+        out = tmp / "new" / "scores"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "missing" in capsys.readouterr().err
+        assert not (tmp / "new").exists()
+        # an --out that was there keeps what it held
+        out.mkdir(parents=True)
+        (out / "kept.scm").write_bytes(b"kept")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["kept.scm"]
+        assert (out / "kept.scm").read_bytes() == b"kept"
+
+    def test_directory_at_a_matrix_path_is_refused_before_scoring(
+            self, workspace, capsys, monkeypatch):
+        tmp, corpus, config = workspace
+        scores = tmp / "scores"
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 0
+        (similarity,) = scores.glob("*.similarity.scm")
+        similarity.unlink()
+        similarity.mkdir()
+        (relevance,) = scores.glob("*.relevance.scm")
+        kept = relevance.read_bytes()
+        monkeypatch.setattr(cli, "score_bucket", lambda *a: pytest.fail("scored"))
+        capsys.readouterr()
+        assert main(["score", str(corpus), "--config", str(config),
+                     "--out", str(scores)]) == 2
+        assert f"{similarity} is a directory" in capsys.readouterr().err
+        assert sorted(scores.iterdir()) == [relevance, similarity]
+        assert relevance.read_bytes() == kept
+
     def test_two_matrices_for_one_bucket_exit_one_naming_both(self, workspace,
                                                                capsys):
         tmp, corpus, config = workspace
@@ -779,7 +869,19 @@ class TestSweepAndProbe:
             main(["sweep", str(corpus), "--config", str(config), "--grid", "1.0",
                   "--out", str(tmp / "sweep.txt")])
         assert not (tmp / "sweep.txt.csv").exists()
+        assert not (tmp / "sweep.txt").exists()
         assert not list(tmp.glob(".*.tmp"))
+
+    def test_directory_at_the_csv_path_is_refused_first(self, workspace, capsys,
+                                                        monkeypatch):
+        tmp, corpus, config = workspace
+        (tmp / "sweep.txt.csv").mkdir()
+        monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: pytest.fail("ran"))
+        assert main(["sweep", str(corpus), "--config", str(config), "--grid", "1.0",
+                     "--out", str(tmp / "sweep.txt")]) == 2
+        assert "sweep.txt.csv is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "config.json", "corpus.jsonl", "sweep.txt.csv"]
 
     def test_sweep_out_dash_prints_the_table_once(self, workspace, capsys,
                                                   monkeypatch):

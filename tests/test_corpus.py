@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestParse:
         assert list(scan_records([line])) == [(None, [message])]
         with pytest.raises(CorpusError, match=message):
             parse_records([line])
+
+    @pytest.mark.parametrize("field", ["id", "source_key", "query", "gold",
+                                       "task_mode", "objects"])
+    def test_lone_surrogate_is_refused(self, field):
+        # no output could encode it as UTF-8
+        value = ["person", "\ud800"] if field == "objects" else "it \ud800 rains ."
+        message = (f"line 1: field '{field}' cannot be encoded as UTF-8 "
+                   "(surrogates not allowed)")
+        escaped = _line(**{field: value})
+        assert "\\ud800" in escaped  # json.dumps writes the JSON escape
+        raw = json.dumps({**json.loads(escaped), field: value}, ensure_ascii=False)
+        for stream in ([escaped], [escaped.encode("utf-8")], [raw]):
+            assert list(scan_records(stream)) == [(None, [message])]
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            parse_records([escaped])
 
     def test_embedding_length_mismatch(self):
         lines = [_line(id="a", embedding=[1.0, 2.0]),

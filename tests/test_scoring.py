@@ -450,8 +450,11 @@ class TestMatrixFiles:
         ({"n": 3}, "n=3 must be"),
         ({"ids": 5}, "n=2 must be the length of a list"),
         ({"ids": "ab"}, "n=2 must be the length of a list"),
+        # read as text, these would silently match records "1" and "None"
+        ({"ids": [1, None]}, "ids must be strings, got 1"),
+        ({"ids": ["a", None]}, "ids must be strings, got None"),
     ], ids=["list", "n-text", "n-null", "n-float", "n-bool", "n-not-len", "ids-int",
-            "ids-text"])
+            "ids-text", "ids-not-text", "ids-null"])
     def test_malformed_header_is_a_scoring_error(self, tmp_path, header, message):
         if isinstance(header, dict):
             header = {**self.HEADER, **header}

@@ -97,8 +97,9 @@ grep -q "no external relevance matrix" "$work/failed_scores.err"
 [ ! -e "$work/failed_scores" ]
 # a command refused for its output paths exits 2 and leaves no new file
 # or directory: a directory where match's manifest or sweep's CSV would
-# go is refused before any matching, and a score whose --rel-matrix is
-# missing removes the --out directory it made
+# go, or an output in a missing directory, is refused before any
+# matching, and a score whose --rel-matrix is missing removes the --out
+# directory it made
 mkdir -p "$work/refused/items.jsonl.manifest.json" "$work/refused/sweep.txt.csv"
 refused() {  # the command's arguments; its stderr goes to refused.err
   local before status=0
@@ -111,6 +112,9 @@ refused match "$work/corpus.jsonl" --config "$work/config.json" --out "$work/ref
 grep -q "manifest.json is a directory" "$work/refused.err"
 refused sweep "$work/corpus.jsonl" --config "$work/config.json" --grid 1.0 --out "$work/refused/sweep.txt"
 grep -q "sweep.txt.csv is a directory" "$work/refused.err"
+# (the corpus is missing too: the output's directory is named first)
+refused sweep "$work/no_corpus.jsonl" --config "$work/config.json" --grid 1.0 --out "$work/refused/missing/sweep.txt"
+grep -q "No such file or directory: '$work/refused/missing/" "$work/refused.err"
 refused score "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/refused/missing" --out "$work/refused/scores"
 grep -q "No such file or directory" "$work/refused.err"
 # a score file whose body is not float32, or whose header is malformed,
@@ -138,6 +142,14 @@ PY
 }
 rejected_score_file tsv_scores 'n = len(header["ids"]); f.write_bytes(json.dumps(header).encode() + b"\n" + ("\t".join(["0.5"] * n) + "\n").encode() * n)'
 rejected_score_file bad_n_scores 'header["n"] = "x"; f.write_bytes(json.dumps(header).encode() + b"\n" + body)'
+# an items line that is not UTF-8 fails probe as data: exit 1 and one
+# error line naming the line, no traceback
+{ head -n 1 "$work/items.jsonl"; printf '\xff\n'; tail -n +2 "$work/items.jsonl"; } > "$work/not_utf8.jsonl"
+status=0
+advmatch probe "$work/not_utf8.jsonl" > /dev/null 2> "$work/not_utf8.err" || status=$?
+[ "$status" -eq 1 ]
+[ "$(wc -l < "$work/not_utf8.err")" -eq 1 ]
+grep -q "^error: line 2: not valid UTF-8" "$work/not_utf8.err"
 # a corpus field that is not a JSON string is a problem validate names
 python -c "import json; lines = open('$work/corpus.jsonl').read().splitlines(); first = json.loads(lines[0]); first['query'] = None; open('$work/null_query.jsonl', 'w').write('\n'.join([json.dumps(first), *lines[1:]]) + '\n')"
 status=0

@@ -11,8 +11,8 @@ from .assignment import Assignment, AssignmentError, WeightMatrix, solve_lap_max
 from .bucketing import (Bucket, BucketKey, BucketingError, build_buckets,
                         cluster_embeddings, pronoun_class, question_type)
 from .corpus import (CorpusError, FoldPlan, Record, Token, parse_records,
-                     parse_token_stream, record_to_json, serialize_records,
-                     split_folds, tokens_to_text, validate_record)
+                     parse_token_stream, serialize_records, split_folds,
+                     tokens_to_text, validate_record)
 from .diagnostics import SweepRow, frequency_prior_probe, lambda_sweep
 from .matcher import (MatchConfig, MatchingError, MCQItem, export_mcq,
                       parse_items, run_rounds, weight_matrix, write_items)
@@ -28,7 +28,7 @@ __all__ = [
     "Bucket", "BucketKey", "BucketingError", "build_buckets",
     "cluster_embeddings", "pronoun_class", "question_type",
     "CorpusError", "FoldPlan", "Record", "Token",
-    "parse_records", "parse_token_stream", "record_to_json",
+    "parse_records", "parse_token_stream",
     "serialize_records", "split_folds", "tokens_to_text", "validate_record",
     "SweepRow", "frequency_prior_probe", "lambda_sweep",
     "MatchConfig", "MatchingError", "MCQItem",

@@ -11,9 +11,12 @@ the flags of the one before it and adds its own.  ``match`` also writes
 the run's manifest, which it builds here.
 
 Each command stages every output file (``_Outputs``) before its expensive
-work and writes it under a temporary name; ``main`` renames them all once
-the command returns and removes them if it raised, so a failed command
-leaves no output file.  ``--out -`` streams to stdout, unstaged.
+work: staging creates the file empty under a temporary name, so an output
+that cannot be written fails the command before it reads the corpus.
+``main`` renames them all once the command returns and removes them if it
+raised, so a failed command leaves no output file.  ``--out -`` streams to
+stdout, unstaged.  ``main`` reports a data, config or I/O error as one
+``error:`` line; any other exception is a fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -126,6 +129,8 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
                 raw = json.load(f)
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not valid UTF-8 ({exc})") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: malformed config JSON ({exc.msg})")
         if not isinstance(raw, dict):
@@ -350,14 +355,17 @@ class _Outputs:
     made: list[Path] = field(default_factory=list)  # deepest first
 
     def stage(self, path) -> Path | None:
-        """The name to write ``path`` under (None: stdout); refuses a directory."""
+        """The name to write ``path`` under (None: stdout), created empty here;
+        refuses a directory."""
         if path is None or str(path) == "-":
             return None
         path = Path(path)
         if path.is_dir():
             raise ConfigError(f"{path} is a directory, not an output file")
-        self.staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
-        return self.staged[-1][0]
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        temp.open("wb").close()
+        self.staged.append((temp, path))
+        return temp
 
     def make_dir(self, path: Path) -> Path:
         self.made += [d for d in (path, *path.parents) if not d.exists()]
@@ -452,8 +460,7 @@ def main(argv=None) -> int:
         for d in outputs.made:
             with contextlib.suppress(OSError):  # not empty: not ours alone
                 d.rmdir()
-        if not isinstance(exc, (*_DATA_ERRORS, ConfigError, OSError,
-                                json.JSONDecodeError)):
+        if not isinstance(exc, (*_DATA_ERRORS, ConfigError, OSError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_CONFIG

@@ -203,23 +203,6 @@ def validate_record(record: Record) -> list[str]:
     return v
 
 
-def record_to_json(record: Record, fold: int | None = None) -> str:
-    """Serialize one record to its JSONL line (optionally with fold index)."""
-    obj: dict = {
-        "id": record.id,
-        "source_key": record.source_key,
-        "task_mode": record.task_mode,
-        "query": tokens_to_text(record.query),
-        "gold": tokens_to_text(record.gold),
-        "objects": list(record.objects),
-    }
-    if record.embedding is not None:
-        obj["embedding"] = list(record.embedding)
-    if fold is not None:
-        obj["fold"] = fold
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 _FIELDS = ("id", "source_key", "query", "gold", "objects", "task_mode")
 
 
@@ -329,12 +312,21 @@ def parse_records(stream: IO[bytes] | IO[str] | Iterable[bytes | str]) -> list[R
 
 def serialize_records(records: Iterable[Record],
                       folds: dict[str, int] | None = None) -> str:
-    """Records back to JSONL text; inverse of :func:`parse_records`."""
+    """Records back to JSONL text, one line each; inverse of
+    :func:`parse_records`.  With ``folds``, a record whose source key it
+    maps also carries its ``fold``."""
+    folds = folds or {}
     lines = []
     for r in records:
-        fold = folds.get(r.source_key) if folds is not None else None
-        lines.append(record_to_json(r, fold=fold))
-    return "\n".join(lines) + ("\n" if lines else "")
+        obj: dict = {"id": r.id, "source_key": r.source_key, "task_mode": r.task_mode,
+                     "query": tokens_to_text(r.query), "gold": tokens_to_text(r.gold),
+                     "objects": list(r.objects)}
+        if r.embedding is not None:
+            obj["embedding"] = list(r.embedding)
+        if (fold := folds.get(r.source_key)) is not None:
+            obj["fold"] = fold
+        lines.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)

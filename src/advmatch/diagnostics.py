@@ -10,7 +10,9 @@ Two probes stand in for human evaluation at desk scale:
   (``BucketResult.attack_hits``), from the relevance matrix it scored when
   that is overlap and from the attacker's own matrix otherwise, and the
   sweep divides their sum by the item count, so no item is parsed back in
-  the parent;
+  the parent.  A run's error propagates as the pipeline raised it: the
+  data errors a sweep can meet (corpus, bucketing, scoring, external
+  matrices) do not depend on lambda;
 * frequency_prior_probe: predict from per-response gold rates alone,
   without ever reading the query.  On well-matched output every response
   is gold once and a distractor K times, so the probe converges to
@@ -20,7 +22,7 @@ Two probes stand in for human evaluation at desk scale:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .matcher import MCQItem, MatchConfig
 from .pipeline import RunResult, run_match
@@ -38,29 +40,26 @@ def canonical_choice_text(tokens: Sequence[Token]) -> str:
 
 
 def frequency_prior_probe(train_items: Sequence[MCQItem],
-                          eval_items: Sequence[MCQItem],
-                          feature: Callable[[Sequence[Token]], object] | None = None,
-                          ) -> float:
+                          eval_items: Sequence[MCQItem]) -> float:
     """Accuracy of predicting gold from per-response gold rates alone.
 
     Builds a (times gold / times appearing) table over the train items'
-    choices, then on each eval item predicts the choice with the highest
-    rate (unseen -> 0.0, ties -> first choice).  ``feature`` customizes how
-    a choice is keyed; the default is its class-canonical text.
+    choices, keyed by their :func:`canonical_choice_text`, then on each
+    eval item predicts the choice with the highest rate (unseen -> 0.0,
+    ties -> first choice).
     """
     if not train_items or not eval_items:
         raise DiagnosticsError("probe needs non-empty train and eval items")
-    key = feature or canonical_choice_text
-    counts: dict[object, list[int]] = {}
+    counts: dict[str, list[int]] = {}
     for item in train_items:
         for pos, choice in enumerate(item.choices):
-            entry = counts.setdefault(key(choice), [0, 0])
+            entry = counts.setdefault(canonical_choice_text(choice), [0, 0])
             entry[0] += pos == item.gold_index
             entry[1] += 1
     rates = {k: g / s for k, (g, s) in counts.items()}
     hits = 0
     for item in eval_items:
-        choice_rates = [rates.get(key(c), 0.0) for c in item.choices]
+        choice_rates = [rates.get(canonical_choice_text(c), 0.0) for c in item.choices]
         if choice_rates.index(max(choice_rates)) == item.gold_index:
             hits += 1
     return hits / len(eval_items)
@@ -101,11 +100,8 @@ def lambda_sweep(records, grid: Sequence[float], config: MatchConfig,
         raise DiagnosticsError("lambda grid is empty")
     rows = []
     for lam in grid:
-        try:
-            result = run_match(records, config.with_lambda(lam),
-                               rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs)
-        except ValueError as exc:
-            raise DiagnosticsError(f"lambda={lam}: {exc}") from exc
+        result = run_match(records, config.with_lambda(lam),
+                           rel_spec=rel_spec, sim_spec=sim_spec, jobs=jobs)
         sim_mean, rel_mean = _matched_means(result)
         hits = sum(br.attack_hits for br in result.buckets)
         rows.append(SweepRow(

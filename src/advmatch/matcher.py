@@ -194,19 +194,10 @@ class MCQItem:
     bucket_id: str | None = None
 
 
+# compact json.dumps; it writes an int as repr does
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 # what _encode returns for a str
 _quote = json.encoder.encode_basestring
-
-
-def _json_value(value) -> str:
-    """json.dumps of one string or scalar; an int skips the encoder's setup."""
-    return repr(value) if type(value) is int else _encode(value)
-
-
-def _json_values(values: Iterable) -> list[str]:
-    """:func:`_json_value` of each value; a str goes straight to the quoting."""
-    return [_quote(v) if isinstance(v, str) else _json_value(v) for v in values]
 
 
 _GOLD = '{"kind":"gold"}'
@@ -254,8 +245,8 @@ def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[s
                             f"{len(bucket)} records and {len(texts)} texts")
     key = scope_key(seed, "shuffle") + "\x1f"
     orders = Substreams([key + str(r.id) for r in bucket]).permutation(k + 1)
-    ids = _json_values(r.id for r in bucket)
-    rounds = _json_values(range(1, k + 1))
+    ids = [_quote(r.id) for r in bucket]
+    rounds = list(map(repr, range(1, k + 1)))
     # choice t of query i, before shuffling, at [i, t]
     choices = np.array([_quote(tokens_to_text(r.gold)) for r in bucket]
                        + list(map(_quote, texts)), dtype=object).reshape(k + 1, n).T
@@ -265,7 +256,7 @@ def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[s
     rows = np.arange(n)[:, None]
     modes = {mode: _quote(mode) for mode in {r.task_mode for r in bucket}}
     return _item_lines(
-        ids, _json_value(fold), _json_value(bucket_id), [modes[r.task_mode] for r in bucket],
+        ids, _encode(fold), _encode(bucket_id), [modes[r.task_mode] for r in bucket],
         [_quote(tokens_to_text(r.query)) for r in bucket], choices[rows, orders].tolist(),
         orders.argmin(axis=1).tolist(), provenance[rows, orders].tolist())
 
@@ -278,27 +269,32 @@ def _item_from_json(obj: dict) -> MCQItem:
         else:
             prov.append(Provenance("distractor", p["source"], p["round"]))
     return MCQItem(
-        id=str(obj["id"]),
+        id=obj["id"],
         query=parse_token_stream(obj["query"]),
         choices=tuple(parse_token_stream(c) for c in obj["choices"]),
-        gold_index=int(obj["gold_index"]),
+        gold_index=obj["gold_index"],
         provenance=tuple(prov),
-        task_mode=obj.get("task_mode", "qa"),
-        fold=obj.get("fold"),
-        bucket_id=obj.get("bucket"),
+        task_mode=obj["task_mode"],
+        fold=obj["fold"],
+        bucket_id=obj["bucket"],
     )
 
 
 def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQItem]:
     """Read MCQ items back from their JSONL serialization.
 
-    A line that is not an item raises :class:`MatchingError` naming the line
-    and, for a missing field, the field.
+    It reads only what :func:`export_mcq` writes: every field present, an
+    ``id`` that is a string and a ``gold_index`` that is an integer.  A line
+    that is not such an item raises :class:`MatchingError` naming the line
+    and, for a missing or mistyped field, the field.
     """
     items = []
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MatchingError(f"line {lineno}: not valid UTF-8 ({exc})") from None
         line = raw.strip()
         if not line:
             continue
@@ -309,6 +305,10 @@ def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQ
         if not isinstance(obj, dict):
             raise MatchingError(
                 f"line {lineno}: item must be a JSON object, got {type(obj).__name__}")
+        for key, kind, name in (("id", str, "a string"), ("gold_index", int, "an integer")):
+            if key in obj and type(obj[key]) is not kind:  # a bool is no integer
+                raise MatchingError(f"line {lineno}: field {key!r} must be {name}, "
+                                    f"got {obj[key]!r}")
         try:
             items.append(_item_from_json(obj))
         except KeyError as exc:
@@ -322,10 +322,10 @@ def write_items(items: Iterable[MCQItem]) -> str:
     """The JSONL of the items, one line each, as :func:`export_mcq` writes it."""
     lines = []
     for it in items:
-        prov = [_GOLD if p.kind == "gold" else _distractor(*_json_values(
-            (p.source_id, p.round_index))) for p in it.provenance]
+        prov = [_GOLD if p.kind == "gold" else _distractor(
+            _encode(p.source_id), _encode(p.round_index)) for p in it.provenance]
         lines += _item_lines(
-            _json_values([it.id]), _json_value(it.fold), _json_value(it.bucket_id),
-            _json_values([it.task_mode]), [_quote(tokens_to_text(it.query))],
+            [_encode(it.id)], _encode(it.fold), _encode(it.bucket_id),
+            [_encode(it.task_mode)], [_quote(tokens_to_text(it.query))],
             [[_quote(tokens_to_text(c)) for c in it.choices]], [it.gold_index], [prov])
     return "".join(lines)

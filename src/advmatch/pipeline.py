@@ -98,6 +98,10 @@ class RunResult:
 
 
 def resolve_mode(records: Sequence[Record], config: MatchConfig) -> str:
+    """The config's mode, else the one mode of every record; an empty corpus
+    is refused first."""
+    if not records:
+        raise PipelineError("corpus is empty")
     if config.mode is not None:
         return config.mode
     modes = {r.task_mode for r in records}
@@ -245,8 +249,6 @@ def run_match(records: Sequence[Record], config: MatchConfig,
     own scorer, and else from the attacker's matrix scored beside it, so
     overlap relevance is never scored twice for one bucket.
     """
-    if not records:
-        raise PipelineError("corpus is empty")
     if jobs < 1:
         raise PipelineError(f"jobs must be >= 1, got {jobs}")
     rel_spec = rel_spec or ScorerSpec("overlap")

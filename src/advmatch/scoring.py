@@ -344,12 +344,10 @@ def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[st
     return role, vals, ids
 
 
-def matrix_files(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> list[Path]:
-    """The files ``paths`` name, each once: a directory's regular files,
-    sorted, not its subdirectories, and any other path as named.  The store
-    indexes these and ``advmatch match``'s manifest digests them."""
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [paths]
+def matrix_files(paths: Iterable[str | os.PathLike]) -> list[Path]:
+    """The files a list of ``paths`` names, each once: a directory's regular
+    files, sorted, not its subdirectories, and any other path as named.  The
+    store indexes these and ``advmatch match``'s manifest digests them."""
     files: list[Path] = []
     for p in map(Path, paths):
         files += sorted(f for f in p.iterdir() if f.is_file()) if p.is_dir() else [p]
@@ -359,7 +357,7 @@ def matrix_files(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> list
 class ExternalMatrixStore:
     """Index of score-matrix files keyed by (role, record-id tuple).
 
-    ``paths`` may name files or directories, listed by :func:`matrix_files`.
+    ``paths`` is a list of files or directories, listed by :func:`matrix_files`.
     Two files holding the same role for the same record ids raise
     :class:`ScoringError` naming both.  Only the header lines are read up
     front: a file's values are read when :meth:`for_bucket` asks for them,
@@ -368,7 +366,7 @@ class ExternalMatrixStore:
     provenance mismatches.
     """
 
-    def __init__(self, paths: str | os.PathLike | Iterable[str | os.PathLike]):
+    def __init__(self, paths: Iterable[str | os.PathLike]):
         self._files: dict[tuple[str, tuple[str, ...]], Path] = {}
         for f in matrix_files(paths):
             with open(f, "rb") as stream:

@@ -495,6 +495,17 @@ class TestMatch:
         assert f"config {key!r} must be" in capsys.readouterr().err
         assert not (tmp / "x").exists()
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, workspace, capsys):
+        tmp, corpus, _ = workspace
+        config = tmp / "latin1.json"
+        config.write_bytes('{"seed": 1, "mode": "qà"}'.encode("latin-1"))
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: not valid UTF-8 ('utf-8' codec can't decode byte 0xe0 "
+            "in position 22: invalid continuation byte)\n")
+        assert not (tmp / "x").exists()
+
     def test_integral_float_is_an_integer(self, workspace):
         tmp, corpus, _ = workspace
         config = tmp / "float_rounds.json"
@@ -606,6 +617,25 @@ class TestMatch:
         assert f"{out} is a directory" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["split", "buckets", "match", "sweep"])
+    def test_unwritable_out_is_refused_before_the_corpus_is_read(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "nodir" / "out"
+        assert main([command, str(tmp_path / "missing.jsonl"), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(out.parent) in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["buckets", "score", "match", "sweep"])
+    def test_empty_corpus_is_refused_as_empty(self, tmp_path, capsys, command):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        assert main([command, str(corpus), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: corpus is empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
     def test_infeasible_corpus_exit_one(self, tmp_path, capsys):
         records = simple_bucket_corpus(3, seed=0)  # below rounds + 1
@@ -883,6 +913,15 @@ class TestSweepAndProbe:
         assert sorted(p.name for p in tmp.iterdir()) == [
             "config.json", "corpus.jsonl", "sweep.txt.csv"]
 
+    def test_unwritable_out_is_refused_before_the_sweep(self, workspace, capsys,
+                                                         monkeypatch):
+        tmp, corpus, config = workspace
+        monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: pytest.fail("ran"))
+        assert main(["sweep", str(corpus), "--config", str(config), "--grid", "1.0",
+                     "--out", str(tmp / "nodir" / "sweep.txt")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.iterdir()) == ["config.json", "corpus.jsonl"]
+
     def test_sweep_out_dash_prints_the_table_once(self, workspace, capsys,
                                                   monkeypatch):
         tmp, corpus, config = workspace
@@ -930,15 +969,29 @@ class TestSweepAndProbe:
          "line 2: item has no 'provenance' field"),
         (lambda item: list(item.values()),
          "line 2: item must be a JSON object, got list"),
-    ], ids=["no-provenance", "array"])
+        (lambda item: {k: v for k, v in item.items() if k != "task_mode"},
+         "line 2: item has no 'task_mode' field"),
+        (lambda item: {**item, "id": 12345},
+         "line 2: field 'id' must be a string, got 12345"),
+        (lambda item: {**item, "gold_index": 1.9},
+         "line 2: field 'gold_index' must be an integer, got 1.9"),
+        (lambda item: {**item, "gold_index": True},
+         "line 2: field 'gold_index' must be an integer, got True"),
+        (lambda item: b"\xff" + json.dumps(item).encode("utf-8"),
+         "line 2: not valid UTF-8 ('utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte)"),
+    ], ids=["no-provenance", "array", "no-task-mode", "id-not-text", "gold-index-float",
+            "gold-index-bool", "not-utf8"])
     def test_probe_names_the_malformed_line(self, workspace, capsys, line, message):
         tmp, corpus, config = workspace
         items = tmp / "items.jsonl"
         main(["match", str(corpus), "--config", str(config), "--out", str(items)])
-        first, second, *rest = items.read_text().splitlines()
+        first, second, *rest = items.read_bytes().splitlines()
+        second = line(json.loads(second))
+        if not isinstance(second, bytes):
+            second = json.dumps(second).encode("utf-8")
         bad = tmp / "bad.jsonl"
-        bad.write_text("\n".join([first, json.dumps(line(json.loads(second))), *rest]),
-                       encoding="utf-8")
+        bad.write_bytes(b"\n".join([first, second, *rest]))
         capsys.readouterr()
         assert main(["probe", str(bad)]) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"

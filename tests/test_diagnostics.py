@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from advmatch.diagnostics import (DiagnosticsError, _matched_means,
                                   format_sweep_table, frequency_prior_probe,
                                   lambda_sweep)
 from advmatch.matcher import MatchConfig, MCQItem, Provenance, parse_items
-from advmatch.pipeline import run_match
+from advmatch.pipeline import PipelineError, run_match
 from advmatch.scoring import ScorerSpec, score_bucket
 
 from conftest import multi_fold_corpus, simple_bucket_corpus, trend_corpus
@@ -73,20 +75,6 @@ class TestFrequencyPriorProbe:
         item = make_item(0, gold_index=2)
         assert frequency_prior_probe([item], [item]) in (0.0, 1.0)
 
-    def test_marker_word_bias_detected(self):
-        # constructed bias: every gold carries a marker word distractors lack
-        items = []
-        for i in range(50):
-            gold_index = i % 4
-            texts = [f"filler {i} {k} ." for k in range(4)]
-            texts[gold_index] = f"verily filler {i} ."
-            items.append(make_item(i, gold_index, texts))
-
-        def marker_feature(tokens):
-            return "verily" in {t.text for t in tokens}
-
-        assert frequency_prior_probe(items, items, feature=marker_feature) == 1.0
-
     def test_text_probe_on_repeated_golds(self):
         # same four texts everywhere; gold always the same text -> probe nails it
         texts = ["alpha .", "beta .", "gamma .", "delta ."]
@@ -145,6 +133,23 @@ class TestLambdaSweep:
         with pytest.raises(DiagnosticsError, match="grid"):
             lambda_sweep(simple_bucket_corpus(8, seed=0), [],
                          MatchConfig(seed=1, n_folds=1))
+
+    def test_a_run_error_propagates_unwrapped(self, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("fault")
+
+        monkeypatch.setattr("advmatch.diagnostics.run_match", fault)
+        with pytest.raises(ValueError) as exc:
+            lambda_sweep(simple_bucket_corpus(8, seed=0), [0.5],
+                         MatchConfig(seed=1, n_folds=1))
+        assert type(exc.value) is ValueError and str(exc.value) == "fault"
+
+    def test_a_pipeline_error_keeps_its_own_message(self):
+        records = simple_bucket_corpus(8, seed=0)
+        records[5] = dataclasses.replace(records[5], id=records[2].id)
+        with pytest.raises(PipelineError) as exc:
+            lambda_sweep(records, [0.5], MatchConfig(seed=1, n_folds=1))
+        assert str(exc.value).startswith("1 record id(s) occur more than once")
 
     def test_sweep_is_pure(self):
         records = simple_bucket_corpus(10, seed=6)

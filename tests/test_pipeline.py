@@ -272,6 +272,12 @@ def test_repeated_record_id_is_named(seed):
         run_match(records, config)
 
 
+def test_empty_corpus_is_refused_before_its_mode_is_resolved():
+    for config in (MatchConfig(seed=0), MatchConfig(seed=0, mode="qa")):
+        with pytest.raises(PipelineError, match="^corpus is empty$"):
+            plan_buckets([], config)
+
+
 def test_plan_resolves_the_mode_before_it_checks_ids():
     # a corpus that mixes modes and repeats an id fails on its modes first,
     # unless the config names the mode

@@ -499,7 +499,7 @@ class TestMatrixFiles:
         write_score_matrix(first, "relevance", np.full((4, 4), 0.25), ids)
         write_score_matrix(second, "relevance", np.full((4, 4), 0.5), ids)
         with pytest.raises(ScoringError) as exc:
-            ExternalMatrixStore(tmp_path)
+            ExternalMatrixStore([tmp_path])
         assert str(first) in str(exc.value) and str(second) in str(exc.value)
         # one file reached through its directory and by name is no clash
         second.unlink()

@@ -22,6 +22,8 @@ advmatch probe "$work/items.jsonl"
 # a pool of two workers writes the same bytes as one process
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --out "$work/items2.jsonl"
 cmp "$work/items.jsonl" "$work/items2.jsonl"
+# a prior fit on a --train file: here the same items, so the same report
+[ "$(advmatch probe "$work/items.jsonl" --train "$work/items2.jsonl")" = "$(advmatch probe "$work/items.jsonl")" ]
 # and the same manifest, but for --jobs, the timings and the output's name
 python - "$work/items.jsonl" "$work/items2.jsonl" <<'PY'
 import json

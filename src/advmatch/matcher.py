@@ -280,13 +280,49 @@ def _item_from_json(obj: dict) -> MCQItem:
     )
 
 
+# what export_mcq writes in an item field, and in a provenance entry's, as
+# a test and its wording; a bool is no integer
+_ITEM_FIELDS = (
+    ("id", lambda v: type(v) is str, "a string"),
+    ("fold", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("bucket", lambda v: v is None or type(v) is str, "a string or null"),
+    ("task_mode", lambda v: v in TASK_MODES, " or ".join(map(repr, TASK_MODES))),
+    ("gold_index", lambda v: type(v) is int, "an integer"),
+)
+_PROVENANCE_FIELDS = (
+    ("kind", lambda v: v in ("gold", "distractor"), "'gold' or 'distractor'"),
+    ("source", lambda v: type(v) is str, "a string"),
+    ("round", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+)
+
+
+def _field_problem(obj: dict) -> str | None:
+    """What an item's fields hold that export_mcq never writes, or None."""
+    for key, test, name in _ITEM_FIELDS:
+        if key in obj and not test(obj[key]):
+            return f"field {key!r} must be {name}, got {obj[key]!r}"
+    prov, choices = obj.get("provenance"), obj.get("choices")
+    if not (isinstance(prov, list) and isinstance(choices, list)):
+        return None
+    if len(prov) != len(choices):
+        return (f"field 'provenance' has {len(prov)} entries for "
+                f"{len(choices)} choices")
+    for k, entry in enumerate(prov):
+        for key, test, name in _PROVENANCE_FIELDS:
+            if isinstance(entry, dict) and key in entry and not test(entry[key]):
+                return (f"field 'provenance' entry {k}: {key!r} must be {name}, "
+                        f"got {entry[key]!r}")
+    return None
+
+
 def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQItem]:
     """Read MCQ items back from their JSONL serialization.
 
-    It reads only what :func:`export_mcq` writes: every field present, an
-    ``id`` that is a string and a ``gold_index`` that is an integer.  A line
-    that is not such an item raises :class:`MatchingError` naming the line
-    and, for a missing or mistyped field, the field.
+    It reads only what :func:`export_mcq` writes: every field present, each
+    field and provenance entry field of the kind ``_ITEM_FIELDS`` and
+    ``_PROVENANCE_FIELDS`` name, and one provenance entry per choice.  A
+    line that is not such an item raises :class:`MatchingError` naming the
+    line and, for a missing or mistyped field, the field.
     """
     items = []
     for lineno, raw in enumerate(stream, start=1):
@@ -305,10 +341,9 @@ def parse_items(stream: IO[str] | IO[bytes] | Iterable[str | bytes]) -> list[MCQ
         if not isinstance(obj, dict):
             raise MatchingError(
                 f"line {lineno}: item must be a JSON object, got {type(obj).__name__}")
-        for key, kind, name in (("id", str, "a string"), ("gold_index", int, "an integer")):
-            if key in obj and type(obj[key]) is not kind:  # a bool is no integer
-                raise MatchingError(f"line {lineno}: field {key!r} must be {name}, "
-                                    f"got {obj[key]!r}")
+        problem = _field_problem(obj)
+        if problem is not None:
+            raise MatchingError(f"line {lineno}: {problem}")
         try:
             items.append(_item_from_json(obj))
         except KeyError as exc:

@@ -13,8 +13,13 @@ indices, from the solver to the item lines and the matched scores.
 The pool receives the planned buckets once, when each worker starts, and
 then each bucket by its index.  A worker also sets the OpenBLAS numpy has
 loaded to one thread as it starts, so that N workers run N BLAS threads
-rather than N times one per CPU.  A worker sends back the bucket's finished
-JSONL text, the scores of its matched pairs and how many of its items the
+rather than N times one per CPU.  A run that matches its buckets in the
+calling process (``--jobs 1``, or one bucket) holds that process at one
+thread while it does, then gives back the count it had, also when it
+raises.  The parent of a pool keeps its count: it runs no BLAS product
+while the workers match, and a thread-count call after a fork restarts
+OpenBLAS's threads, which then spin.  A worker sends back the bucket's
+finished JSONL text, the scores of its matched pairs and how many of its items the
 attacker (the overlap relevance scorer at the run's one eps,
 ``MatchConfig.eps``) answers; no item object and no score matrix leaves
 the worker.  ``run_match`` hands each bucket's text to its ``write``
@@ -31,7 +36,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -163,17 +168,20 @@ def _process_bucket(args) -> tuple[str, np.ndarray, int]:
 # The planned tasks of the run a pool worker serves, set once per worker.
 _worker_tasks: list = []
 
-# OpenBLAS's thread-count setter under the names numpy's wheels export it:
-# numpy >= 2, numpy 1.2x, then a build without the symbol suffix
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                 "openblas_set_num_threads")
+# OpenBLAS's thread-count getter and setter under the names numpy's wheels
+# export them: numpy >= 2, numpy 1.2x, then a build without the symbol suffix
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS numpy has loaded, or None.
+def _blas_threads():
+    """The thread-count ``(getter, setter)`` of the OpenBLAS numpy has loaded,
+    or None.
 
-    It is looked up through numpy's compiled core, whose dependencies hold
-    the BLAS numpy links; another BLAS, or none, has no such symbol.
+    They are looked up through numpy's compiled core, whose dependencies
+    hold the BLAS numpy links; another BLAS, or none, has no such symbols,
+    and a pair is used only where both of its symbols exist.
     """
     import ctypes  # numpy has imported it already
 
@@ -185,20 +193,37 @@ def _blas_thread_setter():
         lib = ctypes.CDLL(core.__file__)
     except OSError:
         return None
-    for name in _BLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            return setter
+    for names in _BLAS_THREADS:
+        pair = [getattr(lib, name, None) for name in names]
+        if None not in pair:
+            return tuple(pair)
     return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS at one thread, then give it back
+    the count it had, also when the block raises."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _init_worker(tasks: list) -> None:
     global _worker_tasks
     _worker_tasks = tasks
     # --jobs N runs N workers of one BLAS thread each, not N x (one per CPU)
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
+    blas = _blas_threads()
+    if blas is not None:
+        blas[1](1)
 
 
 def _run_task(index: int):
@@ -208,7 +233,8 @@ def _run_task(index: int):
 def _outputs(tasks: list, jobs: int) -> Iterator[tuple[str, np.ndarray, int]]:
     """Each task's ``_process_bucket`` output, in task order, as it is ready.
 
-    Closing the iterator early cancels the tasks no worker has started.
+    Tasks matched in this process run at one BLAS thread.  Closing the
+    iterator early cancels the tasks no worker has started.
     """
     if jobs > 1 and len(tasks) > 1:
         # fork inherits the tasks; spawn and forkserver pickle them once
@@ -218,7 +244,8 @@ def _outputs(tasks: list, jobs: int) -> Iterator[tuple[str, np.ndarray, int]]:
                                  initargs=(tasks,)) as pool:
             yield from pool.map(_run_task, range(len(tasks)))
     else:
-        yield from map(_process_bucket, tasks)
+        with _one_blas_thread():
+            yield from map(_process_bucket, tasks)
 
 
 def run_match(records: Sequence[Record], config: MatchConfig,

@@ -22,14 +22,13 @@ turns each gold into a ``%``-format template whose conversions are its tag
 slots.  ``get`` derives the substreams of all the pairs it is given from
 their key strings in one batch (:class:`~advmatch.seeding.Substreams`),
 decodes the draws of every tag slot of those pairs together, slot by
-slot, and fills each pair's template with its drawn tags in one format
-operation; its results are text.
+slot, then fills each pair's template with its drawn tags, one ``%``
+operation per pair in one loop over the pairs; its results are text.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import mod
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +73,7 @@ class CandidateTable:
         golds = [r.gold for r in records]
         self._gold_text = [" ".join([t.display for t in g]) for g in golds]
         # a gold's tags become the conversions of its template
-        self._templates = np.array([" ".join([t.pattern for t in g]) for g in golds],
-                                   dtype=object)
+        self._templates = [" ".join([t.pattern for t in g]) for g in golds]
         slot_tags = [[t for t in g if t.kind == "tag"] for g in golds]
         slots = list(chain.from_iterable(slot_tags))
         self._n_slots = np.array(list(map(len, slot_tags)), dtype=np.intp)
@@ -190,12 +188,8 @@ class CandidateTable:
         found = pick >= 0
         codes[found] = self._pool[pick[found]]
 
-        tags = self._strings[codes]
-        positions = drawn.tolist()
-        for c in np.unique(counts).tolist():
-            rows = np.flatnonzero(counts == c)
-            columns = tags[first[rows, None] + np.arange(c)].T.tolist()
-            texts = map(mod, self._templates[source[rows]].tolist(), zip(*columns))
-            for k, text in zip(rows.tolist(), texts):
-                out[positions[k]] = text
+        tags = self._strings[codes].tolist()
+        for k, j, at, count in zip(drawn.tolist(), source.tolist(), first.tolist(),
+                                   counts.tolist()):
+            out[k] = self._templates[j] % tuple(tags[at:at + count])
         return out

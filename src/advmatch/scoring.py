@@ -347,7 +347,10 @@ def read_score_matrix(path: str | os.PathLike) -> tuple[str, np.ndarray, list[st
 def matrix_files(paths: Iterable[str | os.PathLike]) -> list[Path]:
     """The files a list of ``paths`` names, each once: a directory's regular
     files, sorted, not its subdirectories, and any other path as named.  The
-    store indexes these and ``advmatch match``'s manifest digests them."""
+    store indexes these and ``advmatch match``'s manifest digests them.  A
+    lone path, which would be read as its characters, raises TypeError."""
+    if isinstance(paths, (str, os.PathLike)):
+        raise TypeError(f"paths must be a list of paths, not the lone path {paths!r}")
     files: list[Path] = []
     for p in map(Path, paths):
         files += sorted(f for f in p.iterdir() if f.is_file()) if p.is_dir() else [p]

@@ -964,6 +964,29 @@ class TestSweepAndProbe:
         assert "frequency_prior_accuracy" in out
         assert "chance\t0.25" in out
 
+    def test_probe_fits_the_prior_on_the_train_items(self, workspace, capsys):
+        # train on the items of the odd records, evaluate on the others: an
+        # even record's gold is only ever a distractor in the train items,
+        # so its rate is 0, below that of every odd record's gold
+        tmp, corpus, config = workspace
+        items = tmp / "items.jsonl"
+        main(["match", str(corpus), "--config", str(config), "--out", str(items)])
+        lines = items.read_text(encoding="utf-8").splitlines(keepends=True)
+        odd = [int(json.loads(line)["id"][1:]) % 2 for line in lines]
+        train, evaluate = tmp / "train.jsonl", tmp / "eval.jsonl"
+        train.write_text("".join(l for l, o in zip(lines, odd) if o), encoding="utf-8")
+        evaluate.write_text("".join(l for l, o in zip(lines, odd) if not o),
+                            encoding="utf-8")
+        # every evaluated item has a distractor from an odd record
+        assert all(any(int(p.source_id[1:]) % 2 for p in it.provenance if p.source_id)
+                   for it in parse_items(evaluate.read_bytes().splitlines()))
+        capsys.readouterr()
+        assert main(["probe", str(evaluate), "--train", str(train)]) == 0
+        trained = capsys.readouterr().out
+        assert "frequency_prior_accuracy\t0.0\n" in trained
+        assert main(["probe", str(evaluate)]) == 0
+        assert capsys.readouterr().out != trained
+
     @pytest.mark.parametrize("line, message", [
         (lambda item: {k: v for k, v in item.items() if k != "provenance"},
          "line 2: item has no 'provenance' field"),
@@ -980,8 +1003,31 @@ class TestSweepAndProbe:
         (lambda item: b"\xff" + json.dumps(item).encode("utf-8"),
          "line 2: not valid UTF-8 ('utf-8' codec can't decode byte 0xff in "
          "position 0: invalid start byte)"),
+        (lambda item: {**item, "task_mode": 5},
+         "line 2: field 'task_mode' must be 'qa' or 'qar', got 5"),
+        (lambda item: {**item, "fold": "x"},
+         "line 2: field 'fold' must be an integer or null, got 'x'"),
+        (lambda item: {**item, "fold": True},
+         "line 2: field 'fold' must be an integer or null, got True"),
+        (lambda item: {**item, "bucket": 3},
+         "line 2: field 'bucket' must be a string or null, got 3"),
+        (lambda item: {**item, "provenance": [
+            {"kind": "distractor", "source": 7, "round": "r"} if p["kind"] != "gold" else p
+            for p in item["provenance"]]},
+         "line 2: field 'provenance' entry 0: 'source' must be a string, got 7"),
+        (lambda item: {**item, "provenance": [
+            {**p, "round": 0} if p["kind"] != "gold" else p for p in item["provenance"]]},
+         "line 2: field 'provenance' entry 0: 'round' must be an integer >= 1, got 0"),
+        (lambda item: {**item, "provenance": [
+            {**p, "kind": "weird"} if p["kind"] != "gold" else p for p in item["provenance"]]},
+         "line 2: field 'provenance' entry 0: 'kind' must be 'gold' or 'distractor', "
+         "got 'weird'"),
+        (lambda item: {**item, "gold_index": 0, "provenance": [{"kind": "gold"}, {
+            "kind": "distractor", "source": "r0001", "round": 1}]},
+         "line 2: field 'provenance' has 2 entries for 4 choices"),
     ], ids=["no-provenance", "array", "no-task-mode", "id-not-text", "gold-index-float",
-            "gold-index-bool", "not-utf8"])
+            "gold-index-bool", "not-utf8", "task-mode-int", "fold-text", "fold-bool",
+            "bucket-int", "source-int", "round-zero", "kind-weird", "provenance-short"])
     def test_probe_names_the_malformed_line(self, workspace, capsys, line, message):
         tmp, corpus, config = workspace
         items = tmp / "items.jsonl"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import multiprocessing
 import os
 import subprocess
@@ -187,37 +188,127 @@ def test_a_library_run_floors_every_score_at_the_config_eps(monkeypatch):
     assert ((matched >= eps) & (matched <= 1 - eps)).all()
 
 
-# Prints the BLAS threads a pool worker runs with: the getter that matches
-# the setter _init_worker found, read after it ran, or "none".
+# Prints the BLAS threads a pool worker runs with: the getter _init_worker
+# found beside its setter, read after it ran, or "none".
 _WORKER_BLAS_THREADS = """
-import ctypes, sys
 from advmatch import pipeline
 
-setter = pipeline._blas_thread_setter()
-if setter is None:
+blas = pipeline._blas_threads()
+if blas is None:
     print("none")
 else:
     pipeline._init_worker([])
-    core = (sys.modules.get("numpy._core._multiarray_umath")
-            or sys.modules.get("numpy.core._multiarray_umath"))
-    getter = getattr(ctypes.CDLL(core.__file__), setter.__name__.replace("_set_", "_get_"))
-    print(getter())
+    print(blas[0]())
 """
+
+
+# Runs run_match at jobs=1 on the corpus file argv[1], once through and
+# once failing in its second bucket, and prints, per run, the OpenBLAS
+# thread count before it, the count each bucket read and the count after
+# it, as JSON; or "none".
+_RUN_BLAS_THREADS = """
+import json, sys
+from advmatch import pipeline
+from advmatch.corpus import parse_records
+from advmatch.matcher import MatchConfig
+
+blas = pipeline._blas_threads()
+if blas is None:
+    print("none")
+    sys.exit()
+get = blas[0]
+with open(sys.argv[1], "rb") as f:
+    records = parse_records(f)
+real = pipeline._process_bucket
+for fail in (False, True):
+    seen = []
+
+    def counted(args):
+        seen.append(get())
+        if fail and len(seen) == 2:
+            raise RuntimeError("bucket failed")
+        return real(args)
+
+    pipeline._process_bucket = counted
+    before = get()
+    try:
+        pipeline.run_match(records, MatchConfig(seed=5, n_folds=3))
+    except RuntimeError:
+        pass
+    print(json.dumps([before, seen, get()]))
+"""
+
+
+def _blas_env() -> dict:
+    """This environment without a thread setting, with advmatch importable."""
+    src = str(Path(advmatch.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_worker_initializer_caps_blas_threads():
     # without a thread setting in the environment, OpenBLAS starts a thread
     # per CPU; a pool worker must run one
-    src = str(Path(advmatch.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS], env=env,
+    proc = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS], env=_blas_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.strip() == "none":
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread getter and setter")
     assert proc.stdout.strip() == "1"
+
+
+def test_run_caps_the_callers_blas_threads_and_restores_them(tmp_path):
+    # a --jobs 1 run matches in the calling process: one BLAS thread in
+    # every bucket, and the count the process had comes back after the
+    # run, also when a bucket fails
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(serialize_records(multi_fold_corpus(n_keys=12, per_key=3, seed=4)),
+                      encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _RUN_BLAS_THREADS, str(corpus)],
+                          env=_blas_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread getter and setter")
+    (before, seen, after), (failed_before, failed_seen, failed_after) = map(
+        json.loads, proc.stdout.splitlines())
+    assert seen == [1, 1, 1] and after == before
+    assert failed_seen == [1, 1] and failed_after == failed_before == before
+
+
+# Plans a small qa corpus and a small qar corpus, then matches one bucket
+# of each, and prints every module the two buckets imported.
+_BUCKET_IMPORTS = """
+import sys
+import advmatch
+from advmatch.matcher import MatchConfig
+from advmatch.pipeline import _process_bucket, plan_buckets
+from advmatch.scoring import ScorerSpec
+from conftest import simple_bucket_corpus
+
+config = MatchConfig(seed=1, n_folds=1, target_size=8)
+tasks = []
+for mode in ("qa", "qar"):
+    _, buckets = plan_buckets(simple_bucket_corpus(16, mode=mode), config)
+    tasks.append((buckets[0], config, ScorerSpec("overlap"), ScorerSpec("overlap"), None))
+loaded = set(sys.modules)
+for task in tasks:
+    _process_bucket(task)
+print(" ".join(sorted(set(sys.modules) - loaded)))
+"""
+
+
+def test_bucket_worker_imports_nothing_after_planning():
+    # a fresh pool worker pays for every module its first bucket imports;
+    # np.unique, for one, imports numpy.ma under numpy 2.x
+    env = _blas_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(Path(__file__).resolve().parent),
+                                         env["PYTHONPATH"]))
+    proc = subprocess.run([sys.executable, "-c", _BUCKET_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_jobs_below_one_rejected():

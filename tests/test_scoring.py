@@ -15,7 +15,7 @@ from advmatch.corpus import Record, Token, parse_token_stream as pts
 from advmatch.matcher import MatchConfig
 from advmatch.remap import CandidateTable
 from advmatch.scoring import (ExternalMatrixStore, ScorerSpec, ScoringError,
-                              _intersections, content, read_score_matrix,
+                              _intersections, content, matrix_files, read_score_matrix,
                               score_bucket, write_score_matrix)
 
 from conftest import make_record, simple_bucket_corpus
@@ -505,6 +505,16 @@ class TestMatrixFiles:
         second.unlink()
         store = ExternalMatrixStore([tmp_path, first])
         assert (store.for_bucket("relevance", tuple(ids)) == 0.25).all()
+
+    @pytest.mark.parametrize("lone", [str, lambda p: p], ids=["str", "path"])
+    @pytest.mark.parametrize("reader", [matrix_files, ExternalMatrixStore])
+    def test_a_lone_path_is_refused(self, tmp_path, lone, reader):
+        # iterated, "<dir>/scores" would name "/" and list its files
+        ids = [r.id for r in simple_bucket_corpus(4, seed=2)]
+        write_score_matrix(tmp_path / "a.scm", "relevance", np.full((4, 4), 0.25), ids)
+        with pytest.raises(TypeError, match="paths must be a list of paths, not the lone"):
+            reader(lone(tmp_path))
+        assert matrix_files([lone(tmp_path)]) == [tmp_path / "a.scm"]
 
     @pytest.mark.parametrize("kind", ["overlap", "embedding_cosine"])
     def test_builtin_scorer_takes_no_path(self, kind):

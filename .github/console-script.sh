@@ -17,6 +17,14 @@ PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "from conftest import simp
 # two buckets of 4, so that --jobs 2 starts a pool
 echo '{"seed": 1, "n_folds": 1, "target_size": 4}' > "$work/config.json"
 advmatch validate "$work/corpus.jsonl"
+# an empty corpus, or one of blank lines, is a problem, as for every other command
+for empty in "" "\n  \n"; do
+    printf "$empty" > "$work/empty.jsonl"
+    status=0
+    advmatch validate "$work/empty.jsonl" > "$work/empty.out" || status=$?
+    [ "$status" -eq 1 ]
+    grep -qx "corpus is empty" "$work/empty.out"
+done
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --jobs 1 --out "$work/items.jsonl"
 advmatch probe "$work/items.jsonl"
 # a pool of two workers writes the same bytes as one process
@@ -79,6 +87,12 @@ grep -q "config 'similarity_scorer' has unknown keys \['eps'\]" "$work/scorer_ep
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
 # score files written by one command, read back as external matrices
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores" > "$work/scores.list"
+# score holds BLAS at one thread itself: the same files without a thread
+# variable as with OPENBLAS_NUM_THREADS=1
+env -u OPENBLAS_NUM_THREADS -u GOTO_NUM_THREADS -u OMP_NUM_THREADS \
+    advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores_unpinned" > /dev/null
+OPENBLAS_NUM_THREADS=1 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores_pinned" > /dev/null
+diff -r "$work/scores_unpinned" "$work/scores_pinned"
 advmatch match "$work/corpus.jsonl" --config "$work/config.json" --rel-matrix "$work/scores" --sim-matrix "$work/scores" --jobs 2 --out "$work/external.jsonl"
 advmatch probe "$work/external.jsonl"
 # a sweep on external relevance scores its overlap attacker apart;

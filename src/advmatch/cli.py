@@ -38,7 +38,8 @@ from .corpus import (TASK_MODES, CorpusError, parse_records, scan_records,
 from .diagnostics import (DiagnosticsError, format_sweep_csv, format_sweep_table,
                           frequency_prior_probe, lambda_sweep)
 from .matcher import MatchConfig, MatchingError, parse_items
-from .pipeline import PipelineError, plan_buckets, resolve_mode, run_match
+from .pipeline import (PipelineError, _one_blas_thread, plan_buckets, resolve_mode,
+                       run_match)
 from .remap import RemapError
 from .scoring import (ScorerSpec, ScoringError, external_store, matrix_files,
                       score_bucket, write_score_matrix)
@@ -179,6 +180,9 @@ def cmd_validate(args, outputs) -> int:
             problems += len(found)
             for message in found:
                 print(message)
+    if not total:  # buckets, score, match and sweep refuse it too
+        print("corpus is empty")
+        problems = 1
     if problems:
         print(f"{problems} problem(s) in {args.input}")
         return EXIT_DATA
@@ -212,7 +216,8 @@ def cmd_buckets(args, outputs) -> int:
 
 
 def cmd_score(args, outputs) -> int:
-    """Write each bucket's two matrix files into ``--out``."""
+    """Write each bucket's two matrix files into ``--out``, scoring at one
+    BLAS thread as a match in this process does."""
     config, rel_spec, sim_spec = _load_config(args)
     if args.out == "-":
         raise ConfigError("score writes a directory of matrix files, not stdout; "
@@ -225,11 +230,12 @@ def cmd_score(args, outputs) -> int:
              for b in buckets for role in roles]
     targets = iter([outputs.stage(name) for name in names])
     store = external_store(rel_spec, sim_spec)
-    for b in buckets:
-        matrices = score_bucket(b.members, config, rel_spec, sim_spec, store)
-        for role, matrix in zip(roles, matrices):
-            write_score_matrix(next(targets), role, matrix.values,
-                               [r.id for r in b.members])
+    with _one_blas_thread():
+        for b in buckets:
+            matrices = score_bucket(b.members, config, rel_spec, sim_spec, store)
+            for role, matrix in zip(roles, matrices):
+                write_score_matrix(next(targets), role, matrix.values,
+                                   [r.id for r in b.members])
     print("\n".join(map(str, names)))
     return EXIT_OK
 

@@ -16,9 +16,10 @@ loaded to one thread as it starts, so that N workers run N BLAS threads
 rather than N times one per CPU.  A run that matches its buckets in the
 calling process (``--jobs 1``, or one bucket) holds that process at one
 thread while it does, then gives back the count it had, also when it
-raises.  The parent of a pool keeps its count: it runs no BLAS product
-while the workers match, and a thread-count call after a fork restarts
-OpenBLAS's threads, which then spin.  A worker sends back the bucket's
+raises; ``advmatch score`` scores its buckets under the same
+``_one_blas_thread``.  The parent of a pool keeps its count: it runs no
+BLAS product while the workers match, and a thread-count call after a
+fork restarts OpenBLAS's threads, which then spin.  A worker sends back the bucket's
 finished JSONL text, the scores of its matched pairs and how many of its items the
 attacker (the overlap relevance scorer at the run's one eps,
 ``MatchConfig.eps``) answers; no item object and no score matrix leaves

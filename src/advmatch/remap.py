@@ -17,8 +17,10 @@ record ids, so results do not depend on evaluation order or on how pairs
 are batched.
 
 :class:`CandidateTable` builds its bucket's pools from the flattened
-objects and gold tags of all its records at once, as flat arrays, and
-turns each gold into a ``%``-format template whose conversions are its tag
+objects and gold tags of all its records at once, as one flat array of
+object indices: a drawn index serves that object's own ``[class:index]``
+string, and a slot with no pool serves its class spelled out.  It turns
+each gold into a ``%``-format template whose conversions are its tag
 slots.  ``get`` derives the substreams of all the pairs it is given from
 their key strings in one batch (:class:`~advmatch.seeding.Substreams`),
 decodes the draws of every tag slot of those pairs together, slot by
@@ -79,8 +81,8 @@ class CandidateTable:
         self._n_slots = np.array(list(map(len, slot_tags)), dtype=np.intp)
         self._slot_start = np.concatenate(([0], np.cumsum(self._n_slots)))
 
-        # every object of the bucket, record by record: its record, class
-        # and 1-based index, and where each record's objects start
+        # every object of the bucket, record by record: its record and
+        # class, and where each record's objects start
         n_objects = np.array([len(r.objects) for r in records], dtype=np.intp)
         labels = list(chain.from_iterable(r.objects for r in records))
         classes = {c: k for k, c in enumerate(dict.fromkeys(
@@ -89,7 +91,6 @@ class CandidateTable:
         obj_class = np.array([classes[c] for c in labels], dtype=np.intp)
         obj_rec = np.repeat(np.arange(n), n_objects)
         obj_base = np.concatenate(([0], np.cumsum(n_objects)))
-        obj_idx = np.arange(len(labels)) - obj_base[obj_rec] + 1
         self._slot_class = np.array([classes[t.tag_class] for t in slots], dtype=np.intp)
 
         # the tags each record mentions, in its query or gold
@@ -107,21 +108,14 @@ class CandidateTable:
             raise RemapError(f"record {r.id}: tag {bad[0]} is outside its "
                              f"{len(r.objects)} objects")
 
-        # a served tag is written from its class and index alone; each one
-        # an object can give is a string, then each class spelled out
-        width = int(n_objects.max(initial=0)) + 1
-        tag = obj_class * width + obj_idx
-        used = np.zeros(n_classes * width, dtype=bool)
-        used[tag] = True
-        tag_codes = np.flatnonzero(used)
-        obj_code = (np.cumsum(used) - 1)[tag]
-        names = list(classes)
+        # the served strings: each object's own tag, in object order, then
+        # each class spelled out
         self._strings = np.array(
-            [f"[{names[c // width]}:{c % width}]" for c in tag_codes.tolist()]
-            + [f"the {label.lower()}" for label in names], dtype=object)
-        self._fallback_base = len(tag_codes)
+            [f"[{label}:{k}]" for r in records for k, label in enumerate(r.objects, 1)]
+            + [f"the {label.lower()}" for label in classes], dtype=object)
+        self._fallback_base = len(labels)
 
-        # the pools: one run of string codes per key, sorted by key; key =
+        # the pools: one run of object indices per key, sorted by key; key =
         # record * n_classes + class for the tags a record mentions, and
         # that plus n * n_classes for all its objects.  _run_start[key] is
         # where its run starts, and key 2 * n * n_classes has none.
@@ -134,7 +128,7 @@ class CandidateTable:
         keys = np.concatenate((obj_key[mentioned], obj_key[objects] + n * n_classes))
         self._run_start = np.concatenate(
             ([0], np.cumsum(np.bincount(keys, minlength=2 * n * n_classes + 1))))
-        self._pool = obj_code[np.concatenate((mentioned, objects))]
+        self._pool = np.concatenate((mentioned, objects))
         person = classes.get("person")
         self._person_key = (np.full(n, 2 * n * n_classes) if person is None
                             else np.arange(n) * n_classes + person + n * n_classes)

@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, AbstractSet, Iterable, Sequence
+from typing import IO, AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +103,16 @@ class ScorerSpec:
             raise ScoringError(f"{self.kind} scorer takes no path, got {self.path!r}")
 
 
+def _indicator(sets: Sequence[Iterable[str]], column: Mapping[str, int]) -> np.ndarray:
+    """A 0/1 matrix with one row per set: row r holds a 1 in column
+    ``column[x]`` for each x of ``sets[r]`` that ``column`` has."""
+    m = len(column)
+    out = np.zeros((len(sets), m))
+    out.reshape(-1)[[r * m + column[x] for r, xs in enumerate(sets)
+                     for x in xs if x in column]] = 1.0
+    return out
+
+
 def _intersections(row_contents: Sequence[AbstractSet[str]],
                    col_contents: Sequence[AbstractSet[str]]) -> np.ndarray:
     """``len(row & col)`` for every pair.
@@ -116,16 +126,8 @@ def _intersections(row_contents: Sequence[AbstractSet[str]],
     if col_contents is not row_contents:
         shared &= set().union(*col_contents)
     vocab = {w: k for k, w in enumerate(shared)}
-    m = len(vocab)
-
-    def incidence(contents: Sequence[AbstractSet[str]]) -> np.ndarray:
-        out = np.zeros((len(contents), m))
-        out.reshape(-1)[[i * m + vocab[w] for i, c in enumerate(contents)
-                         for w in c & shared]] = 1.0
-        return out
-
-    rows = incidence(row_contents)
-    cols = rows if col_contents is row_contents else incidence(col_contents)
+    rows = _indicator(row_contents, vocab)
+    cols = rows if col_contents is row_contents else _indicator(col_contents, vocab)
     return np.dot(rows, cols.T)
 
 
@@ -158,23 +160,15 @@ def _remapped_overlap(bucket: Sequence[Record]) -> np.ndarray:
     words, slots = zip(*(_words_and_slots(r.gold) for r in bucket))
     classes = sorted(set().union(*slots))
     column = {c: k for k, c in enumerate(classes)}
-    m = len(classes)
-
-    def indicator(sets: Iterable[Iterable[str]]) -> np.ndarray:
-        out = np.zeros((len(bucket), m))
-        out.reshape(-1)[[row * m + column[c] for row, labels in enumerate(sets)
-                         for c in labels if c in column]] = 1.0
-        return out
-
-    has = indicator(r.objects for r in bucket)
-    slot = indicator(slots)
+    has = _indicator([r.objects for r in bucket], column)
+    slot = _indicator(slots, column)
     person = np.array(["person" in r.objects for r in bucket])
     # class c kept as itself on target i: i has a c, or i has no person and
     # the spelled-out c is not a stopword
     kept = np.maximum(has, np.outer(~person, [c not in STOPWORDS for c in classes]))
     # slot classes of j that are not already words of j
-    fresh = indicator(s - w for s, w in zip(slots, words))
-    asked = indicator(queries)
+    fresh = _indicator([s - w for s, w in zip(slots, words)], column)
+    asked = _indicator(queries, column)
     # one "person" where i has a person, some slot class of j is missing on
     # i, and "person" is neither a word nor a slot class of j
     # np.dot, not @: numpy's matmul leaves BLAS when there is one class

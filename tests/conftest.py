@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import advmatch
 from advmatch.corpus import Record, parse_token_stream
 
 
@@ -96,3 +100,12 @@ def multi_fold_corpus(n_keys: int = 44, per_key: int = 3, seed: int = 0) -> list
 @pytest.fixture
 def tiny_records() -> list[Record]:
     return simple_bucket_corpus(8, seed=3)
+
+
+def blas_env() -> dict:
+    """This environment without a thread setting, with advmatch importable."""
+    src = str(Path(advmatch.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

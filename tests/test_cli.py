@@ -7,6 +7,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -23,7 +24,7 @@ from advmatch import pipeline
 from advmatch.pipeline import plan_buckets, run_match
 from advmatch.scoring import ScorerSpec, read_score_matrix, score_bucket
 
-from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
+from conftest import blas_env, make_record, multi_fold_corpus, simple_bucket_corpus
 
 
 def digest_bytes(data: bytes) -> str:
@@ -89,6 +90,14 @@ class TestValidate:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_empty_corpus_exit_one(self, tmp_path, capsys, text):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text(text, encoding="utf-8")
+        assert main(["validate", str(corpus)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "corpus is empty", f"1 problem(s) in {corpus}"]
 
     def test_duplicate_id_reported(self, tmp_path, capsys):
         r = make_record(0, "m", "why go ?", "home .")
@@ -705,7 +714,67 @@ class TestSplitAndBuckets:
                 assert np.array_equal(values, expected)
 
 
+# Runs advmatch score on the corpus argv[1] with the config argv[2] into
+# the directory argv[3], once through and once with the second bucket's
+# relevance file missing, and prints, per run, the exit code, the OpenBLAS
+# thread count before it, the count each bucket read and the count after
+# it, as JSON; or "none".
+_SCORE_BLAS_THREADS = """
+import contextlib, io, json, os, shutil, sys
+from advmatch import cli, pipeline
+
+blas = pipeline._blas_threads()
+if blas is None:
+    print("none")
+    sys.exit()
+get = blas[0]
+corpus, config, work = sys.argv[1:]
+real = cli.score_bucket
+seen = []
+
+def counted(*args):
+    seen.append(get())
+    return real(*args)
+
+def run(*argv):
+    seen.clear()
+    before = get()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(["score", corpus, "--config", config, *argv])
+    print(json.dumps([code, before, seen, get()]))
+    return printed.getvalue().split()
+
+cli.score_bucket = counted
+written = run("--out", os.path.join(work, "scores"))
+shutil.copytree(os.path.join(work, "scores"), os.path.join(work, "partial"))
+os.remove(os.path.join(work, "partial", os.path.basename(written[2])))
+run("--rel-matrix", os.path.join(work, "partial"), "--out", os.path.join(work, "failed"))
+"""
+
+
 class TestScoreAndExternalMatrices:
+    def test_score_caps_blas_threads_and_restores_them(self, tmp_path):
+        # score runs its buckets in this process, as a --jobs 1 match does:
+        # one BLAS thread in every bucket, and the count the process had
+        # comes back after the command, also when a bucket fails
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(multi_fold_corpus(n_keys=12, per_key=3, seed=4)),
+                          encoding="utf-8")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 5, "n_folds": 3}), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCORE_BLAS_THREADS, str(corpus), str(config),
+             str(tmp_path)], env=blas_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "none":
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread getter and setter")
+        (code, before, seen, after), failed = map(json.loads, proc.stdout.splitlines())
+        assert code == 0 and len(seen) > 1
+        assert seen == [1] * len(seen) and after == before
+        assert failed == [1, before, [1, 1], before]
+        assert "no external relevance matrix" in proc.stderr
+
     def test_score_then_match_with_external(self, workspace, capsys):
         tmp, corpus, config = workspace
         scores = tmp / "scores"

@@ -25,7 +25,7 @@ from advmatch.matcher import MatchConfig, parse_items, write_items
 from advmatch.pipeline import PipelineError, plan_buckets, run_match
 from advmatch.scoring import ScorerSpec, score_bucket, write_score_matrix
 
-from conftest import make_record, multi_fold_corpus, simple_bucket_corpus
+from conftest import blas_env, make_record, multi_fold_corpus, simple_bucket_corpus
 from oracles import machine_accuracy, relevance_overlap
 
 # Runs run_match at jobs=2 under the start method given as argv[1], on the
@@ -239,19 +239,10 @@ for fail in (False, True):
 """
 
 
-def _blas_env() -> dict:
-    """This environment without a thread setting, with advmatch importable."""
-    src = str(Path(advmatch.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def test_worker_initializer_caps_blas_threads():
     # without a thread setting in the environment, OpenBLAS starts a thread
     # per CPU; a pool worker must run one
-    proc = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS], env=_blas_env(),
+    proc = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS], env=blas_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.strip() == "none":
@@ -267,7 +258,7 @@ def test_run_caps_the_callers_blas_threads_and_restores_them(tmp_path):
     corpus.write_text(serialize_records(multi_fold_corpus(n_keys=12, per_key=3, seed=4)),
                       encoding="utf-8")
     proc = subprocess.run([sys.executable, "-c", _RUN_BLAS_THREADS, str(corpus)],
-                          env=_blas_env(), capture_output=True, text=True, timeout=120)
+                          env=blas_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.strip() == "none":
         pytest.skip("numpy's BLAS exports no OpenBLAS thread getter and setter")
@@ -302,7 +293,7 @@ print(" ".join(sorted(set(sys.modules) - loaded)))
 def test_bucket_worker_imports_nothing_after_planning():
     # a fresh pool worker pays for every module its first bucket imports;
     # np.unique, for one, imports numpy.ma under numpy 2.x
-    env = _blas_env()
+    env = blas_env()
     env["PYTHONPATH"] = os.pathsep.join((str(Path(__file__).resolve().parent),
                                          env["PYTHONPATH"]))
     proc = subprocess.run([sys.executable, "-c", _BUCKET_IMPORTS], env=env,

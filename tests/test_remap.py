@@ -199,6 +199,9 @@ class TestCandidateTable:
 # Text the remap templates and the item quoting must pass through as it is:
 # format directives, braces, escapes, a line separator and non-BMP text.
 _ODD = ["%", "%s", "%%", "{}", "\\", '"', "\u2028", "\U0001f600"]
+# Valid class labels that a served tag or a spelled-out class must pass
+# through as they are: format directives, braces and a non-ASCII letter.
+_LABELS = ["person", "car", "dog", "cup", "50%", "%s", "{}", "café"]
 
 
 @st.composite
@@ -208,8 +211,7 @@ def _tagged_record(draw, i):
     Tokens are built directly, so a word may hold any of ``_ODD``, even the
     line separator that parsing would split on.
     """
-    objects = tuple(draw(st.lists(st.sampled_from(["person", "car", "dog", "cup"]),
-                                  max_size=4)))
+    objects = tuple(draw(st.lists(st.sampled_from(_LABELS), max_size=4)))
     words = st.sampled_from(["w", "the", "own", ".", *_ODD]).map(Token.word)
     tags = [Token.tag(label, k) for k, label in enumerate(objects, 1)]
     pieces = st.one_of(words, st.sampled_from(tags)) if tags else words

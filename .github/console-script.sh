@@ -71,6 +71,13 @@ advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out "$work/cafe
 PYTHONIOENCODING=ascii advmatch match "$work/cafe.jsonl" --config "$work/config.json" --out - > "$work/cafe_stdout.jsonl"
 cmp "$work/cafe_items.jsonl" "$work/cafe_stdout.jsonl"
 advmatch split "$work/corpus.jsonl" --config "$work/config.json" --out "$work/folds.jsonl"
+# split refuses an empty corpus as every other command does
+: > "$work/empty.jsonl"
+status=0
+advmatch split "$work/empty.jsonl" --seed 1 --out "$work/empty_folds.jsonl" 2> "$work/empty_split.err" || status=$?
+[ "$status" -eq 1 ]
+grep -qx "error: corpus is empty" "$work/empty_split.err"
+[ ! -e "$work/empty_folds.jsonl" ]
 # a command takes only the flags it reads: split matches nothing
 if advmatch split "$work/corpus.jsonl" --config "$work/config.json" --jobs 2 --out "$work/folds2.jsonl" 2> "$work/split_jobs.err"; then
     echo "advmatch split took --jobs" >&2
@@ -84,6 +91,13 @@ advmatch match "$work/corpus.jsonl" --config "$work/scorer_eps.json" --out "$wor
 [ "$status" -eq 2 ]
 grep -q "config 'similarity_scorer' has unknown keys \['eps'\]" "$work/scorer_eps.err"
 [ ! -e "$work/scorer_eps.jsonl" ]
+# p_reuse is a constant, not a config key: a config holding it exits 2 naming it
+echo '{"seed": 1, "n_folds": 1, "target_size": 4, "p_reuse": 0.5}' > "$work/p_reuse.json"
+status=0
+advmatch match "$work/corpus.jsonl" --config "$work/p_reuse.json" --out "$work/p_reuse.jsonl" 2> "$work/p_reuse.err" || status=$?
+[ "$status" -eq 2 ]
+grep -q "unknown config keys \['p_reuse'\]" "$work/p_reuse.err"
+[ ! -e "$work/p_reuse.jsonl" ]
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
 # score files written by one command, read back as external matrices
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores" > "$work/scores.list"

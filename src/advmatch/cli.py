@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -85,12 +85,6 @@ def _text(key: str, value) -> str:
     return value
 
 
-def _folds(key: str, value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise _bad(key, "a list of fold indices", value)
-    return tuple(_integer(key, f) for f in value)
-
-
 def _scorer(key: str, value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise _bad(key, "an object with a 'kind'", value)
@@ -112,11 +106,9 @@ _CONFIG_KEYS = {
     "lambda": ("lambda_", _number),
     "rounds": ("rounds", _integer),
     "eps": ("eps", _number),
-    "p_reuse": ("p_reuse", _number),
     "n_folds": ("n_folds", _integer),
     "target_size": ("target_size", _integer),
     "mode": ("mode", _text),
-    "holdout_folds": ("holdout_folds", _folds),
     "relevance_scorer": ("rel_matrix", _scorer),
     "similarity_scorer": ("sim_matrix", _scorer),
 }
@@ -165,10 +157,9 @@ def _load_config(args) -> tuple[MatchConfig, ScorerSpec, ScorerSpec]:
 
 def _config_snapshot(config: MatchConfig, rel: ScorerSpec, sim: ScorerSpec) -> dict:
     """The value every config key took, as the manifest records it."""
-    resolved = replace(config, holdout_folds=config.resolved_holdout())
     # the scorer keys, in table order, with the keys a scorer config takes
     specs = iter({"kind": s.kind, "path": s.path} for s in (rel, sim))
-    return {key: next(specs) if cast is _scorer else getattr(resolved, name)
+    return {key: next(specs) if cast is _scorer else getattr(config, name)
             for key, (name, cast) in _CONFIG_KEYS.items()}
 
 
@@ -180,7 +171,7 @@ def cmd_validate(args, outputs) -> int:
             problems += len(found)
             for message in found:
                 print(message)
-    if not total:  # buckets, score, match and sweep refuse it too
+    if not total:  # every command that reads a corpus refuses it too
         print("corpus is empty")
         problems = 1
     if problems:
@@ -194,6 +185,8 @@ def cmd_split(args, outputs) -> int:
     config, _, _ = _load_config(args)
     target = outputs.stage(args.out)
     records = _read_corpus(args.input)
+    if not records:  # refused as the other commands do; split takes any mode
+        raise PipelineError("corpus is empty")
     plan = split_folds(records, config.n_folds, config.seed)
     _write_out(target, [serialize_records(records, plan.assignment)])
     return EXIT_OK

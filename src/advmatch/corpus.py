@@ -238,8 +238,10 @@ def record_from_obj(obj: dict, lineno: int = 0, surrogates: bool = True) -> Reco
                                   f"as UTF-8 ({exc.reason})") from None
     embedding = obj.get("embedding")
     if embedding is not None:
+        # a bool is an int to isinstance, but no number here
         if not isinstance(embedding, list) or not all(
-                isinstance(x, (int, float)) for x in embedding):
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in embedding):
             raise CorpusError(f"line {lineno}: embedding must be a list of numbers")
         embedding = tuple(float(x) for x in embedding)
     return Record(obj["id"], sys.intern(obj["source_key"]),

@@ -16,8 +16,9 @@ formula above).
 
 ``run_rounds`` returns the rounds as a ``(K, n)`` index array plus their
 texts, all from one ``CandidateTable.get`` call.  ``export_mcq`` writes them out as one JSONL
-item line per query: it quotes each text, id and query once and writes a
-line with one format operation over those JSON strings.
+item line per query, each naming the bucket's fold and bucket id: it quotes
+each text, id and query once and writes a line with one format operation
+over those JSON strings.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ class MatchingError(ValueError):
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Knobs for one matching run; the seed is mandatory for reproducibility."""
+    """Knobs for one matching run; the seed is mandatory for reproducibility.
+
+    It holds only what runs vary: the tag-reuse chance is the constant
+    ``remap.P_REUSE``."""
 
     seed: int
     lambda_: float | None = None  # None -> mode default (qa 0.1, qar 0.01)
     rounds: int = 3
     eps: float = DEFAULT_EPS
-    p_reuse: float = 0.5
     n_folds: int = 11
     target_size: int = 3000
     mode: str | None = None  # None -> taken from the corpus
-    holdout_folds: tuple[int, ...] | None = None  # None -> two highest folds
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -62,8 +64,6 @@ class MatchConfig:
             raise MatchingError(f"lambda must be finite and > 0, got {self.lambda_}")
         if not 0.0 < self.eps < 0.5:
             raise MatchingError(f"eps must be in (0, 0.5), got {self.eps}")
-        if not 0.0 <= self.p_reuse <= 1.0:
-            raise MatchingError(f"p_reuse must be in [0, 1], got {self.p_reuse}")
         if self.n_folds < 1:
             raise MatchingError(f"n_folds must be >= 1, got {self.n_folds}")
         if self.target_size < self.rounds + 1:
@@ -72,22 +72,11 @@ class MatchConfig:
         if self.mode is not None and self.mode not in TASK_MODES:
             raise MatchingError(
                 f"mode must be {' or '.join(map(repr, TASK_MODES))}, got {self.mode!r}")
-        if self.holdout_folds is not None:
-            bad = [f for f in self.holdout_folds if not 0 <= f < self.n_folds]
-            if bad:
-                raise MatchingError(f"holdout folds {bad} outside 0..{self.n_folds - 1}")
 
     def resolved_lambda(self, mode: str) -> float:
         if self.lambda_ is not None:
             return self.lambda_
         return LAMBDA_DEFAULTS[mode]
-
-    def resolved_holdout(self) -> tuple[int, ...]:
-        """Folds reserved for validation/testing; defaults to the two highest."""
-        if self.holdout_folds is not None:
-            return self.holdout_folds
-        n = min(2, self.n_folds)
-        return tuple(range(self.n_folds - n, self.n_folds))
 
     def with_lambda(self, lambda_: float) -> "MatchConfig":
         return replace(self, lambda_=lambda_)
@@ -190,8 +179,8 @@ class MCQItem:
     gold_index: int
     provenance: tuple[Provenance, ...]
     task_mode: str
-    fold: int | None = None
-    bucket_id: str | None = None
+    fold: int
+    bucket_id: str
 
 
 # compact json.dumps; it writes an int as repr does
@@ -225,8 +214,7 @@ def _distractor(source: str, round_index: str) -> str:
 
 
 def export_mcq(bucket: Sequence[Record], mappings: np.ndarray, texts: Sequence[str],
-               seed: int, fold: int | None = None, bucket_id: str | None = None,
-               ) -> list[str]:
+               seed: int, fold: int, bucket_id: str) -> list[str]:
     """Shuffle gold + distractors into choices; one JSONL item line per query.
 
     ``mappings`` and ``texts`` are what :func:`run_rounds` returns for the
@@ -284,8 +272,8 @@ def _item_from_json(obj: dict) -> MCQItem:
 # a test and its wording; a bool is no integer
 _ITEM_FIELDS = (
     ("id", lambda v: type(v) is str, "a string"),
-    ("fold", lambda v: v is None or type(v) is int, "an integer or null"),
-    ("bucket", lambda v: v is None or type(v) is str, "a string or null"),
+    ("fold", lambda v: type(v) is int, "an integer"),
+    ("bucket", lambda v: type(v) is str, "a string"),
     ("task_mode", lambda v: v in TASK_MODES, " or ".join(map(repr, TASK_MODES))),
     ("gold_index", lambda v: type(v) is int, "an integer"),
 )

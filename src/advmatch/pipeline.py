@@ -151,7 +151,7 @@ def _process_bucket(args) -> tuple[str, np.ndarray, int]:
     """
     bucket, config, rel_spec, sim_spec, store = args
     members = bucket.members
-    candidates = CandidateTable(members, config.p_reuse, config.seed)
+    candidates = CandidateTable(members, config.seed)
     rel, sim = (m.values for m in score_bucket(members, config, rel_spec, sim_spec,
                                                store))
     mappings, texts = run_rounds(members, rel, sim, config, candidates)

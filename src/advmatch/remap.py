@@ -3,12 +3,12 @@
 A response written for one scene rarely references objects that exist in
 another.  Before a response can serve as a candidate for a different
 query, each of its detection tags is replaced with a tag from the target
-record: with probability ``p_reuse`` a class-matching tag already
-mentioned in the target's query or gold response, otherwise a uniform
-class-matching tag from the target's full object list.  When a class has
-no candidates the chain falls back to the other pool, then to any person
-tag, and finally to spelling out the class ("the <class>") so remapping
-never fails.
+record: with probability ``P_REUSE`` (one half) a class-matching tag
+already mentioned in the target's query or gold response, otherwise a
+uniform class-matching tag from the target's full object list.  When a
+class has no candidates the chain falls back to the other pool, then to
+any person tag, and finally to spelling out the class ("the <class>") so
+remapping never fails.
 
 Each tag slot draws ``random()`` to pick the pool order, then, from a pool
 of more than one tag, ``integers(len(pool))`` to pick the tag.  Every
@@ -39,6 +39,10 @@ from .corpus import Record
 from .seeding import Substreams, scope_key
 
 
+# the chance that a tag slot draws from the tags its target mentions first
+P_REUSE = 0.5
+
+
 class RemapError(ValueError):
     """Raised when remapping inputs are structurally unusable."""
 
@@ -64,12 +68,9 @@ class CandidateTable:
     tags, gives the response's own gold text.
     """
 
-    def __init__(self, records: Sequence[Record], p_reuse: float, seed: int):
-        if not 0.0 <= p_reuse <= 1.0:
-            raise RemapError(f"p_reuse must be in [0, 1], got {p_reuse}")
+    def __init__(self, records: Sequence[Record], seed: int):
         records = list(records)
         n = len(records)
-        self._p_reuse = p_reuse
         self._ids = [r.id for r in records]
         self._key = scope_key(seed, "remap") + "\x1f"
         golds = [r.gold for r in records]
@@ -159,7 +160,7 @@ class CandidateTable:
         key = i * self._n_classes + cls
         # the (start, length) runs of the mentioned pool, the objects pool
         # and the persons; the pool a slot draws from is the first non-empty
-        # one of (mentioned, objects, persons) when random() < p_reuse, else
+        # one of (mentioned, objects, persons) when random() < P_REUSE, else
         # of (objects, mentioned, persons), and none spells the class out
         run = np.concatenate((key, key + self._objects_offset, self._person_key[i]))
         start = self._run_start[run]
@@ -172,7 +173,7 @@ class CandidateTable:
         for s in range(int(counts.max())):
             rows = np.flatnonzero(counts > s)
             at = first[rows] + s
-            reuse = streams.random(rows) < self._p_reuse
+            reuse = streams.random(rows) < P_REUSE
             length = np.where(reuse, reuse_len[at], fresh_len[at])
             start = np.where(reuse, reuse_start[at], fresh_start[at])
             # a pool of one tag, or none, draws nothing

@@ -63,7 +63,7 @@ def test_criterion_2_recycling_and_prior():
     from advmatch.remap import CandidateTable
     from advmatch.scoring import score_bucket
 
-    candidates = CandidateTable(bucket, p_reuse=0.5, seed=5)
+    candidates = CandidateTable(bucket, seed=5)
     config = MatchConfig(seed=5, rounds=3, n_folds=1)
     rel, sim = (m.values for m in score_bucket(bucket, config, rel_spec, sim_spec))
     mappings, texts = run_rounds(bucket, rel, sim, config, candidates)
@@ -77,7 +77,8 @@ def test_criterion_2_recycling_and_prior():
 
     items = []
     for shuffle_seed in range(50):
-        items.extend(parse_items(export_mcq(bucket, mappings, texts, seed=shuffle_seed)))
+        items.extend(parse_items(export_mcq(bucket, mappings, texts, shuffle_seed,
+                                            fold=0, bucket_id="f0:b:0")))
     assert len(items) >= 5000
     accuracy = frequency_prior_probe(items, items)
     assert abs(accuracy - 0.25) <= 0.02, f"prior probe at {accuracy:.4f}"

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +329,8 @@ class TestMatch:
         config = tmp / "every_key.json"
         config.write_text(json.dumps({
             "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
-            "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
-            "holdout_folds": [0], "relevance_scorer": {"kind": "overlap"},
+            "n_folds": 1, "target_size": 40, "mode": "qa",
+            "relevance_scorer": {"kind": "overlap"},
             "similarity_scorer": {"kind": "embedding_cosine"},
         }), encoding="utf-8")
         out = tmp / "items.jsonl"
@@ -338,8 +339,7 @@ class TestMatch:
         manifest = json.loads((tmp / "items.jsonl.manifest.json").read_text())
         assert manifest["config"] == {
             "seed": 7, "lambda": 0.5, "rounds": 2, "eps": 0.002,
-            "p_reuse": 0.25, "n_folds": 1, "target_size": 40, "mode": "qa",
-            "holdout_folds": [0],
+            "n_folds": 1, "target_size": 40, "mode": "qa",
             "relevance_scorer": {"kind": "overlap", "path": None},
             "similarity_scorer": {"kind": "embedding_cosine", "path": None},
             "jobs": 2,
@@ -489,8 +489,8 @@ class TestMatch:
         ({"seed": True}, "seed"),
         ({"rounds": 1.5}, "rounds"),
         ({"lambda": "abc"}, "lambda"),
-        ({"holdout_folds": 3}, "holdout_folds"),
-        ({"holdout_folds": [0.5]}, "holdout_folds"),
+        ({"eps": "x"}, "eps"),
+        ({"mode": 3}, "mode"),
         ({"relevance_scorer": {"kind": "external_matrix", "path": 3}},
          "relevance_scorer.path"),
     ])
@@ -555,6 +555,20 @@ class TestMatch:
         typo.write_text(json.dumps({"seed": 1, "lamda": 0.5}), encoding="utf-8")
         assert main(["match", str(corpus), "--config", str(typo)]) == 2
         assert "lamda" in capsys.readouterr().err
+
+    # neither is a config key: the reuse chance is remap.P_REUSE, and matching
+    # reads no held-out folds
+    @pytest.mark.parametrize("key, value", [("p_reuse", 0.5), ("holdout_folds", None)])
+    def test_removed_config_key_is_unknown(self, workspace, capsys, key, value):
+        tmp, corpus, _ = workspace
+        config = tmp / "removed.json"
+        config.write_text(json.dumps({"seed": 1, "n_folds": 1, key: value}),
+                          encoding="utf-8")
+        assert main(["match", str(corpus), "--config", str(config),
+                     "--out", str(tmp / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: unknown config keys [{key!r}]\n")
+        assert not (tmp / "x").exists()
 
     def test_flags_override_config(self, workspace):
         tmp, corpus, config = workspace
@@ -637,7 +651,7 @@ class TestMatch:
         assert "No such file or directory" in err and str(out.parent) in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["buckets", "score", "match", "sweep"])
+    @pytest.mark.parametrize("command", ["split", "buckets", "score", "match", "sweep"])
     def test_empty_corpus_is_refused_as_empty(self, tmp_path, capsys, command):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("", encoding="utf-8")
@@ -672,6 +686,16 @@ class TestSplitAndBuckets:
         # split output stays a valid corpus: parses back with fold intact
         reparsed = parse_records(out.read_text().splitlines())
         assert reparsed == records
+
+    def test_split_takes_a_corpus_of_mixed_modes(self, tmp_path):
+        # split resolves no task mode, so only planning buckets needs one
+        records = [replace(r, task_mode="qar") if k % 2 else r for k, r in
+                   enumerate(multi_fold_corpus(n_keys=12, per_key=2, seed=0))]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(serialize_records(records), encoding="utf-8")
+        out = tmp_path / "folds.jsonl"
+        assert main(["split", str(corpus), "--seed", "2", "--out", str(out)]) == 0
+        assert parse_records(out.read_text().splitlines()) == records
 
     def test_buckets_manifest(self, workspace):
         tmp, corpus, config = workspace
@@ -1075,11 +1099,15 @@ class TestSweepAndProbe:
         (lambda item: {**item, "task_mode": 5},
          "line 2: field 'task_mode' must be 'qa' or 'qar', got 5"),
         (lambda item: {**item, "fold": "x"},
-         "line 2: field 'fold' must be an integer or null, got 'x'"),
+         "line 2: field 'fold' must be an integer, got 'x'"),
         (lambda item: {**item, "fold": True},
-         "line 2: field 'fold' must be an integer or null, got True"),
+         "line 2: field 'fold' must be an integer, got True"),
+        (lambda item: {**item, "fold": None},
+         "line 2: field 'fold' must be an integer, got None"),
         (lambda item: {**item, "bucket": 3},
-         "line 2: field 'bucket' must be a string or null, got 3"),
+         "line 2: field 'bucket' must be a string, got 3"),
+        (lambda item: {**item, "bucket": None},
+         "line 2: field 'bucket' must be a string, got None"),
         (lambda item: {**item, "provenance": [
             {"kind": "distractor", "source": 7, "round": "r"} if p["kind"] != "gold" else p
             for p in item["provenance"]]},
@@ -1096,7 +1124,8 @@ class TestSweepAndProbe:
          "line 2: field 'provenance' has 2 entries for 4 choices"),
     ], ids=["no-provenance", "array", "no-task-mode", "id-not-text", "gold-index-float",
             "gold-index-bool", "not-utf8", "task-mode-int", "fold-text", "fold-bool",
-            "bucket-int", "source-int", "round-zero", "kind-weird", "provenance-short"])
+            "fold-null", "bucket-int", "bucket-null", "source-int", "round-zero",
+            "kind-weird", "provenance-short"])
     def test_probe_names_the_malformed_line(self, workspace, capsys, line, message):
         tmp, corpus, config = workspace
         items = tmp / "items.jsonl"

@@ -89,6 +89,17 @@ class TestParse:
         with pytest.raises(CorpusError, match=re.escape(message)):
             parse_records([escaped])
 
+    @pytest.mark.parametrize("embedding", [[True, False], [0.5, True]],
+                             ids=["bools", "one-bool"])
+    def test_embedding_booleans_are_refused(self, embedding):
+        # a bool is an int to isinstance, but JSON true is no number; what
+        # scan_records yields is what `advmatch validate` prints
+        line = _line(embedding=embedding)
+        message = "line 1: embedding must be a list of numbers"
+        assert list(scan_records([line])) == [(None, [message])]
+        with pytest.raises(CorpusError, match=message):
+            parse_records([line])
+
     def test_embedding_length_mismatch(self):
         lines = [_line(id="a", embedding=[1.0, 2.0]),
                  _line(id="b", embedding=[1.0, 2.0, 3.0])]
@@ -234,7 +245,7 @@ class TestInterning:
             make_record(2, "m", "why is [car:1] here ?", "[car:1] is parked .",
                         ("car",)),
         ]
-        table = CandidateTable(records, p_reuse=0.5, seed=3)
+        table = CandidateTable(records, seed=3)
         texts = table.get([(i, j) for i in range(3) for j in range(3)])
         remapped = _all_tokens(parse_token_stream(text) for text in texts)
         assert any(t.is_tag for t in remapped)

@@ -27,7 +27,8 @@ def make_item(i, gold_index=0, choice_texts=None, query="why is [person:1] busy 
     return MCQItem(
         id=f"it{i:04d}", query=pts(query),
         choices=tuple(pts(t) for t in texts),
-        gold_index=gold_index, provenance=tuple(prov), task_mode="qa")
+        gold_index=gold_index, provenance=tuple(prov), task_mode="qa",
+        fold=0, bucket_id="f0:b:0")
 
 
 class TestMachineAccuracy:
@@ -122,8 +123,7 @@ class TestLambdaSweep:
 
     def test_similarity_mean_decreases_with_lambda(self):
         records = trend_corpus(80, seed=3)
-        cfg = MatchConfig(seed=7, n_folds=1, target_size=500,
-                          eps=1e-6, p_reuse=0.5)
+        cfg = MatchConfig(seed=7, n_folds=1, target_size=500, eps=1e-6)
         rows = lambda_sweep(records, [0.01, 1.0], cfg,
                             sim_spec=None)
         assert rows[1].mean_gold_distractor_similarity <= \

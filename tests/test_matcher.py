@@ -77,8 +77,6 @@ class TestConfig:
             MatchConfig(seed=0, lambda_=0.0)
         with pytest.raises(MatchingError, match="target_size"):
             MatchConfig(seed=0, rounds=5, target_size=5)
-        with pytest.raises(MatchingError, match="holdout"):
-            MatchConfig(seed=0, n_folds=4, holdout_folds=(4,))
 
     @pytest.mark.parametrize("lam", [float("inf"), float("nan"), -float("inf")])
     def test_non_finite_lambda_rejected(self, lam):
@@ -86,12 +84,6 @@ class TestConfig:
             MatchConfig(seed=0, lambda_=lam)
         with pytest.raises(MatchingError, match="lambda must be finite"):
             MatchConfig(seed=0).with_lambda(lam)
-
-    def test_holdout_defaults_to_two_highest(self):
-        assert MatchConfig(seed=0, n_folds=11).resolved_holdout() == (9, 10)
-        assert MatchConfig(seed=0, n_folds=1).resolved_holdout() == (0,)
-        explicit = MatchConfig(seed=0, n_folds=11, holdout_folds=(0, 3))
-        assert explicit.resolved_holdout() == (0, 3)
 
 
 class TestEffectiveSimilarity:
@@ -173,7 +165,8 @@ class TestRunRounds:
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=5),
                                      GoldTexts(bucket))
         assert mappings.shape == (5, 12)
-        items = parse_items(export_mcq(bucket, mappings, texts, seed=0))
+        items = parse_items(export_mcq(bucket, mappings, texts, seed=0, fold=0,
+                                       bucket_id="f0:b:0"))
         for i, item in enumerate(items):
             picks = sorted((p.round_index, p.source_id)
                            for p in item.provenance if p.kind == "distractor")
@@ -230,7 +223,7 @@ class TestRunRounds:
 
     def test_candidate_table_texts_used(self):
         bucket = simple_bucket_corpus(5, seed=11)
-        candidates = CandidateTable(bucket, p_reuse=0.5, seed=3)
+        candidates = CandidateTable(bucket, seed=3)
         rel, sim = (m.values for m in score_bucket(
             bucket, MatchConfig(seed=0, eps=EPS), ScorerSpec("overlap"),
             ScorerSpec("overlap")))
@@ -246,7 +239,7 @@ class TestRunRounds:
         n, k = 9, 3
         bucket = simple_bucket_corpus(n, seed=16)
         rel, sim = random_scores(n, 17)
-        table = _CountingTable(CandidateTable(bucket, p_reuse=0.5, seed=4))
+        table = _CountingTable(CandidateTable(bucket, seed=4))
         mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
                                      table)
         assert len(table.calls) == 1
@@ -353,7 +346,8 @@ class TestExport:
     @staticmethod
     def _items(rounds, bucket, **kwargs):
         mappings, texts = rounds
-        return parse_items(export_mcq(bucket, mappings, texts, **kwargs))
+        return parse_items(export_mcq(bucket, mappings, texts, fold=0,
+                                      bucket_id="f0:b:0", **kwargs))
 
     def test_four_choices(self):
         bucket, rounds = self._rounds()
@@ -401,9 +395,9 @@ class TestExport:
     def test_rounds_that_do_not_fit_the_bucket(self):
         bucket, (mappings, texts) = self._rounds(n=8, seed=17)
         with pytest.raises(MatchingError, match="bucket of 7 records"):
-            export_mcq(bucket[:7], mappings, texts, seed=0)
+            export_mcq(bucket[:7], mappings, texts, seed=0, fold=0, bucket_id="f0:b:0")
         with pytest.raises(MatchingError, match="23 texts"):
-            export_mcq(bucket, mappings, texts[:-1], seed=0)
+            export_mcq(bucket, mappings, texts[:-1], seed=0, fold=0, bucket_id="f0:b:0")
 
     def test_items_round_trip_jsonl(self):
         bucket, rounds = self._rounds(n=8, seed=15)
@@ -448,13 +442,12 @@ def _export_bucket(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_export_bucket(), st.one_of(st.none(), st.integers(0, 20)),
-       st.one_of(st.none(), _names), st.integers(0, 2 ** 32))
+@given(_export_bucket(), st.integers(0, 20), _names, st.integers(0, 2 ** 32))
 def test_item_lines_are_compact_json_and_round_trip(bucket_k, fold, bucket_id, seed):
     bucket, k = bucket_k
     rel, sim = random_scores(len(bucket), seed)
     mappings, texts = run_rounds(bucket, rel, sim, MatchConfig(seed=0, rounds=k),
-                                 CandidateTable(bucket, p_reuse=0.5, seed=seed))
+                                 CandidateTable(bucket, seed=seed))
     lines = export_mcq(bucket, mappings, texts, seed, fold=fold, bucket_id=bucket_id)
     assert write_items(parse_items(lines)) == "".join(lines)
     # the reference: compact json.dumps of each line's object, whose gold is

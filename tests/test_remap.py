@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmatch.corpus import Record, Token, parse_token_stream as pts, tokens_to_text
-from advmatch.remap import CandidateTable, RemapError
+from advmatch.remap import P_REUSE, CandidateTable, RemapError
 from advmatch.scoring import content
 from advmatch.seeding import derive_rng
 
@@ -117,15 +117,15 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 class TestCandidateTable:
     def test_same_key_same_output(self):
         bucket = simple_bucket_corpus(6, seed=1)
-        a = CandidateTable(bucket, p_reuse=0.5, seed=42)
-        b = CandidateTable(bucket, p_reuse=0.5, seed=42)
+        a = CandidateTable(bucket, seed=42)
+        b = CandidateTable(bucket, seed=42)
         pairs = _all_pairs(6)
         assert a.get(pairs) == b.get(pairs)
 
     def test_text_independent_of_batching(self):
         # one pair per call, all pairs at once, and reversed order agree
         bucket = simple_bucket_corpus(6, seed=4)
-        table = CandidateTable(bucket, p_reuse=0.5, seed=8)
+        table = CandidateTable(bucket, seed=8)
         pairs = _all_pairs(6)
         together = table.get(pairs)
         assert [table.get([p])[0] for p in pairs] == together
@@ -134,18 +134,17 @@ class TestCandidateTable:
 
     def test_self_pair_untouched(self):
         bucket = simple_bucket_corpus(4, seed=2)
-        table = CandidateTable(bucket, p_reuse=0.5, seed=0)
+        table = CandidateTable(bucket, seed=0)
         assert table.get([(i, i) for i in range(4)]) == [tokens_to_text(r.gold)
                                                           for r in bucket]
 
     def test_matches_remap_tags_substream(self):
         bucket = simple_bucket_corpus(5, seed=3)
-        table = CandidateTable(bucket, p_reuse=0.3, seed=7)
+        table = CandidateTable(bucket, seed=7)
         pairs = [(i, j) for i, j in _all_pairs(5) if i != j]
         for (i, j), got in zip(pairs, table.get(pairs)):
             rng = derive_rng(7, "remap", bucket[i].id, bucket[j].id)
-            expected = remap_tags(bucket[j].gold, bucket[i],
-                                  0.3, rng)
+            expected = remap_tags(bucket[j].gold, bucket[i], P_REUSE, rng)
             assert got == tokens_to_text(expected)
 
     # records built in code reach the table without validate_record
@@ -154,11 +153,11 @@ class TestCandidateTable:
         bucket.append(Record(id="bad", source_key="m", query=pts("why ?"),
                              gold=pts("[car:1] drives ."), objects=()))
         with pytest.raises(RemapError, match=r"record bad: tag \[car:1\]"):
-            CandidateTable(bucket, p_reuse=0.5, seed=0)
+            CandidateTable(bucket, seed=0)
         bucket[-1] = Record(id="bad", source_key="m", query=pts("why ?"),
                             gold=pts("[car:1] passes [car:2] ."), objects=("car",))
         with pytest.raises(RemapError, match=r"record bad: tag \[car:2\]"):
-            CandidateTable(bucket, p_reuse=0.5, seed=0)
+            CandidateTable(bucket, seed=0)
 
     def test_query_tag_zero_names_record(self):
         # index 0 used to wrap to the previous record's last tag, so
@@ -170,7 +169,7 @@ class TestCandidateTable:
                   Record(id="c", source_key="m", query=pts("why ?"),
                          gold=pts("[dog:1] runs ."), objects=("dog",))]
         with pytest.raises(RemapError, match=r"record bad: tag \[dog:0\]"):
-            CandidateTable(bucket, p_reuse=1.0, seed=0)
+            CandidateTable(bucket, seed=0)
 
     def test_content_matches_materialized_tokens(self):
         # the content of a pair's text must not depend on the remapping's random
@@ -189,9 +188,9 @@ class TestCandidateTable:
                 gold=(Token.tag(objs[-1], len(objs)), *pts(f"acts a{i} .")),
                 objects=objs))
         pairs = _all_pairs(12)
-        reference = CandidateTable(records, p_reuse=0.4, seed=13).get(pairs)
-        for p_reuse, seed in ((0.4, 14), (0.0, 13), (1.0, 7)):
-            table = CandidateTable(records, p_reuse=p_reuse, seed=seed)
+        reference = CandidateTable(records, seed=13).get(pairs)
+        for seed in (14, 0, 7):
+            table = CandidateTable(records, seed=seed)
             for got, ref in zip(table.get(pairs), reference):
                 assert content(pts(got)) == content(pts(ref))
 
@@ -225,16 +224,15 @@ def _tagged_record(draw, i):
 @given(st.data())
 def test_get_equals_oracle_text(data):
     # empty pools spell the class out, classes the target lacks fall back to
-    # its persons, and p_reuse 0 and 1 take one pool order only
+    # its persons
     n = data.draw(st.integers(1, 6))
     bucket = [data.draw(_tagged_record(i)) for i in range(n)]
-    p_reuse = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
     seed = data.draw(st.integers(0, 2 ** 16))
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                unique=True, max_size=n * n))
-    got = CandidateTable(bucket, p_reuse, seed).get(pairs)
+    got = CandidateTable(bucket, seed).get(pairs)
     for (i, j), text in zip(pairs, got):
         rng = derive_rng(seed, "remap", bucket[i].id, bucket[j].id)
         want = bucket[j].gold if i == j else remap_tags(bucket[j].gold, bucket[i],
-                                                        p_reuse, rng)
+                                                        P_REUSE, rng)
         assert text == tokens_to_text(want)

@@ -244,7 +244,7 @@ class TestScoreBucket:
     def test_entrywise_recomputation_overlap(self):
         for bucket in (simple_bucket_corpus(10, seed=12), _mixed_class_corpus(12)):
             n = len(bucket)
-            candidates = CandidateTable(bucket, p_reuse=0.5, seed=99)
+            candidates = CandidateTable(bucket, seed=99)
             rel, sim = score_bucket(bucket, *_scoring_args())
             pairs = [(i, j) for i in range(n) for j in range(n)]
             for (i, j), text in zip(pairs, candidates.get(pairs)):
@@ -267,8 +267,7 @@ class TestScoreBucket:
         # class that is also a word of the gold
         n = data.draw(st.integers(1, 7))
         bucket = [data.draw(_scored_record(i)) for i in range(n)]
-        candidates = CandidateTable(bucket, p_reuse=data.draw(st.floats(0, 1)),
-                                    seed=data.draw(st.integers(0, 2 ** 16)))
+        candidates = CandidateTable(bucket, seed=data.draw(st.integers(0, 2 ** 16)))
         rel, _ = score_bucket(bucket, *_scoring_args())
         pairs = [(i, j) for i in range(n) for j in range(n)]
         for (i, j), text in zip(pairs, candidates.get(pairs)):

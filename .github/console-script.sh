@@ -7,8 +7,11 @@
 #
 #     bash .github/console-script.sh [WORK_DIR]
 #
-# WORK_DIR defaults to a fresh temporary directory.
+# WORK_DIR defaults to a fresh temporary directory.  A RuntimeWarning
+# (numpy's "Mean of empty slice", an overflow) fails the command that
+# raises it, as it fails a test.
 set -euo pipefail
+export PYTHONWARNINGS=error::RuntimeWarning
 
 work="${1:-$(mktemp -d)}"
 mkdir -p "$work"
@@ -99,6 +102,12 @@ advmatch match "$work/corpus.jsonl" --config "$work/p_reuse.json" --out "$work/p
 grep -q "unknown config keys \['p_reuse'\]" "$work/p_reuse.err"
 [ ! -e "$work/p_reuse.jsonl" ]
 advmatch buckets "$work/corpus.jsonl" --config "$work/config.json" --out "$work/buckets.jsonl"
+# twelve qar records that share one embedding: k-means puts them in 3
+# clusters of equal points, none of them empty
+PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "import dataclasses; from conftest import simple_bucket_corpus; from advmatch.corpus import serialize_records; open('$work/same_emb.jsonl', 'w').write(serialize_records([dataclasses.replace(r, embedding=(1.0, 2.0)) for r in simple_bucket_corpus(12, mode='qar')]))"
+echo '{"n_folds": 1, "target_size": 4}' > "$work/same_emb.json"
+advmatch buckets "$work/same_emb.jsonl" --config "$work/same_emb.json" --seed 1 --out "$work/same_emb_buckets.jsonl"
+advmatch match "$work/same_emb.jsonl" --config "$work/same_emb.json" --seed 1 --jobs 2 --out "$work/same_emb_items.jsonl"
 # score files written by one command, read back as external matrices
 advmatch score "$work/corpus.jsonl" --config "$work/config.json" --out "$work/scores" > "$work/scores.list"
 # score holds BLAS at one thread itself: the same files without a thread

@@ -23,19 +23,19 @@ shortest-augmenting-path solver happens to find:
 * the reported total is always the plain sum of the selected original
   entries.
 
-A solve may start from the previous solve's duals (:class:`Duals`, which
-``matcher.run_rounds`` hands from one round to the next).  scipy then sees
-the grid costs less the old row potentials, rescaled to this grid by
-``2**(s_new - s_old)`` and floored, and column-reduced again.  Only the row
-potentials carry over: the column reduction subtracts, for those rows, the
-best column potentials there are, whatever the old ones were.  Row and
-column constants move every perfect matching's total by the same amount,
-so scipy's optimal mappings are the cold costs' optimal mappings, only
-nearer the start of its search when the weights changed little.  Bellman-
-Ford and the tie-break still run on the cold costs, so the mapping is the
-same as from a cold solve.  The warm costs are integers >= 0; where their
-largest allowed entry would break ``n * max <= 2**GRID_BITS``, the cold
-costs are handed to scipy instead.
+A solve may start from the previous solve's row potentials, in the weights'
+own units (``Assignment.duals``, which ``matcher.run_rounds`` hands from
+one round to the next).  scipy then sees the grid costs less those
+potentials, scaled to this grid by ``2**s`` and floored, and column-reduced
+again.  Only the row potentials carry over: the column reduction subtracts,
+for those rows, the best column potentials there are, whatever the old ones
+were.  Row and column constants move every perfect matching's total by the
+same amount, so scipy's optimal mappings are the cold costs' optimal
+mappings, only nearer the start of its search when the weights changed
+little.  Bellman-Ford and the tie-break still run on the cold costs, so the
+mapping is the same as from a cold solve.  The warm costs are integers >= 0;
+where their largest allowed entry would break ``n * max <= 2**GRID_BITS``,
+the cold costs are handed to scipy instead.
 
 :func:`solve_lap_max` checks each :class:`WeightMatrix` it solves, and no
 copy of the weights is made to do so.
@@ -104,29 +104,18 @@ class WeightMatrix:
     forbidden: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Duals:
-    """Row potentials of an optimal dual of one solve's grid costs.
-
-    ``rows`` is in units of ``2**-scale``, the grid the solve quantized its
-    weights on; a later solve of the same rows rescales it to its own grid.
-    """
-
-    scale: int
-    rows: np.ndarray
-
-
 @dataclass(frozen=True)
 class Assignment:
     """A perfect matching: mapping[i] is the column assigned to row i.
 
-    ``duals`` (None from a 0x0 matrix) can start the next solve of the same
-    rows; it takes no part in equality.
+    ``duals`` (None from a 0x0 matrix), the row potentials of an optimal
+    dual in the weights' units, can start the next solve of the same rows;
+    it takes no part in equality.
     """
 
     mapping: tuple[int, ...]
     total_weight: float
-    duals: Duals | None = field(default=None, compare=False, repr=False)
+    duals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _quantize(values: np.ndarray, forbidden: np.ndarray) -> tuple[np.ndarray, int]:
@@ -162,16 +151,16 @@ def _grid_cost(values: np.ndarray, forbidden: np.ndarray) -> tuple[np.ndarray, i
 
 
 def _warm_cost(cost: np.ndarray, scale: int, forbidden: np.ndarray,
-               start: Duals) -> np.ndarray:
-    """``cost`` less ``start``'s row potentials rescaled to this grid, then
+               start: np.ndarray) -> np.ndarray:
+    """``cost`` less the row potentials ``start`` scaled to this grid, then
     column-reduced; ``cost`` itself where that breaks the grid's bound.
 
-    The rescaled potentials are floored and clipped to [0, 2**GRID_BITS]
+    The scaled potentials are floored and clipped to [0, 2**GRID_BITS]
     (any row constants keep the optimal mappings), so every step is exact
     integer arithmetic in float64.
     """
     with np.errstate(over="ignore"):
-        shift = np.ldexp(start.rows, scale - start.scale)
+        shift = np.ldexp(start, scale)
     np.clip(np.floor(shift, out=shift), 0.0, 2.0 ** GRID_BITS, out=shift)
     warm = cost - shift[:, None]
     warm -= warm.min(axis=0)
@@ -229,11 +218,10 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def _optimal_edges(cost: np.ndarray, mapping: np.ndarray,
-                   potential: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)``: the edges r -> c such that row r takes column c in
-    some minimum-cost mapping, in row-major order.
+def _optimal_edges(cost: np.ndarray, mapping: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, potential)``: the edges r -> c such that row r takes
+    column c in some minimum-cost mapping, in row-major order, and the row
+    potentials of an optimal dual.
 
     ``cost`` holds integer costs with +inf on forbidden entries, and
     ``mapping`` is a minimum-cost perfect matching of it.  Row r may take
@@ -242,9 +230,8 @@ def _optimal_edges(cost: np.ndarray, mapping: np.ndarray,
     graph are dual potentials, and the edge is tight when its extra cost is
     d[s] - d[r].  Every optimal mapping uses tight edges only, and a tight
     edge is in one exactly when its two rows share a strong component of
-    the tight graph.  ``potential``, when given, receives the row potentials
-    ``own - d`` of that dual (the column potentials are ``d`` of each
-    column's holder).
+    the tight graph.  The row potentials of that dual are ``own - d`` (the
+    column potentials are ``d`` of each column's holder).
     """
     n = len(mapping)
     rows = np.arange(n)
@@ -266,34 +253,31 @@ def _optimal_edges(cost: np.ndarray, mapping: np.ndarray,
         dist[moved] = reach[moved]
     else:
         raise AssignmentError("internal error: the solver's mapping is not optimal")
-    if potential is not None:
-        np.subtract(own, dist, out=potential)
     tight = cost + (dist - own)[:, None] == dist[pos]
     src, col = np.nonzero(tight)
     dst = pos[col]
     label = _strong_components(n, src, dst)
     keep = label[src] == label[dst]
-    return src[keep], col[keep]
+    return src[keep], col[keep], own - dist
 
 
-def _lexicalize(cost: np.ndarray, mapping: np.ndarray,
-                potential: np.ndarray | None = None) -> np.ndarray:
-    """The lexicographically smallest minimum-cost mapping, from any one.
+def _lexicalize(cost: np.ndarray, mapping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographically smallest minimum-cost mapping, from any one,
+    and :func:`_optimal_edges`' row potentials.
 
     Row by row, a row takes the smallest column of its optimal edges that
     the later rows can give up along a chain of such edges, found by one
     reverse search over the edge lists.  Only rows with such a column below
-    their own are visited.  ``potential`` is passed to
-    :func:`_optimal_edges`.
+    their own are visited.
     """
-    edge_row, edge_col = _optimal_edges(cost, mapping, potential)
+    edge_row, edge_col, potential = _optimal_edges(cost, mapping)
     n = len(mapping)
     row_start = np.searchsorted(edge_row, np.arange(n + 1))
     # a row is flagged while its smallest optimal column is below its own
     # (each row has one: its own column)
     flagged = (edge_col[row_start[:-1]] < mapping).tolist()
     if not any(flagged):
-        return mapping.copy()
+        return mapping.copy(), potential
     # each row's optimal columns and each column's optimal rows, ascending
     row_start = row_start.tolist()
     cols_of = edge_col.tolist()
@@ -339,10 +323,10 @@ def _lexicalize(cost: np.ndarray, mapping: np.ndarray,
             current[r], pos[col] = col, r
             flagged[r] = cols_of[row_start[r]] < col
             r = nxt_r
-    return np.array(current, dtype=np.int64)
+    return np.array(current, dtype=np.int64), potential
 
 
-def solve_lap_max(w: WeightMatrix, start: Duals | None = None) -> Assignment:
+def solve_lap_max(w: WeightMatrix, start: np.ndarray | None = None) -> Assignment:
     """Maximum-total-weight assignment avoiding all forbidden entries.
 
     Raises :class:`AssignmentError` when ``w`` is not square, its mask is
@@ -371,8 +355,7 @@ def solve_lap_max(w: WeightMatrix, start: Duals | None = None) -> Assignment:
             cost if start is None else _warm_cost(cost, scale, forbidden, start))[1]
     except ValueError as exc:  # scipy: "cost matrix is infeasible"
         raise AssignmentError("no perfect matching avoids the forbidden entries") from exc
-    potential = np.empty(n)
-    mapping = _lexicalize(cost, mapping, potential)
+    mapping, potential = _lexicalize(cost, mapping)
     return Assignment(mapping=tuple(int(c) for c in mapping),
                       total_weight=float(values[np.arange(n), mapping].sum()),
-                      duals=Duals(scale, potential))
+                      duals=np.ldexp(potential, -scale))

@@ -96,7 +96,9 @@ def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def cluster_embeddings(vectors: Sequence[Sequence[float]], k: int,
                        seed: int) -> np.ndarray:
-    """Seeded deterministic k-means labels (farthest-point init, cap 100 iters)."""
+    """Seeded deterministic k-means labels, each of 0..k-1 used (farthest-point init)."""
+    if len({len(v) for v in vectors}) > 1:
+        raise BucketingError("vectors must all have the same length")
     x = np.asarray(vectors, dtype=np.float64)
     if x.size == 0:
         raise BucketingError("cannot cluster an empty set of vectors")
@@ -118,12 +120,13 @@ def cluster_embeddings(vectors: Sequence[Sequence[float]], k: int,
     for _ in range(KMEANS_MAX_ITER):
         d2 = squared_distances(x, centers)
         new_labels = np.argmin(d2, axis=1)
-        # Re-seat empty clusters on the currently worst-fit points.
-        for c in range(k):
-            if not (new_labels == c).any():
-                worst = int(np.argmax(d2[np.arange(n), new_labels]))
-                new_labels[worst] = c
-                d2[worst, :] = 0.0
+        # Re-seat each empty cluster on the worst-fit point of a cluster
+        # that keeps another member (with k <= n there is one)
+        sizes = np.bincount(new_labels, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            fit = np.where(sizes[new_labels] > 1, d2[np.arange(n), new_labels], -1.0)
+            new_labels[int(np.argmax(fit))] = c
+            sizes = np.bincount(new_labels, minlength=k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -204,6 +207,12 @@ def build_buckets(records: Sequence[Record], mode: str, target_size: int,
                 raise BucketingError(
                     "qar bucketing clusters embeddings; missing for records: "
                     + ", ".join(missing))
+            first = members[0]
+            ragged = [r for r in members if len(r.embedding) != len(first.embedding)]
+            if ragged:
+                raise BucketingError(
+                    f"record {ragged[0].id}: embedding length {len(ragged[0].embedding)} "
+                    f"differs from length {len(first.embedding)} of record {first.id}")
             k = math.ceil(len(members) / target_size)
             labels = cluster_embeddings([r.embedding for r in members], k,
                                         derive_rng(seed, "cluster", fold, pronoun)

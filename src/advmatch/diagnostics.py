@@ -14,9 +14,11 @@ Two probes stand in for human evaluation at desk scale:
   data errors a sweep can meet (corpus, bucketing, scoring, external
   matrices) do not depend on lambda;
 * frequency_prior_probe: predict from per-response gold rates alone,
-  without ever reading the query.  On well-matched output every response
-  is gold once and a distractor K times, so the probe converges to
-  chance at 1/(K+1).
+  without ever reading the query.  Its class-canonical texts are not
+  recycled exactly (a distractor's tags are remapped, a gold's are not),
+  so it reads about chance, 1/(K+1), only when fitted on other folds.  It
+  sees exact texts alone, not cues such as the count of non-person tags,
+  which the remap's person fallback leaves higher on golds.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def frequency_prior_probe(train_items: Sequence[MCQItem],
     Builds a (times gold / times appearing) table over the train items'
     choices, keyed by their :func:`canonical_choice_text`, then on each
     eval item predicts the choice with the highest rate (unseen -> 0.0,
-    ties -> first choice).
+    ties -> first choice).  Fit it on other folds than ``eval_items``.
     """
     if not train_items or not eval_items:
         raise DiagnosticsError("probe needs non-empty train and eval items")

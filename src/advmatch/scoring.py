@@ -192,6 +192,12 @@ def _embedding_cosine(bucket: Sequence[Record]) -> np.ndarray:
         raise ScoringError(
             "embedding_cosine scorer needs embeddings; missing for records: "
             + ", ".join(missing))
+    first = bucket[0]
+    ragged = [r for r in bucket if len(r.embedding) != len(first.embedding)]
+    if ragged:
+        raise ScoringError(
+            f"record {ragged[0].id}: embedding length {len(ragged[0].embedding)} "
+            f"differs from length {len(first.embedding)} of record {first.id}")
     emb = np.asarray([r.embedding for r in bucket], dtype=np.float64)
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     zero = [bucket[i].id for i in np.nonzero(norms[:, 0] == 0.0)[0]]

@@ -153,6 +153,28 @@ class TestClusterEmbeddings:
         with pytest.raises(BucketingError, match="k must be"):
             cluster_embeddings(np.zeros((3, 2)), 4, seed=0)
 
+    def test_ragged_vectors_refused(self):
+        with pytest.raises(BucketingError, match="same length"):
+            cluster_embeddings([[1.0, 2.0], [1.0], [3.0, 4.0]], 1, seed=0)
+
+    def test_repeated_embeddings_use_every_cluster(self):
+        # every fit is 0: each empty cluster takes a point of its own, not
+        # the one an earlier empty cluster took
+        labels = cluster_embeddings([[1.0, 2.0]] * 10, 3, seed=7)
+        assert sorted(set(labels.tolist())) == [0, 1, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                    min_size=1, max_size=4),
+           st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_every_label_is_used(self, points, data, seed):
+        # a few distinct points, each repeated, and any k <= n
+        picks = data.draw(st.lists(st.integers(0, len(points) - 1),
+                                   min_size=1, max_size=12))
+        k = data.draw(st.integers(1, len(picks)))
+        labels = cluster_embeddings([points[i] for i in picks], k, seed)
+        assert sorted(set(labels.tolist())) == list(range(k))
+
 
 def _qa_records(n, qword="why", start=0):
     return [make_record(start + i, "m", f"{qword} is [person:1] waving w{start + i} ?",
@@ -248,4 +270,14 @@ class TestBuildBuckets:
                                f"[person:2] said words w{i} .", mode="qar")
                    for i in range(5)]
         with pytest.raises(BucketingError, match="r0000"):
+            build_buckets(records, "qar", 20, seed=0)
+
+    def test_qar_ragged_embeddings_named(self):
+        records = [make_record(i, "m", f"why is [person:1] set s{i} ?",
+                               f"[person:2] said words w{i} .",
+                               embedding=[1.0] if i == 3 else [1.0, float(i)],
+                               mode="qar")
+                   for i in range(5)]
+        with pytest.raises(BucketingError, match="record r0003: embedding length 1 "
+                           "differs from length 2 of record r0000"):
             build_buckets(records, "qar", 20, seed=0)

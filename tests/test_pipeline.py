@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -27,6 +28,15 @@ from advmatch.scoring import ScorerSpec, score_bucket, write_score_matrix
 
 from conftest import blas_env, make_record, multi_fold_corpus, simple_bucket_corpus
 from oracles import machine_accuracy, relevance_overlap
+
+# the benchmark's output checker, loaded as a file: one item contract for
+# the tests and the benchmark
+_CHECK = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+_check_spec = importlib.util.spec_from_file_location("bench_check", _CHECK)
+check = importlib.util.module_from_spec(_check_spec)
+# dataclasses resolves the module's string annotations through sys.modules
+sys.modules[_check_spec.name] = check
+_check_spec.loader.exec_module(check)
 
 # Runs run_match at jobs=2 under the start method given as argv[1], on the
 # corpus file argv[2], and prints the items.
@@ -393,3 +403,26 @@ def test_matched_rows_equal_score_matrices_at_provenance():
             assert [t for t, _ in picks] == list(range(1, config.rounds + 1))
             want.extend((rel.values[i, j], sim.values[i, j]) for _, j in picks)
         assert np.array_equal(br.matched, np.array(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(["multi_fold", "simple_bucket"]),
+       size=st.integers(8, 16), seed=st.integers(0, 2 ** 16),
+       lam=st.sampled_from([1.0, 0.1, 0.01]), rounds=st.integers(2, 3))
+def test_items_keep_the_benchmark_checkers_guarantees(shape, size, seed, lam, rounds):
+    # every rule bench/check.py holds the program to, on drawn corpora and
+    # the benchmark's sweep grid, and the same bytes from one process and a
+    # pool.  A repeated choice is a known defect the checker reports apart.
+    if shape == "multi_fold":
+        records = multi_fold_corpus(n_keys=size, per_key=3, seed=seed)
+        config = MatchConfig(seed=seed, lambda_=lam, rounds=rounds, n_folds=3,
+                             target_size=12)
+    else:
+        records = simple_bucket_corpus(2 * size, seed=seed, n_sources=4)
+        config = MatchConfig(seed=seed, lambda_=lam, rounds=rounds, n_folds=2)
+    text = write_items(run_match(records, config, jobs=1).items)
+    assert write_items(run_match(records, config, jobs=2).items) == text
+    golds = check.corpus_golds(serialize_records(records).encode("utf-8"))
+    result = check.check_items(text.splitlines(), golds, rounds)
+    assert result.items == len(records)
+    assert result.broken_guarantees == 0, result.summary()

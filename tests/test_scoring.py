@@ -293,6 +293,14 @@ class TestScoreBucket:
         with pytest.raises(ScoringError, match="r0000, r0001"):
             score_bucket(bucket, *_scoring_args("embedding_cosine", "overlap"))
 
+    def test_ragged_embeddings_named(self):
+        bucket = [make_record(i, "m", f"why run {i} ?", f"away {i} .",
+                              embedding=[1.0] if i == 2 else [1.0, 0.5])
+                  for i in range(4)]
+        with pytest.raises(ScoringError, match="record r0002: embedding length 1 "
+                           "differs from length 2 of record r0000"):
+            score_bucket(bucket, *_scoring_args("overlap", "embedding_cosine"))
+
     def test_range_invariant(self):
         bucket = simple_bucket_corpus(12, seed=14)
         rel, sim = score_bucket(bucket, *_scoring_args())
